@@ -10,7 +10,8 @@
 //!
 //! * the sequential baseline (one image at a time through all stages),
 //! * the plain pipeline (one worker per stage),
-//! * the replicated pipeline (profiling pre-pass + balanced plan),
+//! * the replicated pipeline (a static plan: [`dfcnn_bench::static_plan`]
+//!   times each stage on two images, then `ReplicationPlan::adaptive`),
 //!
 //! prints the per-stage [`dfcnn_core::exec::PipelineProfile`], checks all
 //! three paths are bit-identical, and writes both
@@ -23,7 +24,7 @@
 //! cargo run -p dfcnn-bench --release --bin host_pipeline
 //! ```
 
-use dfcnn_bench::{quick_test_case_1, quick_test_case_2, write_json, TestCase};
+use dfcnn_bench::{quick_test_case_1, quick_test_case_2, static_plan, write_json, TestCase};
 use dfcnn_core::exec::{PipelineProfile, ReplicationPlan, ThreadedEngine};
 use dfcnn_tensor::Tensor3;
 use serde::Serialize;
@@ -80,7 +81,7 @@ fn measure(tc: &TestCase, host_threads: usize) -> Row {
 
     let seq = engine.run_sequential(&images);
     let (pipe, _) = engine.run_with_plan(&images, &ReplicationPlan::uniform(depth));
-    let plan = engine.plan_for_host(&images);
+    let plan = static_plan(&engine, &images, host_threads);
     let (repl, profile) = engine.run_with_plan(&images, &plan);
 
     assert_eq!(

@@ -13,7 +13,8 @@
 //! * **adaptive replication** — `ThreadedEngine::run_adaptive` warms up
 //!   sequentially, replans from its own `MetricsSnapshot` deltas, and must
 //!   beat or match both the sequential baseline and the static balanced
-//!   plan on Test Case 2 when real parallelism exists; on a single-core
+//!   plan ([`dfcnn_bench::static_plan`], planned once from a two-image
+//!   profile) on Test Case 2 when real parallelism exists; on a single-core
 //!   host it must fall back to the sequential path (uniform plan,
 //!   bit-identical outputs) rather than lose to it.
 //!
@@ -25,7 +26,7 @@
 //! cargo run -p dfcnn-bench --release --bin telemetry_bench
 //! ```
 
-use dfcnn_bench::{quick_test_case_1, quick_test_case_2, write_json, TestCase};
+use dfcnn_bench::{quick_test_case_1, quick_test_case_2, static_plan, write_json, TestCase};
 use dfcnn_core::exec::{ReplicationPlan, ThreadedEngine};
 use dfcnn_core::observe::live::{snapshots_to_jsonl, MetricsSnapshot, Sampler};
 use dfcnn_tensor::Tensor3;
@@ -143,7 +144,7 @@ fn measure_adaptive(tc: &TestCase, host_threads: usize) -> AdaptiveRow {
     let seq = engine.run_sequential(&images);
     let sequential_s = t0.elapsed().as_secs_f64();
 
-    let plan = engine.plan_for_threads(&images, host_threads);
+    let plan = static_plan(&engine, &images, host_threads);
     let t0 = Instant::now();
     let (bal, _) = engine.run_with_plan(&images, &plan);
     let balanced_s = t0.elapsed().as_secs_f64();

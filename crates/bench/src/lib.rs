@@ -27,6 +27,7 @@
 //! All binaries print human-readable tables and write JSON records under
 //! `results/`.
 
+use dfcnn_core::exec::{ReplicationPlan, ThreadedEngine};
 use dfcnn_core::graph::{DesignConfig, NetworkDesign, PortConfig};
 use dfcnn_datasets::{Dataset, Generator, SyntheticCifar, SyntheticUsps};
 use dfcnn_nn::topology::NetworkSpec;
@@ -222,6 +223,21 @@ pub fn scheduler_comparison(tc: &TestCase, batch: usize) -> SchedComparison {
         reference_wall_s,
         speedup: reference_wall_s / event_wall_s,
     }
+}
+
+/// The static replication schedule the host benches compare against:
+/// time every stage sequentially on the first two images, plan once from
+/// those means with [`ReplicationPlan::adaptive`], and fall back to one
+/// worker per stage where the planner refuses to replicate.
+pub fn static_plan(
+    engine: &ThreadedEngine,
+    images: &[Tensor3<f32>],
+    host_threads: usize,
+) -> ReplicationPlan {
+    let (_, profile) = engine.run_sequential_profiled(&images[..images.len().min(2)]);
+    let means: Vec<u64> = profile.stages.iter().map(|s| s.mean_interval_ns).collect();
+    ReplicationPlan::adaptive(&means, host_threads)
+        .unwrap_or_else(|| ReplicationPlan::uniform(engine.stage_count()))
 }
 
 /// A Fig. 6 sweep: `(batch, mean µs/image)` pairs.

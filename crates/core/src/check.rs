@@ -65,10 +65,6 @@ use std::fmt;
 /// Inter-layer FIFO depths above this are flagged as BRAM waste.
 const FIFO_WASTE_DEPTH: usize = 64;
 
-/// The threaded-engine host planner caps replication factors here
-/// ([`crate::exec::ThreadedEngine::plan_for_host`]).
-const REPLICATION_CAP: usize = 4;
-
 /// How bad a diagnostic is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -632,8 +628,10 @@ pub fn check_network(network: &Network, ports: &PortConfig, _config: &DesignConf
 /// factor is ≥ 1 — image `j` is served by worker `j mod r`, so a zero
 /// factor leaves residue classes with no worker (and the engine would
 /// divide by zero), and a missing/extra stage entry desynchronises the
-/// dealing between boundaries. Factors above the host planner's cap are
-/// flagged: they oversubscribe the machine without raising throughput.
+/// dealing between boundaries. Factors above the host planner's cap
+/// ([`ReplicationPlan::MAX_FACTOR`], which [`ReplicationPlan::adaptive`]
+/// never exceeds) are flagged: they oversubscribe the machine without
+/// raising throughput.
 pub fn check_replication(plan: &ReplicationPlan, stage_count: usize) -> Vec<DesignDiagnostic> {
     let mut out = Vec::new();
     if plan.factors.len() != stage_count {
@@ -659,16 +657,17 @@ pub fn check_replication(plan: &ReplicationPlan, stage_count: usize) -> Vec<Desi
                 "replication factor 0: no worker serves any image of this stage".to_string(),
                 "factors must be \u{2265} 1",
             ));
-        } else if f > REPLICATION_CAP {
+        } else if f > ReplicationPlan::MAX_FACTOR {
             out.push(diag(
                 Severity::Warning,
                 RuleId::ReplicationSoundness,
                 format!("stage {i}"),
                 format!(
-                    "replication factor {f} exceeds the host planner's cap of \
-                     {REPLICATION_CAP}: extra workers contend without raising throughput"
+                    "replication factor {f} exceeds the host planner's cap of {}: \
+                     extra workers contend without raising throughput",
+                    ReplicationPlan::MAX_FACTOR
                 ),
-                "cap factors at 4 (see ThreadedEngine::plan_for_host)",
+                "cap factors at ReplicationPlan::MAX_FACTOR (see ReplicationPlan::adaptive)",
             ));
         }
     }

@@ -20,8 +20,9 @@
 //!    `dfcnn-bench`).
 //! 3. *Stage balancing*: the paper balances stages by scaling ports
 //!    (Eq. 4, `II = max(OUT_FM/OUT_PORTS, IN_FM/IN_PORTS)`). The host
-//!    analogue is **stage replication** ([`ReplicationPlan`]): a profiling
-//!    pre-pass times each stage, bottleneck stages get extra worker
+//!    analogue is **stage replication** ([`ReplicationPlan`]): a short
+//!    sequential warmup measures each stage in the live telemetry cells,
+//!    [`ReplicationPlan::adaptive`] gives bottleneck stages extra worker
 //!    threads fed round-robin, and the batch interval converges toward the
 //!    *balanced*-stage bound instead of the slowest single stage.
 //!
@@ -99,55 +100,42 @@ impl ReplicationPlan {
         }
     }
 
-    /// Allocate up to `extra_workers` additional workers greedily to the
-    /// stage with the largest *effective* interval (`mean / factor`),
-    /// capping each stage at `max_factor`. Stops early when the global
-    /// bottleneck can no longer be replicated (further workers would not
-    /// raise throughput). On a host with a single hardware thread
-    /// (`host_threads <= 1`) replication cannot overlap anything — the
-    /// documented lose-to-sequential case — so the plan stays uniform.
-    pub fn balanced(
-        mean_interval_ns: &[u64],
-        host_threads: usize,
-        extra_workers: usize,
-        max_factor: usize,
-    ) -> Self {
-        assert!(max_factor >= 1);
-        let n = mean_interval_ns.len();
-        if host_threads <= 1 {
-            return ReplicationPlan::uniform(n);
+    /// Cap on any stage's replication factor: past four workers a stage's
+    /// replicas contend for the host's cores without raising throughput.
+    pub const MAX_FACTOR: usize = 4;
+
+    /// The engine's replication planner, fed by *measured* per-stage
+    /// service times (the live telemetry cells, or any per-stage
+    /// profile). Extra workers — one fewer than the host's hardware
+    /// threads, at most 8 — go greedily to the stage with the largest
+    /// *effective* interval (`mean / factor`), each stage capped at
+    /// [`ReplicationPlan::MAX_FACTOR`]; allocation stops early once the
+    /// global bottleneck can no longer be replicated (further workers would
+    /// not raise throughput).
+    ///
+    /// Returns `None` when a thread-per-stage pipeline cannot pay off: a
+    /// single hardware thread (`host_threads <= 1`, where workers only
+    /// time-slice one CPU — measured ~0.65x of the sequential baseline) or
+    /// a single stage (nothing to overlap). The caller must then run
+    /// sequentially.
+    pub fn adaptive(measured_ns: &[u64], host_threads: usize) -> Option<Self> {
+        let n = measured_ns.len();
+        if host_threads <= 1 || n <= 1 {
+            return None;
         }
         let mut factors = vec![1usize; n];
-        let eff = |i: usize, f: &[usize]| mean_interval_ns[i] / f[i] as u64;
-        for _ in 0..extra_workers {
+        let eff = |i: usize, f: &[usize]| measured_ns[i] / f[i] as u64;
+        for _ in 0..host_threads.saturating_sub(1).min(8) {
             let bound = (0..n).map(|i| eff(i, &factors)).max().unwrap_or(0);
             let candidate = (0..n)
-                .filter(|&i| factors[i] < max_factor)
+                .filter(|&i| factors[i] < Self::MAX_FACTOR)
                 .max_by_key(|&i| eff(i, &factors));
             match candidate {
                 Some(i) if eff(i, &factors) == bound && bound > 0 => factors[i] += 1,
                 _ => break,
             }
         }
-        ReplicationPlan { factors }
-    }
-
-    /// A measurement-driven plan: replication factors computed from
-    /// *measured* per-stage service times (live telemetry cells), not a
-    /// static cost model. Returns `None` when the host has no parallelism
-    /// to exploit (`host_threads <= 1`) — the caller must fall back to
-    /// sequential execution, never a thread-per-stage pipeline.
-    pub fn adaptive(measured_ns: &[u64], host_threads: usize, max_factor: usize) -> Option<Self> {
-        if host_threads <= 1 {
-            return None;
-        }
-        let extra = host_threads.saturating_sub(1).min(8);
-        Some(ReplicationPlan::balanced(
-            measured_ns,
-            host_threads,
-            extra,
-            max_factor,
-        ))
+        Some(ReplicationPlan { factors })
     }
 
     /// Total worker threads the plan spawns.
@@ -186,6 +174,34 @@ pub struct StageProfile {
 }
 
 impl StageProfile {
+    /// A stage's profile from its exact per-stage totals (nanoseconds,
+    /// summed over workers); every mean is `total / images` (0 for an
+    /// idle stage). Workers record service, input wait and send wait once
+    /// per image, so one image count divides all three.
+    fn from_totals(
+        name: String,
+        replication: usize,
+        images: u64,
+        service_ns: u64,
+        max_ns: u64,
+        queue_wait_ns: u64,
+        send_wait_ns: u64,
+    ) -> Self {
+        let mean = |total: u64| total.checked_div(images).unwrap_or(0);
+        StageProfile {
+            name,
+            replication,
+            images,
+            mean_interval_ns: mean(service_ns),
+            max_interval_ns: max_ns,
+            mean_queue_wait_ns: mean(queue_wait_ns),
+            mean_send_wait_ns: mean(send_wait_ns),
+            service_total_ns: service_ns,
+            queue_wait_total_ns: queue_wait_ns,
+            send_wait_total_ns: send_wait_ns,
+        }
+    }
+
     /// Effective interval the stage contributes to the pipeline bound:
     /// `mean / replication` (replicated workers overlap in time).
     pub fn effective_interval_ns(&self) -> u64 {
@@ -464,8 +480,8 @@ impl ThreadedEngine {
     }
 
     /// A fresh live metrics plane matching this engine's stages (unit:
-    /// wall-clock nanoseconds), for [`ThreadedEngine::with_live`] or a
-    /// [`crate::observe::live::SpawnedSampler`].
+    /// wall-clock nanoseconds), for [`ThreadedEngine::with_live`]; read it
+    /// mid-run with [`LiveMetrics::render_prometheus`].
     pub fn live_metrics(&self) -> std::sync::Arc<LiveMetrics> {
         LiveMetrics::new(
             MetricUnit::Nanos,
@@ -500,91 +516,6 @@ impl ThreadedEngine {
     pub fn run(&self, images: &[Tensor3<f32>]) -> ExecResult {
         self.run_with_plan(images, &ReplicationPlan::uniform(self.stages.len()))
             .0
-    }
-
-    /// Profile each stage, compute a balanced [`ReplicationPlan`] sized to
-    /// the machine's parallelism, and run the batch with it. On a host
-    /// with a single hardware thread the thread-per-stage pipeline only
-    /// adds context switches (measured ~0.65x of the sequential baseline),
-    /// so the engine degrades to [`ThreadedEngine::run_sequential`] there.
-    pub fn run_pipelined(&self, images: &[Tensor3<f32>]) -> (ExecResult, PipelineProfile) {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        self.run_pipelined_with_parallelism(images, threads)
-    }
-
-    /// [`ThreadedEngine::run_pipelined`] with the host parallelism passed
-    /// explicitly, so the degradation policy is testable on any machine.
-    pub fn run_pipelined_with_parallelism(
-        &self,
-        images: &[Tensor3<f32>],
-        threads: usize,
-    ) -> (ExecResult, PipelineProfile) {
-        if !Self::should_pipeline(threads, self.stages.len()) {
-            return self.run_sequential_profiled(images);
-        }
-        let plan = self.plan_for_threads(images, threads);
-        self.run_with_plan(images, &plan)
-    }
-
-    /// Whether a thread-per-stage pipeline can beat the sequential loop:
-    /// it needs at least two hardware threads *and* at least two stages to
-    /// overlap. Otherwise the threads merely time-slice one CPU and the
-    /// channel hops become pure overhead.
-    fn should_pipeline(threads: usize, stages: usize) -> bool {
-        threads > 1 && stages > 1
-    }
-
-    /// The balanced plan [`ThreadedEngine::run_pipelined`] would use:
-    /// stage intervals from a warmup sample, extra workers bounded by the
-    /// host's spare hardware threads, factors capped at 4.
-    pub fn plan_for_host(&self, images: &[Tensor3<f32>]) -> ReplicationPlan {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        self.plan_for_threads(images, threads)
-    }
-
-    /// [`ThreadedEngine::plan_for_host`] with the thread count explicit.
-    pub fn plan_for_threads(&self, images: &[Tensor3<f32>], threads: usize) -> ReplicationPlan {
-        assert!(!images.is_empty(), "empty batch");
-        let warmup = &images[..images.len().min(2)];
-        let stats = self.profile_stages(warmup);
-        let means: Vec<u64> = stats.iter().map(|s| s.mean_ns()).collect();
-        let extra = threads.saturating_sub(1).min(8);
-        ReplicationPlan::balanced(&means, threads, extra, 4)
-    }
-
-    /// Time each stage on a warmup sample (run sequentially, one
-    /// measurement per stage per image) — the profiling pre-pass behind
-    /// [`ReplicationPlan::balanced`].
-    pub fn profile_stages(&self, sample: &[Tensor3<f32>]) -> Vec<IntervalStats> {
-        let mut workers: Vec<Box<dyn StageWorker>> =
-            self.stages.iter().map(|s| s.spec.make_worker()).collect();
-        let mut bufs: Vec<Tensor3<f32>> = self
-            .stages
-            .iter()
-            .map(|s| Tensor3::zeros(s.spec.out_shape))
-            .collect();
-        let mut stats = vec![IntervalStats::new(); self.stages.len()];
-        for img in sample {
-            for s in 0..self.stages.len() {
-                let (done, rest) = bufs.split_at_mut(s);
-                let refs: Vec<&Tensor3<f32>> = self.stages[s]
-                    .inputs
-                    .iter()
-                    .map(|inp| match inp {
-                        StageInput::Image => img,
-                        StageInput::Stage(t) => &done[*t],
-                    })
-                    .collect();
-                let t = Instant::now();
-                workers[s].apply_multi(&refs, &mut rest[0]);
-                stats[s].record(t.elapsed().as_nanos() as u64);
-            }
-        }
-        stats
     }
 
     /// Stream a batch through the pipeline with explicit per-stage
@@ -687,17 +618,16 @@ impl ThreadedEngine {
                 .stages
                 .iter()
                 .enumerate()
-                .map(|(s, st)| StageProfile {
-                    name: st.spec.name.clone(),
-                    replication: r[s],
-                    images: busy[s].count,
-                    mean_interval_ns: busy[s].mean_ns(),
-                    max_interval_ns: busy[s].max_ns,
-                    mean_queue_wait_ns: wait[s].mean_ns(),
-                    mean_send_wait_ns: send[s].mean_ns(),
-                    service_total_ns: busy[s].total_ns,
-                    queue_wait_total_ns: wait[s].total_ns,
-                    send_wait_total_ns: send[s].total_ns,
+                .map(|(s, st)| {
+                    StageProfile::from_totals(
+                        st.spec.name.clone(),
+                        r[s],
+                        busy[s].count,
+                        busy[s].total_ns,
+                        busy[s].max_ns,
+                        wait[s].total_ns,
+                        send[s].total_ns,
+                    )
                 })
                 .collect(),
             batch: images.len(),
@@ -725,8 +655,8 @@ impl ThreadedEngine {
     /// [`ThreadedEngine::run_sequential`] with per-stage timing, shaped
     /// like a pipelined profile (replication 1, zero queue/send waits —
     /// nothing ever blocks on a channel). This is the run
-    /// [`ThreadedEngine::run_pipelined`] falls back to when
-    /// [`ThreadedEngine::should_pipeline`] says threading cannot pay off.
+    /// [`ThreadedEngine::run_adaptive`] falls back to when
+    /// [`ReplicationPlan::adaptive`] says threading cannot pay off.
     pub fn run_sequential_profiled(
         &self,
         images: &[Tensor3<f32>],
@@ -781,17 +711,16 @@ impl ThreadedEngine {
                 .stages
                 .iter()
                 .enumerate()
-                .map(|(s, st)| StageProfile {
-                    name: st.spec.name.clone(),
-                    replication: 1,
-                    images: busy[s].count,
-                    mean_interval_ns: busy[s].mean_ns(),
-                    max_interval_ns: busy[s].max_ns,
-                    mean_queue_wait_ns: 0,
-                    mean_send_wait_ns: 0,
-                    service_total_ns: busy[s].total_ns,
-                    queue_wait_total_ns: 0,
-                    send_wait_total_ns: 0,
+                .map(|(s, st)| {
+                    StageProfile::from_totals(
+                        st.spec.name.clone(),
+                        1,
+                        busy[s].count,
+                        busy[s].total_ns,
+                        busy[s].max_ns,
+                        0,
+                        0,
+                    )
                 })
                 .collect(),
             batch: images.len(),
@@ -812,8 +741,9 @@ impl ThreadedEngine {
     /// and run the rest of the batch under a [`ReplicationPlan::adaptive`]
     /// replanned from those measurements (with one mid-batch replan on
     /// long batches, so the plan tracks what the workers actually
-    /// measure). Falls back to plain sequential execution on a 1-thread
-    /// host. Outputs are in input order and bit-identical to
+    /// measure). Falls back to plain sequential execution wherever the
+    /// planner refuses to replicate (a 1-thread host, a 1-stage design).
+    /// Outputs are in input order and bit-identical to
     /// [`ThreadedEngine::run_sequential`].
     pub fn run_adaptive(
         &self,
@@ -839,9 +769,8 @@ impl ThreadedEngine {
             Some(l) => l.clone(),
             None => self.live_metrics(),
         };
-        // ReplicationPlan::adaptive returns None exactly when pipelining
-        // cannot pay off; tiny batches never outrun their warmup either
-        if !Self::should_pipeline(threads, n) || images.len() <= ADAPTIVE_WARMUP {
+        // tiny batches never outrun their warmup
+        if images.len() <= ADAPTIVE_WARMUP {
             let (res, prof) = self.run_sequential_live(images, Some(&live));
             return (res, prof, ReplicationPlan::uniform(n));
         }
@@ -851,10 +780,10 @@ impl ThreadedEngine {
             self.run_sequential_live(&images[..ADAPTIVE_WARMUP], Some(&live));
         let mut plan = Self::replan(&mut sampler, &start, threads);
         let rest = &images[ADAPTIVE_WARMUP..];
-        // long batches get a second measurement point: the first pipelined
+        // long pipelined batches get a second measurement point: the first
         // chunk's deltas (true per-worker service under concurrency)
         // refine the plan for the remainder
-        let split = if rest.len() >= 2 * n.max(4) {
+        let split = if plan.is_some() && rest.len() >= 2 * n.max(4) {
             rest.len() / 2
         } else {
             rest.len()
@@ -862,20 +791,22 @@ impl ThreadedEngine {
         let mut parts = vec![warm_prof];
         let mut outputs = warm_res.outputs;
         let mut completion_times = warm_res.completion_times;
-        let mut chunk_at = ADAPTIVE_WARMUP;
-        for chunk in [&rest[..split], &rest[split..]] {
+        for (i, chunk) in [&rest[..split], &rest[split..]].into_iter().enumerate() {
             if chunk.is_empty() {
                 continue;
             }
-            if chunk_at > ADAPTIVE_WARMUP {
+            if i > 0 {
                 plan = Self::replan(&mut sampler, &start, threads);
             }
             let offset = start.elapsed();
-            let (res, prof) = self.run_with_plan_live(chunk, &plan, Some(&live));
+            // no plan: the planner refused to replicate, stay sequential
+            let (res, prof) = match &plan {
+                Some(plan) => self.run_with_plan_live(chunk, plan, Some(&live)),
+                None => self.run_sequential_live(chunk, Some(&live)),
+            };
             outputs.extend(res.outputs);
             completion_times.extend(res.completion_times.into_iter().map(|t| offset + t));
             parts.push(prof);
-            chunk_at += chunk.len();
         }
         let total = start.elapsed();
         let profile = Self::merge_profiles(&parts, images.len(), total.as_nanos() as u64);
@@ -886,21 +817,20 @@ impl ThreadedEngine {
                 total,
             },
             profile,
-            plan,
+            plan.unwrap_or_else(|| ReplicationPlan::uniform(n)),
         )
     }
 
     /// Sample the live cells and derive a fresh adaptive plan from the
     /// measured mean service time per stage since the last sample.
-    fn replan(sampler: &mut Sampler, start: &Instant, threads: usize) -> ReplicationPlan {
+    fn replan(sampler: &mut Sampler, start: &Instant, threads: usize) -> Option<ReplicationPlan> {
         let snap = sampler.sample(start.elapsed().as_nanos() as u64);
         let measured: Vec<u64> = snap
             .stages
             .iter()
             .map(|d| d.service / d.items.max(1))
             .collect();
-        ReplicationPlan::adaptive(&measured, threads, 4)
-            .expect("adaptive callers check threads > 1 first")
+        ReplicationPlan::adaptive(&measured, threads)
     }
 
     /// Fold per-chunk profiles into one batch profile: totals and image
@@ -910,30 +840,18 @@ impl ThreadedEngine {
         let first = parts.first().expect("at least one chunk profile");
         let stages = (0..first.stages.len())
             .map(|s| {
-                let images: u64 = parts.iter().map(|p| p.stages[s].images).sum();
-                let service: u64 = parts.iter().map(|p| p.stages[s].service_total_ns).sum();
-                let queue: u64 = parts.iter().map(|p| p.stages[s].queue_wait_total_ns).sum();
-                let send: u64 = parts.iter().map(|p| p.stages[s].send_wait_total_ns).sum();
-                StageProfile {
-                    name: first.stages[s].name.clone(),
-                    replication: parts
-                        .iter()
-                        .map(|p| p.stages[s].replication)
-                        .max()
-                        .unwrap_or(1),
-                    images,
-                    mean_interval_ns: service / images.max(1),
-                    max_interval_ns: parts
-                        .iter()
-                        .map(|p| p.stages[s].max_interval_ns)
-                        .max()
-                        .unwrap_or(0),
-                    mean_queue_wait_ns: queue / images.max(1),
-                    mean_send_wait_ns: send / images.max(1),
-                    service_total_ns: service,
-                    queue_wait_total_ns: queue,
-                    send_wait_total_ns: send,
-                }
+                let sum = |f: fn(&StageProfile) -> u64| parts.iter().map(|p| f(&p.stages[s])).sum();
+                let widest = parts.iter().map(|p| p.stages[s].replication).max();
+                let max_ns = parts.iter().map(|p| p.stages[s].max_interval_ns).max();
+                StageProfile::from_totals(
+                    first.stages[s].name.clone(),
+                    widest.unwrap_or(1),
+                    sum(|p| p.images),
+                    sum(|p| p.service_total_ns),
+                    max_ns.unwrap_or(0),
+                    sum(|p| p.queue_wait_total_ns),
+                    sum(|p| p.send_wait_total_ns),
+                )
             })
             .collect();
         PipelineProfile {
@@ -1094,29 +1012,17 @@ mod tests {
     }
 
     #[test]
-    fn run_pipelined_is_bit_identical_too() {
-        let design = tc1_design();
-        let imgs = batch(&design, 10, 7);
-        let engine = ThreadedEngine::new(&design);
-        let (res, profile) = engine.run_pipelined(&imgs);
-        assert_eq!(res.outputs, engine.run_sequential(&imgs).outputs);
-        assert!(profile.stages.iter().all(|s| s.replication >= 1));
-    }
-
-    #[test]
     fn single_thread_host_degrades_to_sequential() {
         // the regression: a 1-CPU host ran the thread-per-stage pipeline
         // at ~0.65x the sequential baseline — the engine must not spawn
         // workers it cannot overlap
-        assert!(!ThreadedEngine::should_pipeline(1, 5));
-        assert!(!ThreadedEngine::should_pipeline(4, 1));
-        assert!(ThreadedEngine::should_pipeline(2, 2));
         let design = tc1_design();
         let imgs = batch(&design, 6, 40);
         let engine = ThreadedEngine::new(&design);
         let seq = engine.run_sequential(&imgs);
-        let (res, profile) = engine.run_pipelined_with_parallelism(&imgs, 1);
+        let (res, profile, plan) = engine.run_adaptive_with_parallelism(&imgs, 1);
         assert_eq!(res.outputs, seq.outputs, "fallback must stay bit-exact");
+        assert_eq!(plan, ReplicationPlan::uniform(engine.stage_count()));
         // the sequential fallback's profile: one worker per stage, every
         // image through every stage, and no channel waits (nothing blocks)
         assert!(profile.stages.iter().all(|s| s.replication == 1));
@@ -1127,36 +1033,29 @@ mod tests {
             .all(|s| s.mean_queue_wait_ns == 0 && s.mean_send_wait_ns == 0));
         assert_eq!(profile.batch, 6);
         // with threads to spare the pipelined path still works
-        let (multi, _) = engine.run_pipelined_with_parallelism(&imgs, 4);
+        let (multi, _, _) = engine.run_adaptive_with_parallelism(&imgs, 4);
         assert_eq!(multi.outputs, seq.outputs);
     }
 
     #[test]
-    fn balanced_plan_targets_bottleneck() {
-        // stage 1 is 4x slower: extra workers must go there first
-        let plan = ReplicationPlan::balanced(&[100, 400, 100], 4, 3, 4);
+    fn adaptive_plan_targets_bottleneck_and_refuses_what_cannot_overlap() {
+        // stage 1 is 4x slower: the 3 extra workers of a 4-thread host
+        // must all go there
+        let plan = ReplicationPlan::adaptive(&[100, 400, 100], 4).unwrap();
         assert_eq!(plan.factors, vec![1, 4, 1]);
-        // cap respected even with surplus budget
-        let capped = ReplicationPlan::balanced(&[100, 400, 100], 4, 8, 2);
-        assert_eq!(capped.factors[1], 2);
+        // the cap holds even with a surplus thread budget
+        let capped = ReplicationPlan::adaptive(&[100, 4000, 100], 64).unwrap();
+        assert_eq!(capped.factors[1], ReplicationPlan::MAX_FACTOR);
         // equal stages: workers spread rather than stack
-        let even = ReplicationPlan::balanced(&[100, 100], 4, 2, 4);
-        assert_eq!(even.workers(), 4);
+        let even = ReplicationPlan::adaptive(&[100, 100], 3).unwrap();
+        assert_eq!(even.factors, vec![2, 2]);
+        // the documented lose-to-sequential cases: one hardware thread
+        // time-slices the workers, one stage has nothing to overlap
+        assert!(ReplicationPlan::adaptive(&[100, 400, 100], 1).is_none());
+        assert!(ReplicationPlan::adaptive(&[100, 400, 100], 0).is_none());
+        assert!(ReplicationPlan::adaptive(&[900], 4).is_none());
         // uniform is all ones
         assert_eq!(ReplicationPlan::uniform(3).factors, vec![1, 1, 1]);
-    }
-
-    #[test]
-    fn balanced_plan_refuses_replication_on_one_thread() {
-        // the documented lose-to-sequential case: a 1-thread host must
-        // never get a plan that spawns overlapping workers
-        let plan = ReplicationPlan::balanced(&[100, 400, 100], 1, 3, 4);
-        assert_eq!(plan.factors, vec![1, 1, 1]);
-        assert_eq!(ReplicationPlan::balanced(&[900], 0, 8, 4).factors, vec![1]);
-        // and the adaptive constructor refuses outright
-        assert!(ReplicationPlan::adaptive(&[100, 400, 100], 1, 4).is_none());
-        let adaptive = ReplicationPlan::adaptive(&[100, 400, 100], 4, 4).unwrap();
-        assert_eq!(adaptive.factors, vec![1, 4, 1]);
     }
 
     #[test]
@@ -1253,15 +1152,5 @@ mod tests {
         let chain = ThreadedEngine::new(&tc1_design());
         assert!(chain.plans.iter().all(|p| p.keep.is_empty()));
         assert!(chain.plans.iter().all(|p| p.in_slots == vec![0]));
-    }
-
-    #[test]
-    fn profile_stages_measures_every_stage() {
-        let design = tc1_design();
-        let imgs = batch(&design, 3, 8);
-        let engine = ThreadedEngine::new(&design);
-        let stats = engine.profile_stages(&imgs);
-        assert_eq!(stats.len(), engine.stage_count());
-        assert!(stats.iter().all(|s| s.count == 3));
     }
 }

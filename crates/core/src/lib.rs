@@ -75,8 +75,7 @@ pub use graph::{
 };
 pub use model::{host_pipeline, reference_forward, HostStage};
 pub use observe::live::{
-    CellCounters, LiveMetrics, MetricCell, MetricUnit, MetricsSnapshot, Sampler, SpawnedSampler,
-    StageDelta,
+    CellCounters, LiveMetrics, MetricCell, MetricUnit, MetricsSnapshot, Sampler, StageDelta,
 };
 pub use observe::{DriftReport, RunReport, SCHEMA_VERSION};
 pub use range::{analyze, analyze_with, observe_ranges, recommend_frac, Interval, RangeReport};

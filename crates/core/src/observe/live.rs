@@ -48,9 +48,8 @@
 
 use crate::trace::{bucket_of, IntervalStats, Stall};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Schema version stamped into every serialised observability record
 /// ([`MetricsSnapshot`], [`crate::observe::RunReport`],
@@ -383,8 +382,8 @@ pub struct MetricsSnapshot {
 /// The baseline is captured at construction, so a sampler built for a
 /// run reports that run's activity even when the cells carried earlier
 /// traffic. Single-threaded by design — the simulator drives it inline
-/// at cycle boundaries; the host engine wraps one in a
-/// [`SpawnedSampler`] thread ticking on wall-clock time.
+/// at cycle boundaries; the host engine's adaptive runner samples between
+/// batch chunks to replan.
 #[derive(Debug)]
 pub struct Sampler {
     live: Arc<LiveMetrics>,
@@ -492,48 +491,6 @@ pub fn snapshots_to_jsonl(snapshots: &[MetricsSnapshot]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// A background sampling thread for the threaded host engine: ticks on
-/// wall-clock time while workers bump the cells, takes a final flush
-/// sample on [`SpawnedSampler::finish`]. Finish *after* the engine run
-/// returns and the totals reconcile exactly (thread join gives the
-/// happens-before edge).
-#[derive(Debug)]
-pub struct SpawnedSampler {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<Sampler>,
-}
-
-impl SpawnedSampler {
-    /// Spawn a sampler over `live` ticking every `tick` of wall-clock
-    /// time; timestamps are nanoseconds since spawn.
-    pub fn spawn(live: Arc<LiveMetrics>, tick: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let handle = std::thread::spawn(move || {
-            let start = Instant::now();
-            let mut sampler = Sampler::new(live);
-            while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(tick);
-                sampler.sample(start.elapsed().as_nanos() as u64);
-            }
-            // final flush so the series sums to the cumulative totals
-            sampler.sample(start.elapsed().as_nanos() as u64);
-            sampler
-        });
-        SpawnedSampler { stop, handle }
-    }
-
-    /// Stop the tick loop, take the final flush sample and return the
-    /// snapshot time-series.
-    pub fn finish(self) -> Vec<MetricsSnapshot> {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle
-            .join()
-            .expect("sampler thread panicked")
-            .into_snapshots()
-    }
 }
 
 #[cfg(test)]
@@ -648,19 +605,5 @@ mod tests {
         assert!(text.contains("dfcnn_stage_busy_total{stage=\"conv1\",unit=\"cycles\"} 21"));
         assert!(text.contains("dfcnn_stage_idle_total{stage=\"fc1\",unit=\"cycles\"} 0"));
         assert!(text.contains("# TYPE dfcnn_stage_interval_p99 gauge"));
-    }
-
-    #[test]
-    fn spawned_sampler_flushes_on_finish() {
-        let live = LiveMetrics::new(MetricUnit::Nanos, vec!["s0".to_string()]);
-        let sampler = SpawnedSampler::spawn(live.clone(), Duration::from_millis(1));
-        live.cell(0).add_items(5);
-        live.cell(0).add_service(1000);
-        std::thread::sleep(Duration::from_millis(5));
-        let snaps = sampler.finish();
-        assert!(!snaps.is_empty());
-        let summed = sum_deltas(&snaps);
-        assert_eq!(summed[0].1, live.cell(0).counters());
-        assert!(snaps.windows(2).all(|w| w[0].at <= w[1].at));
     }
 }

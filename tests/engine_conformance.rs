@@ -126,7 +126,7 @@ fn test_case_1_replicated_matches_sequential() {
     }
 }
 
-/// Same contract on Paper Test Case 2 via the auto-balanced plan.
+/// Same contract on Paper Test Case 2 via the adaptive (measured) plan.
 #[test]
 fn test_case_2_replicated_matches_sequential() {
     let mut rng = ChaCha8Rng::seed_from_u64(49);
@@ -140,7 +140,7 @@ fn test_case_2_replicated_matches_sequential() {
     let engine = ThreadedEngine::new(&design);
     let images = cifar_images(engine.stage_count() + 2, 50);
     let seq = engine.run_sequential(&images);
-    let (res, _) = engine.run_pipelined(&images);
+    let (res, _, _) = engine.run_adaptive(&images);
     assert_eq!(res.outputs, seq.outputs);
 }
 
