@@ -5,6 +5,12 @@
 //! being stable, so an unintentional change to event ordering, cycle
 //! numbering or formatting shows up here as a one-line diff.
 //!
+//! A second golden pins fixed-point *output values*: the FNV-1a digest of
+//! the raw `f32` output bits of seeded batches through the host engine and
+//! the event simulator. The CSV goldens are f32 event traces and every
+//! engine shares `kernel.rs`, so a bit change inside a shared fixed-point
+//! kernel would pass engine conformance; it cannot pass this file.
+//!
 //! To regenerate after an *intentional* format change:
 //!
 //! ```text
@@ -32,6 +38,11 @@ const RESIDUAL_GOLDEN_PATH: &str = concat!(
 const RESNET8_GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/resnet8_trace.csv"
+);
+
+const FIXED_DIGEST_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/fixed_point_digests.txt"
 );
 
 /// The fixed fixture: a minimal conv → flatten → linear network, one
@@ -292,6 +303,71 @@ fn inception_chrome_export_names_concat_actors() {
     }
 }
 
+/// FNV-1a over the little-endian bytes of every output value's `f32` bits.
+fn output_digest<'a>(outputs: impl IntoIterator<Item = &'a [f32]>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in outputs.into_iter().flatten() {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A paper test case in a fixed-point spec, with 8 seeded images.
+fn fixed_test_case(tc: u8, frac: u32) -> (NetworkDesign, Vec<Tensor3<f32>>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(90 + u64::from(tc));
+    let (spec, ports) = match tc {
+        1 => (NetworkSpec::test_case_1(), PortConfig::paper_test_case_1()),
+        _ => (NetworkSpec::test_case_2(), PortConfig::paper_test_case_2()),
+    };
+    let net = spec.build(&mut rng);
+    let config = DesignConfig {
+        numeric: NumericSpec::Fixed16 { frac },
+        ..DesignConfig::default()
+    };
+    let design = NetworkDesign::new(&net, ports, config).unwrap();
+    let images: Vec<Tensor3<f32>> = match tc {
+        1 => SyntheticUsps::new(95).generate(8),
+        _ => SyntheticCifar::new(96).generate(8),
+    }
+    .into_iter()
+    .map(|(x, _)| x)
+    .collect();
+    (design, images)
+}
+
+/// One `name digest` line per pinned fixed-point run.
+fn rendered_fixed_digests() -> String {
+    use dfcnn::core::exec::ThreadedEngine;
+    let host = |tc, frac| {
+        let (design, images) = fixed_test_case(tc, frac);
+        let res = ThreadedEngine::new(&design).run_sequential(&images);
+        output_digest(res.outputs.iter().map(|t| t.as_slice()))
+    };
+    let (design, images) = fixed_test_case(2, 8);
+    let (sim, _) = design.instantiate(&images).run();
+    let sim = output_digest(sim.outputs.iter().map(|o| o.as_slice()));
+    format!(
+        "tc2_q16f8_run_sequential {:016x}\n\
+         tc1_q16f10_run_sequential {:016x}\n\
+         tc2_q16f8_event_sim {sim:016x}\n",
+        host(2, 8),
+        host(1, 10),
+    )
+}
+
+/// Fixed-point output values are pinned bit for bit: TC2 in q16f8 and TC1
+/// in q16f10 through the host engine, TC2 in q16f8 through the event
+/// simulator.
+#[test]
+fn fixed_point_outputs_match_golden_digests() {
+    let golden = std::fs::read_to_string(FIXED_DIGEST_GOLDEN_PATH)
+        .expect("golden file missing — run the ignored bless_golden_trace test");
+    assert_eq!(rendered_fixed_digests(), golden);
+}
+
 /// Regenerate the golden files (ignored; run explicitly after intentional
 /// trace-format changes).
 #[test]
@@ -301,4 +377,5 @@ fn bless_golden_trace() {
     std::fs::write(GOLDEN_PATH, rendered_csv()).unwrap();
     std::fs::write(RESIDUAL_GOLDEN_PATH, residual_rendered_csv()).unwrap();
     std::fs::write(RESNET8_GOLDEN_PATH, resnet8_rendered_csv()).unwrap();
+    std::fs::write(FIXED_DIGEST_GOLDEN_PATH, rendered_fixed_digests()).unwrap();
 }
