@@ -28,24 +28,19 @@ use dfcnn_nn::act::Activation;
 use dfcnn_nn::layer::{Conv2d, Linear, Pool2d, PoolKind};
 use dfcnn_tensor::{Numeric, Shape3, Tensor1, Tensor3, Tensor4};
 
-/// Apply an activation in the element domain: evaluate in `f32` (the
-/// activation unit is a LUT/abs-based block even in fixed-point hardware)
-/// and re-quantise. Exact (bit-identical to `activation.apply`) for `f32`.
+/// Apply an activation in the element domain, as the conv and FC cores'
+/// activation unit does on each output before it leaves the core. ReLU
+/// is a compare and Identity a wire; tanh is [`Numeric::tanh_hw`], a
+/// lookup table over raw values for fixed point (built from the f32
+/// expression, so bit-identical to it) and `f32::tanh` for `f32`. Each
+/// arm equals `E::from_f32(activation.apply(v.to_f32()))` bit for bit.
 #[inline]
 pub fn activate<E: Numeric>(act: Activation, v: E) -> E {
-    if E::EXACT_SUM {
-        // The quantised activation unit works in the element domain where
-        // it can: ReLU is a compare and Identity a wire. Both equal the
-        // f32 round-trip bit for bit (narrow raws convert exactly), so
-        // this is a fast path, not a semantic change. Tanh genuinely
-        // evaluates in f32 — the model of a lookup-table unit.
-        match act {
-            Activation::Identity => return v,
-            Activation::Relu => return v.max_hw(E::zero()),
-            Activation::Tanh => {}
-        }
+    match act {
+        Activation::Identity => v,
+        Activation::Relu => v.max_hw(E::zero()),
+        Activation::Tanh => v.tanh_hw(),
     }
-    E::from_f32(act.apply(v.to_f32()))
 }
 
 /// The eltwise-add join's per-value computation in the element domain:
@@ -463,13 +458,15 @@ pub fn fc_forward(
 }
 
 /// Reusable scratch for the whole-image conv forward: packed (quantised)
-/// filters and bias plus the window, product and output staging buffers.
-/// Constructed once per stage; [`conv_forward_hw_into`] then allocates
-/// nothing per image.
+/// filters and bias, the quantised input volume, and the window, product
+/// and output staging buffers. Constructed once per stage;
+/// [`conv_forward_hw_into`] then allocates nothing per image.
 #[derive(Clone, Debug)]
 pub struct ConvArena<E: Numeric = f32> {
     packed: PackedFilters<E>,
     bias: Vec<E>,
+    /// The input volume quantised into `E`, refilled once per image.
+    qin: Vec<E>,
     window: Vec<E>,
     scratch: Vec<E::Acc>,
     outvals: Vec<E>,
@@ -487,6 +484,7 @@ impl<E: Numeric> ConvArena<E> {
                 .iter()
                 .map(|&b| E::from_f32(b))
                 .collect(),
+            qin: vec![E::zero(); geo.input.len()],
             window: vec![E::zero(); geo.window_volume()],
             scratch: vec![E::Acc::default(); in_ports * geo.kh * geo.kw],
             outvals: vec![E::zero(); conv.out_maps()],
@@ -496,8 +494,10 @@ impl<E: Numeric> ConvArena<E> {
 
 /// Whole-image conv layer forward pass in hardware order, allocation-free:
 /// writes into a caller-owned output volume using the arena's buffers.
-/// Values are quantised as the window is built (on ingest, where a fabric
-/// datapath would place its converter) and dequantised on emission; both
+/// The input volume is quantised once per image, on ingest, where a
+/// fabric datapath would place its converter; windows are then gathered
+/// from the quantised copy (padding reads `E::zero()`, which equals
+/// `E::from_f32(0.0)`), and outputs are dequantised on emission. Both
 /// conversions are the identity for `f32`, so the f32 instantiation is
 /// bit-identical to [`conv_forward_hw`].
 pub fn conv_forward_hw_into<E: Numeric>(
@@ -512,7 +512,10 @@ pub fn conv_forward_hw_into<E: Numeric>(
     assert_eq!(out.shape(), conv.output_shape(), "output shape mismatch");
     let (kh, kw, in_fm) = (geo.kh, geo.kw, geo.input.c);
     let (h, w) = (geo.input.h, geo.input.w);
-    let src = input.as_slice();
+    for (q, &x) in arena.qin.iter_mut().zip(input.as_slice()) {
+        *q = E::from_f32(x);
+    }
+    let src = &arena.qin;
     let (ow, k_count) = (geo.out_w(), conv.out_maps());
     for (pos, (y0, x0)) in dfcnn_tensor::iter::WindowPositions::new(geo).enumerate() {
         // build the window in WindowEngine layout: (f, dy, dx); rows fully
@@ -526,12 +529,18 @@ pub fn conv_forward_hw_into<E: Numeric>(
                 } else if x0 >= 0 && x0 + kw as isize <= w as isize {
                     let mut idx = ((y as usize) * w + x0 as usize) * in_fm + f;
                     for v in row.iter_mut() {
-                        *v = E::from_f32(src[idx]);
+                        *v = src[idx];
                         idx += in_fm;
                     }
                 } else {
+                    let base = (y as usize) * w;
                     for (dx, v) in row.iter_mut().enumerate() {
-                        *v = E::from_f32(input.get_padded(y, x0 + dx as isize, f));
+                        let x = x0 + dx as isize;
+                        *v = if x < 0 || x >= w as isize {
+                            E::zero()
+                        } else {
+                            src[(base + x as usize) * in_fm + f]
+                        };
                     }
                 }
             }
@@ -846,15 +855,71 @@ mod tests {
         let _ = x;
     }
 
+    /// The per-window fixed-point conv: each window built with
+    /// `get_padded` and quantised value by value, reduced by the scalar
+    /// packed kernel, then activated through the f32 tanh expression.
+    fn conv_tanh_per_window_reference<E: Numeric>(
+        conv: &Conv2d,
+        in_ports: usize,
+        x: &Tensor3<f32>,
+    ) -> Tensor3<f32> {
+        let geo = *conv.geometry();
+        let packed = PackedFilters::<E>::new(conv.filters());
+        let bias = q::<E>(conv.bias().as_slice());
+        let mut window = vec![E::zero(); geo.window_volume()];
+        let mut scratch = vec![E::Acc::default(); in_ports * geo.kh * geo.kw];
+        let mut outvals = vec![E::zero(); conv.out_maps()];
+        let mut reference = Tensor3::zeros(conv.output_shape());
+        let ow = geo.out_w();
+        for (pos, (y0, x0)) in dfcnn_tensor::iter::WindowPositions::new(geo).enumerate() {
+            for fm in 0..geo.input.c {
+                for dy in 0..geo.kh {
+                    for dx in 0..geo.kw {
+                        window[(fm * geo.kh + dy) * geo.kw + dx] =
+                            E::from_f32(x.get_padded(y0 + dy as isize, x0 + dx as isize, fm));
+                    }
+                }
+            }
+            conv_window_packed_scalar(
+                &mut outvals,
+                &window,
+                &packed,
+                &bias,
+                Activation::Identity,
+                in_ports,
+                &mut scratch,
+            );
+            for (k, &v) in outvals.iter().enumerate() {
+                let act = E::from_f32(v.to_f32().tanh());
+                reference.set(pos / ow, pos % ow, k, act.to_f32());
+            }
+        }
+        reference
+    }
+
+    /// Quantise-once + table tanh against the per-window reference, with
+    /// the arena reused for a second image.
+    fn assert_fixed_conv_matches_per_window<E: Numeric>(conv: &Conv2d, x: &Tensor3<f32>) {
+        let reference = conv_tanh_per_window_reference::<E>(conv, 2, x);
+        let mut arena = ConvArena::<E>::new(conv, 2);
+        for _ in 0..2 {
+            let mut got = Tensor3::zeros(conv.output_shape());
+            conv_forward_hw_into(conv, 2, x, &mut got, &mut arena);
+            assert_eq!(got, reference, "{}", core::any::type_name::<E>());
+        }
+    }
+
     #[test]
     fn conv_hw_into_bit_identical_with_padding_and_stride() {
         // the strided fast path + padded slow path must agree with the
-        // plain get_padded window build, bit for bit
+        // plain get_padded window build, bit for bit — in f32 against the
+        // unpacked kernel, in fixed point against per-window quantisation
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         for (pad, stride) in [(0usize, 1usize), (1, 1), (2, 2), (1, 3)] {
             let geo = ConvGeometry::new(Shape3::new(7, 7, 4), 3, 3, stride, pad);
             let f = dfcnn_tensor::init::conv_filters(&mut rng, 3, 3, 3, 4);
             let b = dfcnn_tensor::init::random_vector(&mut rng, 3, -0.1, 0.1);
+            let tanh_conv = Conv2d::new(geo, f.clone(), b.clone(), Activation::Tanh);
             let conv = Conv2d::new(geo, f, b, Activation::Relu);
             let x = dfcnn_tensor::init::random_volume(&mut rng, geo.input, -1.0, 1.0);
             // reference: window via get_padded only, unpacked conv_window
@@ -893,6 +958,8 @@ mod tests {
             let mut got2 = Tensor3::zeros(conv.output_shape());
             conv_forward_hw_into(&conv, 2, &x, &mut got2, &mut arena);
             assert_eq!(got2, reference);
+            assert_fixed_conv_matches_per_window::<Q>(&tanh_conv, &x);
+            assert_fixed_conv_matches_per_window::<Fixed8<4>>(&tanh_conv, &x);
         }
     }
 

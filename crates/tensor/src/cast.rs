@@ -39,6 +39,12 @@ pub fn note_saturation() {
 /// Drain this thread's saturation-event tally: the number of clamps since
 /// the last call. Always 0 in release builds (the counter is debug-only),
 /// so release-gated asserts must check [`saturation_counting_enabled`].
+///
+/// A clamp is counted each time a conversion clamps, so the tally depends
+/// on how often a kernel converts a value. The host conv kernel quantises
+/// its input volume once per image, so an out-of-range input value counts
+/// once per image (even if no window reads it), not once per window
+/// holding it.
 pub fn take_saturation_events() -> u64 {
     #[cfg(debug_assertions)]
     {

@@ -160,6 +160,19 @@ pub type Q16 = Fixed<16>;
 /// classification accuracy while halving multiplier width.
 pub const DEFAULT_FRAC: u32 = 8;
 
+/// The activation unit's tanh as a lookup table over raw values, for one
+/// storage width and `FRAC`: entry `i` is the output at raw `lo + i`.
+///
+/// tanh, `to_f32` and `from_f32` are all monotone, so the output is flat
+/// from the first raw whose output equals the output at the container
+/// bound outward; the table stops there and lookups clamp into
+/// `[lo, hi]`.
+struct TanhTable<S> {
+    lo: S,
+    hi: S,
+    out: Box<[S]>,
+}
+
 // Narrow-storage fixed-point scalars for the *executed* datapath.
 //
 // [`Fixed`] above keeps 32-bit storage and exists for costing studies; the
@@ -317,6 +330,43 @@ macro_rules! narrow_fixed {
             }
         }
 
+        impl<const FRAC: u32> $name<FRAC> {
+            /// [`crate::Numeric::tanh_hw`]'s default expression, at one raw.
+            fn tanh_f32(raw: $store) -> $store {
+                <Self as Element>::from_f32(Self(raw).to_f32().tanh()).0
+            }
+
+            /// Evaluate [`Self::tanh_f32`] from raw 0 outward on each side
+            /// until it reaches its value at that side's container bound.
+            fn build_tanh_table() -> TanhTable<$store> {
+                let top = Self::tanh_f32(<$store>::MAX);
+                let bottom = Self::tanh_f32(<$store>::MIN);
+                let mut hi: $store = 0;
+                while hi < <$store>::MAX && Self::tanh_f32(hi) != top {
+                    hi += 1;
+                }
+                let mut lo: $store = 0;
+                while lo > <$store>::MIN && Self::tanh_f32(lo) != bottom {
+                    lo -= 1;
+                }
+                TanhTable {
+                    lo,
+                    hi,
+                    out: (lo..=hi).map(Self::tanh_f32).collect(),
+                }
+            }
+
+            /// This format's table, built on first use and shared by every
+            /// thread for the rest of the process.
+            fn tanh_table() -> &'static TanhTable<$store> {
+                // One slot per FRAC: a `static` in a generic impl is shared
+                // by every `FRAC`, so the slot index keeps formats apart.
+                static TABLES: [std::sync::OnceLock<TanhTable<$store>>; 32] =
+                    [const { std::sync::OnceLock::new() }; 32];
+                TABLES[FRAC as usize].get_or_init(Self::build_tanh_table)
+            }
+        }
+
         impl<const FRAC: u32> core::ops::Add for $name<FRAC> {
             type Output = Self;
             #[inline]
@@ -458,6 +508,17 @@ macro_rules! narrow_fixed {
                     acc += i64::from(i32::from(a[i].0) * i32::from(b[i].0));
                 }
                 acc
+            }
+
+            /// A table lookup, equal on every raw value to the default
+            /// `from_f32(to_f32().tanh())` it is built from. Neither path
+            /// ever clamps: |tanh x| ≤ |x|, so no output raw is larger in
+            /// magnitude than its input raw.
+            #[inline]
+            fn tanh_hw(self) -> Self {
+                let t = Self::tanh_table();
+                let i = i32::from(self.0.clamp(t.lo, t.hi)) - i32::from(t.lo);
+                $name(t.out[i as usize])
             }
         }
 
@@ -788,6 +849,58 @@ mod tests {
             let b = Q::from_f64(2.0);
             assert_eq!(a.max_hw(b), b);
             assert_eq!(b.max_hw(a), b);
+        }
+
+        /// Every raw value of one format: the table equals the expression
+        /// it is built from, each lookup records the same debug clamp
+        /// tally as the expression, and building the table records none.
+        macro_rules! check_tanh_table_exhaustively {
+            ($t:ty, $store:ty) => {{
+                use crate::cast::take_saturation_events;
+                let _ = take_saturation_events();
+                let _ = <$t>::build_tanh_table();
+                assert_eq!(take_saturation_events(), 0, "{} build", stringify!($t));
+                for raw in <$store>::MIN..=<$store>::MAX {
+                    let x = <$t>::from_raw(raw);
+                    let table = x.tanh_hw();
+                    let table_clamps = take_saturation_events();
+                    let expr = <$t as Element>::from_f32(x.to_f32().tanh());
+                    let expr_clamps = take_saturation_events();
+                    assert_eq!(table, expr, "{} raw {raw}", stringify!($t));
+                    assert_eq!(table_clamps, expr_clamps, "{} raw {raw}", stringify!($t));
+                }
+            }};
+        }
+
+        #[test]
+        fn tanh_table_matches_expression_on_every_raw_fixed16() {
+            check_tanh_table_exhaustively!(Fixed16<0>, i16);
+            check_tanh_table_exhaustively!(Fixed16<6>, i16);
+            check_tanh_table_exhaustively!(Fixed16<8>, i16);
+            check_tanh_table_exhaustively!(Fixed16<10>, i16);
+            check_tanh_table_exhaustively!(Fixed16<12>, i16);
+            check_tanh_table_exhaustively!(Fixed16<15>, i16);
+        }
+
+        #[test]
+        fn tanh_table_matches_expression_on_every_raw_fixed8() {
+            check_tanh_table_exhaustively!(Fixed8<0>, i8);
+            check_tanh_table_exhaustively!(Fixed8<1>, i8);
+            check_tanh_table_exhaustively!(Fixed8<2>, i8);
+            check_tanh_table_exhaustively!(Fixed8<3>, i8);
+            check_tanh_table_exhaustively!(Fixed8<4>, i8);
+            check_tanh_table_exhaustively!(Fixed8<5>, i8);
+            check_tanh_table_exhaustively!(Fixed8<6>, i8);
+            check_tanh_table_exhaustively!(Fixed8<7>, i8);
+        }
+
+        #[test]
+        fn tanh_table_stops_where_the_output_saturates() {
+            // q16f8: tanh reaches its container-bound value near |x| ≈ 3.5
+            let t = Q::build_tanh_table();
+            assert!(t.hi < 1024 && t.lo > -1024, "[{}, {}]", t.lo, t.hi);
+            assert_eq!(Q::from_raw(t.hi).tanh_hw(), Q::MAX.tanh_hw());
+            assert_eq!(Q::from_raw(t.lo).tanh_hw(), Q::MIN.tanh_hw());
         }
 
         #[test]

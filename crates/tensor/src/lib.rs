@@ -159,6 +159,14 @@ pub trait Numeric: Element + core::ops::Neg<Output = Self> {
 
     /// Reference scalar dot product (plain sequential loop).
     fn dot_acc_scalar(a: &[Self], b: &[Self]) -> Self::Acc;
+
+    /// The activation unit's tanh: evaluate in `f32` and re-quantise.
+    /// Fixed-point types override this with a lookup table built from
+    /// this same expression, so the two agree on every raw value.
+    #[inline]
+    fn tanh_hw(self) -> Self {
+        Self::from_f32(self.to_f32().tanh())
+    }
 }
 
 impl Numeric for f32 {
