@@ -5,11 +5,12 @@
 //! being stable, so an unintentional change to event ordering, cycle
 //! numbering or formatting shows up here as a one-line diff.
 //!
-//! A second golden pins fixed-point *output values*: the FNV-1a digest of
-//! the raw `f32` output bits of seeded batches through the host engine and
-//! the event simulator. The CSV goldens are f32 event traces and every
-//! engine shares `kernel.rs`, so a bit change inside a shared fixed-point
-//! kernel would pass engine conformance; it cannot pass this file.
+//! A second golden pins *output values*, fixed point and f32: the FNV-1a
+//! digest of the raw `f32` output bits of seeded batches through the host
+//! engine and the event simulator. The CSV goldens record only event
+//! timing and every engine shares `kernel.rs`, so a bit change inside a
+//! shared kernel — a reordered f32 sum, a different fixed-point rounding —
+//! would pass engine conformance; it cannot pass this file.
 //!
 //! To regenerate after an *intentional* format change:
 //!
@@ -40,9 +41,9 @@ const RESNET8_GOLDEN_PATH: &str = concat!(
     "/tests/golden/resnet8_trace.csv"
 );
 
-const FIXED_DIGEST_GOLDEN_PATH: &str = concat!(
+const OUTPUT_DIGEST_GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/fixed_point_digests.txt"
+    "/tests/golden/output_digests.txt"
 );
 
 /// The fixed fixture: a minimal conv → flatten → linear network, one
@@ -315,8 +316,8 @@ fn output_digest<'a>(outputs: impl IntoIterator<Item = &'a [f32]>) -> u64 {
     h
 }
 
-/// A paper test case in a fixed-point spec, with 8 seeded images.
-fn fixed_test_case(tc: u8, frac: u32) -> (NetworkDesign, Vec<Tensor3<f32>>) {
+/// A paper test case in `numeric`, with 8 seeded images.
+fn paper_test_case(tc: u8, numeric: NumericSpec) -> (NetworkDesign, Vec<Tensor3<f32>>) {
     let mut rng = ChaCha8Rng::seed_from_u64(90 + u64::from(tc));
     let (spec, ports) = match tc {
         1 => (NetworkSpec::test_case_1(), PortConfig::paper_test_case_1()),
@@ -324,7 +325,7 @@ fn fixed_test_case(tc: u8, frac: u32) -> (NetworkDesign, Vec<Tensor3<f32>>) {
     };
     let net = spec.build(&mut rng);
     let config = DesignConfig {
-        numeric: NumericSpec::Fixed16 { frac },
+        numeric,
         ..DesignConfig::default()
     };
     let design = NetworkDesign::new(&net, ports, config).unwrap();
@@ -338,34 +339,61 @@ fn fixed_test_case(tc: u8, frac: u32) -> (NetworkDesign, Vec<Tensor3<f32>>) {
     (design, images)
 }
 
-/// One `name digest` line per pinned fixed-point run.
-fn rendered_fixed_digests() -> String {
+/// The CIFAR ResNet-8 preset in f32, with 8 seeded images.
+fn resnet8_f32() -> (NetworkDesign, Vec<Tensor3<f32>>) {
+    use dfcnn::core::graph::build_graph_design;
+    use dfcnn::nn::topology::GraphSpec;
+    let spec = GraphSpec::resnet8_cifar();
+    let mut rng = ChaCha8Rng::seed_from_u64(97);
+    let layers = spec.build_layers(&mut rng);
+    let ports = PortConfig::single_port(spec.paper_depth());
+    let design = build_graph_design(&spec, &layers, &ports, DesignConfig::default()).unwrap();
+    let images = SyntheticCifar::new(98)
+        .generate(8)
+        .into_iter()
+        .map(|(x, _)| x)
+        .collect();
+    (design, images)
+}
+
+/// One `name digest` line per pinned run.
+fn rendered_output_digests() -> String {
     use dfcnn::core::exec::ThreadedEngine;
-    let host = |tc, frac| {
-        let (design, images) = fixed_test_case(tc, frac);
+    let host = |(design, images): (NetworkDesign, Vec<Tensor3<f32>>)| {
         let res = ThreadedEngine::new(&design).run_sequential(&images);
         output_digest(res.outputs.iter().map(|t| t.as_slice()))
     };
-    let (design, images) = fixed_test_case(2, 8);
-    let (sim, _) = design.instantiate(&images).run();
-    let sim = output_digest(sim.outputs.iter().map(|o| o.as_slice()));
+    let sim = |(design, images): (NetworkDesign, Vec<Tensor3<f32>>)| {
+        let (sim, _) = design.instantiate(&images).run();
+        output_digest(sim.outputs.iter().map(|o| o.as_slice()))
+    };
+    let q16 = |frac| NumericSpec::Fixed16 { frac };
     format!(
         "tc2_q16f8_run_sequential {:016x}\n\
          tc1_q16f10_run_sequential {:016x}\n\
-         tc2_q16f8_event_sim {sim:016x}\n",
-        host(2, 8),
-        host(1, 10),
+         tc2_q16f8_event_sim {:016x}\n\
+         tc2_f32_run_sequential {:016x}\n\
+         tc2_f32_event_sim {:016x}\n\
+         resnet8_f32_run_sequential {:016x}\n",
+        host(paper_test_case(2, q16(8))),
+        host(paper_test_case(1, q16(10))),
+        sim(paper_test_case(2, q16(8))),
+        host(paper_test_case(2, NumericSpec::F32)),
+        sim(paper_test_case(2, NumericSpec::F32)),
+        host(resnet8_f32()),
     )
 }
 
-/// Fixed-point output values are pinned bit for bit: TC2 in q16f8 and TC1
-/// in q16f10 through the host engine, TC2 in q16f8 through the event
-/// simulator.
+/// Output values are pinned bit for bit. Fixed point: TC2 in q16f8 and
+/// TC1 in q16f10 through the host engine, TC2 in q16f8 through the event
+/// simulator. f32 (where the tree-adder and interleaved-bank summation
+/// orders decide the rounding): TC2 through the host engine and the event
+/// simulator, and the CIFAR ResNet-8 preset through the host engine.
 #[test]
-fn fixed_point_outputs_match_golden_digests() {
-    let golden = std::fs::read_to_string(FIXED_DIGEST_GOLDEN_PATH)
+fn outputs_match_golden_digests() {
+    let golden = std::fs::read_to_string(OUTPUT_DIGEST_GOLDEN_PATH)
         .expect("golden file missing — run the ignored bless_golden_trace test");
-    assert_eq!(rendered_fixed_digests(), golden);
+    assert_eq!(rendered_output_digests(), golden);
 }
 
 /// Regenerate the golden files (ignored; run explicitly after intentional
@@ -377,5 +405,5 @@ fn bless_golden_trace() {
     std::fs::write(GOLDEN_PATH, rendered_csv()).unwrap();
     std::fs::write(RESIDUAL_GOLDEN_PATH, residual_rendered_csv()).unwrap();
     std::fs::write(RESNET8_GOLDEN_PATH, resnet8_rendered_csv()).unwrap();
-    std::fs::write(FIXED_DIGEST_GOLDEN_PATH, rendered_fixed_digests()).unwrap();
+    std::fs::write(OUTPUT_DIGEST_GOLDEN_PATH, rendered_output_digests()).unwrap();
 }
