@@ -23,7 +23,7 @@
 
 use dfcnn_bench::{write_json, SEED};
 use dfcnn_core::graph::{DesignConfig, NetworkDesign, PortConfig};
-use dfcnn_core::kernel::{conv_window_packed, conv_window_packed_scalar, PackedFilters};
+use dfcnn_core::kernel::{conv_window_packed, conv_window_packed_scalar, PackedFilters, LANES};
 use dfcnn_datasets::{Dataset, Generator, SyntheticCifar, SyntheticUsps};
 use dfcnn_nn::act::Activation;
 use dfcnn_nn::topology::NetworkSpec;
@@ -142,7 +142,7 @@ fn conv_case<E: Numeric>(
         .iter()
         .map(|&v| E::from_f32(v))
         .collect();
-    let mut scratch = vec![E::Acc::default(); in_ports * kh * kw];
+    let mut scratch = vec![[E::Acc::default(); LANES]; packed.scratch_len(in_ports)];
     let mut out_simd = vec![E::zero(); out_fm];
     let mut out_scalar = vec![E::zero(); out_fm];
     conv_window_packed(

@@ -5,6 +5,8 @@
 //! depend on its summation orders: the tree adder inside the conv core
 //! (Algorithm 1's `reduce`), the sequential accumulation across Algorithm
 //! 1's group loop, and the FC core's interleaved accumulators (§IV-B).
+//! The f32 kernels vectorise across outputs ([`LANES`] at a time), never
+//! within one output's sum, so each output keeps exactly that order.
 //! Both execution engines (the cycle simulator and the threaded engine)
 //! call these functions, so their outputs are **bit-identical** to each
 //! other; the reference implementation in `dfcnn-nn` uses plain
@@ -59,17 +61,28 @@ pub fn scale_shift_hw<E: Numeric>(scale: E, shift: E, x: f32) -> f32 {
     (scale * E::from_f32(x) + shift).to_f32()
 }
 
-/// Conv filters repacked into the window layout `(f, dy, dx)` — the same
-/// order [`crate::sst::WindowEngine::extract`] writes the window buffer —
-/// and quantised into the element type once at build time.
+/// Output maps per SIMD block in the rounding-order (`f32`) kernels: the
+/// conv core's filters and the FC core's outputs are computed 8 at a
+/// time, one per lane, each lane running exactly its output's scalar
+/// operation sequence. Eight `f32` lanes fill one 256-bit vector; wider
+/// rows spill their copies and run slower.
+pub const LANES: usize = 8;
+
+/// Conv filters repacked for the window layout `(f, dy, dx)` — the order
+/// [`crate::sst::WindowEngine::extract`] writes the window buffer — and
+/// quantised into the element type once at build time. One layout per
+/// element type, chosen by [`Numeric::EXACT_SUM`]:
 ///
-/// With both operands in the same layout, Algorithm 1's group `g` reads one
-/// *contiguous* slice of each (`[g·P·KH·KW .. (g+1)·P·KH·KW]`), so the
-/// product loop is a straight element-wise multiply the compiler can
-/// auto-vectorise. The products are produced in exactly the order the
-/// unpacked loop produced them, so the tree-adder summation — and therefore
-/// every output bit — is unchanged ([`conv_window_packed`] vs
-/// [`conv_window`] is pinned by a test).
+/// * **exact sums** (fixed point): filter-major, `data[k · L + pos]` with
+///   `L = KH · KW · IN_FM`, so each filter is one contiguous slice for the
+///   whole-window dot [`Numeric::dot_acc`];
+/// * **rounding sums** (`f32`): lane-major `[block][pos][LANES]`, filter
+///   `k` in lane `k % LANES` of block `k / LANES`, with `OUT_FM` padded up
+///   to a multiple of [`LANES`] by zero filters. Window position `pos`
+///   then reads one `LANES`-wide row holding that weight of 8 filters, so
+///   8 filters' tree adders run side by side in vector lanes, in exactly
+///   the scalar order ([`conv_window_packed`] vs [`conv_window`] is
+///   pinned by a test).
 #[derive(Clone, Debug)]
 pub struct PackedFilters<E = f32> {
     data: Vec<E>,
@@ -81,20 +94,30 @@ pub struct PackedFilters<E = f32> {
 }
 
 impl<E: Numeric> PackedFilters<E> {
-    /// Repack `filters` (native layout `(dy, dx, f)` per filter) into
-    /// window layout, quantising each weight. Done once per layer at
-    /// design/engine build time.
+    /// Repack `filters` (native layout `(dy, dx, f)` per filter) into the
+    /// element type's layout, quantising each weight. Done once per layer
+    /// at design/engine build time.
     pub fn new(filters: &Tensor4<f32>) -> Self {
         let (k_count, kh, kw, in_fm) = (filters.k(), filters.kh(), filters.kw(), filters.c());
         let stride = kh * kw * in_fm;
-        let mut data = vec![E::zero(); k_count * stride];
+        let slots = if E::EXACT_SUM {
+            k_count
+        } else {
+            k_count.next_multiple_of(LANES)
+        };
+        let mut data = vec![E::zero(); slots * stride];
         for k in 0..k_count {
             let fk = filters.filter(k);
-            let dst = &mut data[k * stride..(k + 1) * stride];
             for f in 0..in_fm {
                 for dy in 0..kh {
                     for dx in 0..kw {
-                        dst[(f * kh + dy) * kw + dx] = E::from_f32(fk[(dy * kw + dx) * in_fm + f]);
+                        let pos = (f * kh + dy) * kw + dx;
+                        let at = if E::EXACT_SUM {
+                            k * stride + pos
+                        } else {
+                            ((k / LANES) * stride + pos) * LANES + k % LANES
+                        };
+                        data[at] = E::from_f32(fk[(dy * kw + dx) * in_fm + f]);
                     }
                 }
             }
@@ -122,10 +145,15 @@ impl<E: Numeric> PackedFilters<E> {
         self.stride
     }
 
-    /// Filter `k` in window layout.
-    #[inline]
-    pub fn filter(&self, k: usize) -> &[E] {
-        &self.data[k * self.stride..(k + 1) * self.stride]
+    /// Scratch rows [`conv_window_packed`] needs at `in_ports` input
+    /// ports: the tree adder's working rows above its fused first level
+    /// (`⌈IN_PORTS · KH · KW / 2⌉`), none for exact sums.
+    pub fn scratch_len(&self, in_ports: usize) -> usize {
+        if E::EXACT_SUM {
+            0
+        } else {
+            (in_ports * self.win).div_ceil(2)
+        }
     }
 }
 
@@ -142,10 +170,9 @@ impl<E: Numeric> PackedFilters<E> {
 ///
 /// `window` is in the [`crate::sst::WindowEngine::extract`] layout
 /// (`[(f·KH + dy)·KW + dx]`); `out` receives `OUT_FM` activated values.
-/// `scratch` must hold at least `2 · IN_PORTS · KH · KW` values (products
-/// plus tree-adder working space). This is the f32 *reference* form; the
-/// engines use [`conv_window_packed`].
-#[allow(clippy::needless_range_loop)] // `k` indexes filters, bias and out in lockstep; zip() would obscure it
+/// This is the f32 *reference* form — one filter at a time, allocating its
+/// product buffer — that the engines' [`conv_window_packed`] is tested
+/// against.
 pub fn conv_window(
     out: &mut [f32],
     window: &[f32],
@@ -153,25 +180,19 @@ pub fn conv_window(
     bias: &Tensor1<f32>,
     activation: Activation,
     in_ports: usize,
-    scratch: &mut [f32],
 ) {
-    let (k_count, kh, kw, in_fm) = (filters.k(), filters.kh(), filters.kw(), filters.c());
-    assert_eq!(out.len(), k_count, "output buffer length mismatch");
+    let (kh, kw, in_fm) = (filters.kh(), filters.kw(), filters.c());
+    assert_eq!(out.len(), filters.k(), "output buffer length mismatch");
     assert_eq!(window.len(), kh * kw * in_fm, "window length mismatch");
     assert_eq!(in_fm % in_ports, 0, "ports must divide channels");
     let group_len = in_ports * kh * kw;
-    assert!(
-        scratch.len() >= 2 * group_len,
-        "scratch must hold 2 * IN_PORTS * KH * KW values"
-    );
-    let groups = in_fm / in_ports;
     let tree = TreeAdder::new(group_len);
-    let (prods, _) = scratch.split_at_mut(group_len);
-    for k in 0..k_count {
+    let mut prods = vec![0.0f32; group_len];
+    for (k, o) in out.iter_mut().enumerate() {
         let mut acc = bias.get(k);
         // weights of filter k at (dy, dx, f) sit at (dy * kw + dx) * in_fm + f
         let fk = filters.filter(k);
-        for g in 0..groups {
+        for g in 0..in_fm / in_ports {
             // buf <- IN_PORTS windows, multiplied by the weights
             let mut i = 0;
             for p in 0..in_ports {
@@ -186,22 +207,26 @@ pub fn conv_window(
                 }
             }
             // outputs += reduce(buf) — in place; prods is refilled next group
-            acc += tree.sum_in_place(prods);
+            acc += tree.sum_in_place(&mut prods);
         }
-        out[k] = activation.apply(acc);
+        *o = activation.apply(acc);
     }
 }
 
 /// [`conv_window`] with pre-packed filters: the steady-state form used by
-/// the execution engines, generic over the element type.
+/// the execution engines, generic over the element type. `scratch` must
+/// hold [`PackedFilters::scratch_len`] rows.
 ///
-/// For `f32` (`EXACT_SUM = false`) each group's products come from two
-/// contiguous slices multiplied element-wise — auto-vectorisable — while
-/// the product *order*, and hence the tree-adder rounding, is identical to
-/// [`conv_window`] bit for bit. For exact accumulators (fixed point) the
-/// group reduces through the SIMD dot kernel [`Numeric::dot_acc`]
-/// directly — order-independent, so still bit-identical to the scalar
-/// form ([`conv_window_packed_scalar`]).
+/// For `f32` (`EXACT_SUM = false`) the filters go across SIMD lanes, 8 at
+/// a time ([`LANES`]): for each group, [`TreeAdder::sum_lanes`] runs the 8
+/// filters' tree adders side by side, its first level fused with the
+/// products (`f[2j]·w[2j] + f[2j+1]·w[2j+1]` per lane), and each lane then
+/// adds its group sum to its accumulator. Every lane performs exactly the
+/// scalar operations of [`conv_window`] for its filter, in the same order,
+/// so every output bit is unchanged. For exact accumulators (fixed point)
+/// each filter reduces through the SIMD dot kernel [`Numeric::dot_acc`]
+/// over the whole window — order-independent, so still bit-identical to
+/// the scalar form ([`conv_window_packed_scalar`]).
 pub fn conv_window_packed<E: Numeric>(
     out: &mut [E],
     window: &[E],
@@ -209,7 +234,7 @@ pub fn conv_window_packed<E: Numeric>(
     bias: &[E],
     activation: Activation,
     in_ports: usize,
-    scratch: &mut [E::Acc],
+    scratch: &mut [[E::Acc; LANES]],
 ) {
     conv_window_packed_impl(
         out,
@@ -223,11 +248,11 @@ pub fn conv_window_packed<E: Numeric>(
     )
 }
 
-/// [`conv_window_packed`] with the group reduction forced onto the plain
-/// scalar loop ([`Numeric::dot_acc_scalar`]): the baseline the SIMD path
-/// is proven equal to (proptests) and benchmarked against. For `f32` the
-/// dot kernels are not used at all (the tree adder defines the rounding),
-/// so both forms are the same function.
+/// [`conv_window_packed`] with the exact-sum reduction forced onto the
+/// plain scalar loop ([`Numeric::dot_acc_scalar`]): the baseline the SIMD
+/// path is proven equal to (proptests) and benchmarked against. For `f32`
+/// the dot kernels are not used at all (the tree adder defines the
+/// rounding), so both forms are the same function.
 pub fn conv_window_packed_scalar<E: Numeric>(
     out: &mut [E],
     window: &[E],
@@ -235,7 +260,7 @@ pub fn conv_window_packed_scalar<E: Numeric>(
     bias: &[E],
     activation: Activation,
     in_ports: usize,
-    scratch: &mut [E::Acc],
+    scratch: &mut [[E::Acc; LANES]],
 ) {
     conv_window_packed_impl(
         out,
@@ -257,49 +282,69 @@ fn conv_window_packed_impl<E: Numeric>(
     bias: &[E],
     activation: Activation,
     in_ports: usize,
-    scratch: &mut [E::Acc],
+    scratch: &mut [[E::Acc; LANES]],
     // a fn item, not a fn pointer: each variant monomorphizes with its dot
     // kernel inlined into the filter loop
     dot: impl Fn(&[E], &[E]) -> E::Acc,
 ) {
-    let k_count = filters.k();
     let flen = filters.filter_len();
-    let in_fm = flen / filters.window();
-    assert_eq!(out.len(), k_count, "output buffer length mismatch");
+    assert_eq!(out.len(), filters.k(), "output buffer length mismatch");
     assert_eq!(window.len(), flen, "window length mismatch");
-    assert_eq!(bias.len(), k_count, "bias length mismatch");
-    assert_eq!(in_fm % in_ports, 0, "ports must divide channels");
-    let group_len = in_ports * filters.window();
-    assert!(
-        scratch.len() >= group_len,
-        "scratch must hold IN_PORTS * KH * KW values"
+    assert_eq!(bias.len(), filters.k(), "bias length mismatch");
+    assert_eq!(
+        (flen / filters.window()) % in_ports,
+        0,
+        "ports must divide channels"
     );
-    let groups = in_fm / in_ports;
+    assert!(
+        scratch.len() >= filters.scratch_len(in_ports),
+        "scratch must hold PackedFilters::scratch_len rows"
+    );
+    if E::EXACT_SUM {
+        // exact accumulation: order-free, so each filter's whole
+        // contiguous window goes through the dot fast path in one call —
+        // the group decomposition only matters when order matters
+        for ((slot, fk), &b) in out
+            .iter_mut()
+            .zip(filters.data.chunks_exact(flen))
+            .zip(bias)
+        {
+            *slot = activate(activation, E::narrow(b.widen() + dot(fk, window)));
+        }
+        return;
+    }
+    // rounding accumulation: LANES filters per block, each lane the
+    // hardware's per-filter order — bias, then `acc + tree(group)` per group
+    let group_len = in_ports * filters.window();
     let tree = TreeAdder::new(group_len);
-    let prods = &mut scratch[..group_len];
-    for (k, slot) in out.iter_mut().enumerate() {
-        let mut acc = bias[k].widen();
-        let fk = filters.filter(k);
-        if E::EXACT_SUM {
-            // exact accumulation: order-free, so the whole contiguous
-            // window goes through the dot fast path in one call — the
-            // group decomposition only matters when order matters
-            acc = acc + dot(fk, window);
-        } else {
-            for g in 0..groups {
-                let base = g * group_len;
-                let wg = &window[base..base + group_len];
-                let fg = &fk[base..base + group_len];
-                // rounding accumulation: products into scratch, then the
-                // hardware's tree-adder order — bit-identical to the
-                // unpacked reference
-                for ((p, &w), &f) in prods.iter_mut().zip(wg).zip(fg) {
-                    *p = f.mul_full(w);
-                }
-                acc = acc + tree.sum_in_place(prods);
+    let (rows, _) = filters.data.as_chunks::<LANES>();
+    for ((block, outs), biases) in rows
+        .chunks_exact(flen)
+        .zip(out.chunks_mut(LANES))
+        .zip(bias.chunks(LANES))
+    {
+        let mut acc = [E::Acc::default(); LANES];
+        for (a, b) in acc.iter_mut().zip(biases) {
+            *a = b.widen();
+        }
+        for (fg, wg) in block
+            .chunks_exact(group_len)
+            .zip(window.chunks_exact(group_len))
+        {
+            let sum = tree.sum_lanes(
+                |i| {
+                    let (f, w) = (&fg[i], wg[i]);
+                    core::array::from_fn(|l| f[l].mul_full(w))
+                },
+                scratch,
+            );
+            for (a, s) in acc.iter_mut().zip(sum) {
+                *a = *a + s;
             }
         }
-        *slot = activate(activation, E::narrow(acc));
+        for (slot, &a) in outs.iter_mut().zip(&acc) {
+            *slot = activate(activation, E::narrow(a));
+        }
     }
 }
 
@@ -318,61 +363,71 @@ pub fn pool_window<E: Numeric>(kind: PoolKind, values: &[E]) -> E {
     }
 }
 
-/// Reusable state for the FC hardware-order forward: the weight matrix in
-/// both input-major order (`wt`, so the per-input inner loop over the
-/// `OUT_FM` accumulators reads one contiguous row — the f32 interleaved
-/// path) and output-major order (`rows`, so the exact path's per-output
-/// dot reads one contiguous row — the fixed-point SIMD path), the
-/// quantised bias, the interleaved accumulator banks and the merge-tree
-/// scratch. Constructed once per stage; [`fc_forward_into`] then
-/// allocates nothing.
+/// Reusable state for the FC hardware-order forward: the quantised weights
+/// and bias, the input staging buffer and, for rounding sums, the
+/// interleaved accumulator banks and their merge-tree rows. Constructed
+/// once per stage; [`fc_forward_into`] then allocates nothing.
+///
+/// The weights keep one layout per element type, chosen by
+/// [`Numeric::EXACT_SUM`]:
+///
+/// * **exact sums** (fixed point): output-major, `weights[j · I + i]`, so
+///   each output's dot [`Numeric::dot_acc`] reads one contiguous row;
+/// * **rounding sums** (`f32`): input-major, `weights[i · J' + j]` with
+///   `OUT_FM` padded up to `J'`, a multiple of [`LANES`], by zero weights.
+///   Input `i` reads one row holding its weight for every output — the
+///   core's "all `OUT_FM` 1×1 convolutions of this input in the same
+///   cycle".
 #[derive(Clone, Debug)]
 pub struct FcArena<E: Numeric = f32> {
-    /// `weights[j][i]` transposed to `wt[i * j_count + j]`.
-    wt: Vec<E>,
-    /// `weights[j][i]` at `rows[j * inputs + i]` (exact-dot path only;
-    /// empty when `E::EXACT_SUM` is false).
-    rows: Vec<E>,
+    weights: Vec<E>,
     bias: Vec<E>,
     j_count: usize,
     inputs: usize,
+    /// Interleaved accumulator count `A`.
+    bank_count: usize,
     /// Quantised input staging buffer.
     xq: Vec<E>,
-    accs: Vec<InterleavedBank<E::Acc>>,
-    merge: Vec<E::Acc>,
+    /// Interleaved accumulators, `banks[bank · J'/LANES + block]` (rounding
+    /// sums only; empty for exact sums).
+    banks: Vec<[E::Acc; LANES]>,
+    /// Working rows of the bank-merge tree (rounding sums only).
+    merge: Vec<[E::Acc; LANES]>,
 }
 
 impl<E: Numeric> FcArena<E> {
-    /// Quantise weights and bias, and size the accumulator bank.
+    /// Quantise weights and bias into the element type's layout, and size
+    /// the accumulator banks.
     pub fn new(weights: &Tensor4<f32>, bias: &Tensor1<f32>, banks: usize) -> Self {
+        assert!(banks >= 1, "need at least one accumulator");
         let (j_count, inputs) = (weights.k(), weights.c());
         assert_eq!(bias.len(), j_count, "bias length mismatch");
-        let mut wt = vec![E::zero(); j_count * inputs];
+        let j_pad = j_count.next_multiple_of(LANES);
+        let mut packed = vec![E::zero(); if E::EXACT_SUM { j_count } else { j_pad } * inputs];
         for j in 0..j_count {
             for i in 0..inputs {
-                wt[i * j_count + j] = E::from_f32(weights.get(j, 0, 0, i));
+                let at = if E::EXACT_SUM {
+                    j * inputs + i
+                } else {
+                    i * j_pad + j
+                };
+                packed[at] = E::from_f32(weights.get(j, 0, 0, i));
             }
         }
-        let rows = if E::EXACT_SUM {
-            let mut rows = vec![E::zero(); j_count * inputs];
-            for j in 0..j_count {
-                for i in 0..inputs {
-                    rows[j * inputs + i] = E::from_f32(weights.get(j, 0, 0, i));
-                }
-            }
-            rows
+        let (bank_rows, merge_rows) = if E::EXACT_SUM {
+            (0, 0)
         } else {
-            Vec::new()
+            (banks * j_pad / LANES, banks.div_ceil(2))
         };
         FcArena {
-            wt,
-            rows,
+            weights: packed,
             bias: bias.as_slice().iter().map(|&b| E::from_f32(b)).collect(),
             j_count,
             inputs,
+            bank_count: banks,
             xq: vec![E::zero(); inputs],
-            accs: vec![InterleavedBank::new(banks); j_count],
-            merge: vec![E::Acc::default(); banks],
+            banks: vec![[E::Acc::default(); LANES]; bank_rows],
+            merge: vec![[E::Acc::default(); LANES]; merge_rows],
         }
     }
 
@@ -387,15 +442,23 @@ impl<E: Numeric> FcArena<E> {
     }
 }
 
-/// The FC core's computation (§IV-B), allocation-free. For `f32`: for each
-/// output FM an interleaved accumulator bank fed one product per input
-/// value, merged by a tree adder, plus bias and activation — products in
-/// the same order as [`fc_forward`], same merge pairing, so bit-identical
-/// to the allocating form. For exact accumulators (fixed point): one
-/// straight SIMD dot per output row ([`Numeric::dot_acc`]), which equals
-/// the interleaved order exactly because integer addition is associative —
-/// the paper's §IV-B point that the accumulation-latency workaround is
-/// unnecessary in integer arithmetic, executed.
+/// The FC core's computation (§IV-B), allocation-free.
+///
+/// For `f32`: `A` interleaved accumulator banks per output, input `i`
+/// adding its products into bank `i % A`; then each output's banks merge
+/// through a tree adder, plus bias and activation. The outputs go across
+/// SIMD lanes: input `i` adds one row of products (its weight for every
+/// output times `x_i`) into bank `i % A`, and [`TreeAdder::sum_lanes`]
+/// merges [`LANES`] outputs' banks side by side. Each lane performs the
+/// same additions in the same order as one
+/// [`dfcnn_hls::accum::InterleavedBank`] in [`fc_forward`], so the result
+/// is bit-identical to the allocating form.
+///
+/// For exact accumulators (fixed point): one straight SIMD dot per output
+/// row ([`Numeric::dot_acc`]), which equals the interleaved order exactly
+/// because integer addition is associative — the paper's §IV-B point that
+/// the accumulation-latency workaround is unnecessary in integer
+/// arithmetic, executed.
 pub fn fc_forward_into<E: Numeric>(
     out: &mut [f32],
     arena: &mut FcArena<E>,
@@ -404,30 +467,50 @@ pub fn fc_forward_into<E: Numeric>(
 ) {
     assert_eq!(input.len(), arena.inputs, "FC input length mismatch");
     assert_eq!(out.len(), arena.j_count, "FC output length mismatch");
-    let j_count = arena.j_count;
     for (q, &x) in arena.xq.iter_mut().zip(input) {
         *q = E::from_f32(x);
     }
     if E::EXACT_SUM {
-        for (j, o) in out.iter_mut().enumerate() {
-            let row = &arena.rows[j * arena.inputs..(j + 1) * arena.inputs];
-            let acc = arena.bias[j].widen() + E::dot_acc(row, &arena.xq);
+        for ((o, row), &b) in out
+            .iter_mut()
+            .zip(arena.weights.chunks_exact(arena.inputs))
+            .zip(&arena.bias)
+        {
+            let acc = b.widen() + E::dot_acc(row, &arena.xq);
             *o = activate(activation, E::narrow(acc)).to_f32();
         }
-    } else {
-        for acc in arena.accs.iter_mut() {
-            acc.reset();
-        }
-        for (i, &x) in arena.xq.iter().enumerate() {
-            // all OUT_FM 1x1 convolutions of this input value in the same cycle
-            let row = &arena.wt[i * j_count..(i + 1) * j_count];
-            for (acc, &w) in arena.accs.iter_mut().zip(row) {
-                acc.push(w.mul_full(x));
+        return;
+    }
+    // rounding accumulation: one row of products per input into bank
+    // `i % A`, zeroed first as the hardware's accumulators are
+    let blocks = arena.j_count.div_ceil(LANES);
+    let (rows, _) = arena.weights.as_chunks::<LANES>();
+    arena.banks.fill([E::Acc::default(); LANES]);
+    let mut bank = 0;
+    for (w, &x) in rows.chunks_exact(blocks).zip(&arena.xq) {
+        // all OUT_FM 1x1 convolutions of this input value in the same cycle
+        let partials = &mut arena.banks[bank * blocks..(bank + 1) * blocks];
+        for (p, wl) in partials.iter_mut().zip(w) {
+            for (a, &wv) in p.iter_mut().zip(wl) {
+                *a = *a + wv.mul_full(x);
             }
         }
-        for (j, acc) in arena.accs.iter().enumerate() {
-            let total = acc.total_with_scratch(&mut arena.merge) + arena.bias[j].widen();
-            out[j] = activate(activation, E::narrow(total)).to_f32();
+        bank += 1;
+        if bank == arena.bank_count {
+            bank = 0;
+        }
+    }
+    // merge each output's banks through the tree, then add the bias
+    let tree = TreeAdder::new(arena.bank_count);
+    let (banks, merge) = (&arena.banks, &mut arena.merge);
+    for (b, (outs, biases)) in out
+        .chunks_mut(LANES)
+        .zip(arena.bias.chunks(LANES))
+        .enumerate()
+    {
+        let total = tree.sum_lanes(|m| banks[m * blocks + b], merge);
+        for ((o, &t), &bias) in outs.iter_mut().zip(&total).zip(biases) {
+            *o = activate(activation, E::narrow(t + bias.widen())).to_f32();
         }
     }
 }
@@ -458,8 +541,9 @@ pub fn fc_forward(
 }
 
 /// Reusable scratch for the whole-image conv forward: packed (quantised)
-/// filters and bias, the quantised input volume, and the window, product
-/// and output staging buffers. Constructed once per stage;
+/// filters and bias, the quantised input volume, the window and output
+/// staging buffers, and the tree adder's lane rows
+/// ([`PackedFilters::scratch_len`]). Constructed once per stage;
 /// [`conv_forward_hw_into`] then allocates nothing per image.
 #[derive(Clone, Debug)]
 pub struct ConvArena<E: Numeric = f32> {
@@ -468,7 +552,7 @@ pub struct ConvArena<E: Numeric = f32> {
     /// The input volume quantised into `E`, refilled once per image.
     qin: Vec<E>,
     window: Vec<E>,
-    scratch: Vec<E::Acc>,
+    scratch: Vec<[E::Acc; LANES]>,
     outvals: Vec<E>,
 }
 
@@ -476,8 +560,10 @@ impl<E: Numeric> ConvArena<E> {
     /// Pack and quantise the layer's filters and size every buffer.
     pub fn new(conv: &Conv2d, in_ports: usize) -> Self {
         let geo = conv.geometry();
+        let packed = PackedFilters::new(conv.filters());
         ConvArena {
-            packed: PackedFilters::new(conv.filters()),
+            scratch: vec![[E::Acc::default(); LANES]; packed.scratch_len(in_ports)],
+            packed,
             bias: conv
                 .bias()
                 .as_slice()
@@ -486,7 +572,6 @@ impl<E: Numeric> ConvArena<E> {
                 .collect(),
             qin: vec![E::zero(); geo.input.len()],
             window: vec![E::zero(); geo.window_volume()],
-            scratch: vec![E::Acc::default(); in_ports * geo.kh * geo.kw],
             outvals: vec![E::zero(); conv.out_maps()],
         }
     }
@@ -816,43 +901,88 @@ mod tests {
         assert!(a1.max_abs_diff(&a11) < 1e-4);
     }
 
+    /// `n` rounding-sensitive values: magnitudes spread log-uniformly over
+    /// 1e-3 … 1e6, both signs, so most pairings round differently.
+    fn mixed_magnitudes(rng: &mut ChaCha8Rng, n: usize) -> Vec<f32> {
+        let u = dfcnn_tensor::init::random_vector(rng, 2 * n, 0.0, 1.0);
+        u.as_slice()
+            .chunks_exact(2)
+            .map(|p| {
+                let sign = if p[1] < 0.5 { -1.0 } else { 1.0 };
+                sign * 10f32.powf(-3.0 + 9.0 * p[0])
+            })
+            .collect()
+    }
+
     #[test]
     fn conv_window_packed_bit_identical_to_unpacked() {
-        // the packed form must not change a single bit, whatever the port
-        // grouping — same products, same tree-adder order
-        let (conv, x) = random_conv(7, 6, 4, 5);
-        let geo = *conv.geometry();
+        // the packed form must not change a single bit, whatever the filter
+        // count (full and padded lane blocks), window shape and port
+        // grouping — same products, same tree-adder order per filter
         let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let packed = PackedFilters::<f32>::new(conv.filters());
-        for in_ports in [1usize, 2, 3, 6] {
-            let mut window = vec![0.0f32; geo.window_volume()];
-            for v in window.iter_mut() {
-                *v = dfcnn_tensor::init::random_vector(&mut rng, 1, -1.0, 1.0).get(0);
+        let in_fm = 6;
+        // set once the rounding-sensitive input shows a left-to-right
+        // sum differing from the tree order: proof the test would catch
+        // a reordering
+        let mut reorder_visible = false;
+        for k in [1usize, 4, 8, 12, 17, 36] {
+            for (kh, kw) in [1usize, 3, 5]
+                .into_iter()
+                .flat_map(|a| [(a, 1), (a, 3), (a, 5)])
+            {
+                let filters = dfcnn_tensor::init::conv_filters(&mut rng, k, kh, kw, in_fm);
+                let bias = dfcnn_tensor::init::random_vector(&mut rng, k, -0.1, 0.1);
+                let packed = PackedFilters::<f32>::new(&filters);
+                let len = kh * kw * in_fm;
+                let uniform = dfcnn_tensor::init::random_vector(&mut rng, len, -1.0, 1.0);
+                let inputs = [
+                    (uniform.as_slice().to_vec(), Activation::Tanh),
+                    (mixed_magnitudes(&mut rng, len), Activation::Identity),
+                ];
+                for in_ports in [1usize, 2, 3, 6] {
+                    for (window, act) in &inputs {
+                        let mut out_ref = vec![0.0f32; k];
+                        let mut out_packed = vec![0.0f32; k];
+                        let mut scratch = vec![[f32::NAN; LANES]; packed.scratch_len(in_ports)];
+                        conv_window(&mut out_ref, window, &filters, &bias, *act, in_ports);
+                        conv_window_packed(
+                            &mut out_packed,
+                            window,
+                            &packed,
+                            bias.as_slice(),
+                            *act,
+                            in_ports,
+                            &mut scratch,
+                        );
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&out_ref),
+                            bits(&out_packed),
+                            "k = {k}, {kh}x{kw}, in_ports = {in_ports}, {act:?}"
+                        );
+                        if *act == Activation::Identity {
+                            reorder_visible |= (0..k).any(|kk| {
+                                let fk = filters.filter(kk);
+                                let mut seq = bias.get(kk);
+                                for f in 0..in_fm {
+                                    for dy in 0..kh {
+                                        for dx in 0..kw {
+                                            seq += fk[(dy * kw + dx) * in_fm + f]
+                                                * window[(f * kh + dy) * kw + dx];
+                                        }
+                                    }
+                                }
+                                seq.to_bits() != out_ref[kk].to_bits()
+                            });
+                        }
+                    }
+                }
             }
-            let mut out_ref = vec![0.0f32; conv.out_maps()];
-            let mut out_packed = vec![0.0f32; conv.out_maps()];
-            let mut scratch = vec![0.0f32; 2 * in_ports * geo.kh * geo.kw];
-            conv_window(
-                &mut out_ref,
-                &window,
-                conv.filters(),
-                conv.bias(),
-                conv.activation(),
-                in_ports,
-                &mut scratch,
-            );
-            conv_window_packed(
-                &mut out_packed,
-                &window,
-                &packed,
-                conv.bias().as_slice(),
-                conv.activation(),
-                in_ports,
-                &mut scratch,
-            );
-            assert_eq!(out_ref, out_packed, "in_ports = {in_ports}");
         }
-        let _ = x;
+        assert!(
+            reorder_visible,
+            "the rounding-sensitive input never distinguished tree from left-to-right order"
+        );
     }
 
     /// The per-window fixed-point conv: each window built with
@@ -867,7 +997,7 @@ mod tests {
         let packed = PackedFilters::<E>::new(conv.filters());
         let bias = q::<E>(conv.bias().as_slice());
         let mut window = vec![E::zero(); geo.window_volume()];
-        let mut scratch = vec![E::Acc::default(); in_ports * geo.kh * geo.kw];
+        let mut scratch = vec![[E::Acc::default(); LANES]; packed.scratch_len(in_ports)];
         let mut outvals = vec![E::zero(); conv.out_maps()];
         let mut reference = Tensor3::zeros(conv.output_shape());
         let ow = geo.out_w();
@@ -925,7 +1055,6 @@ mod tests {
             // reference: window via get_padded only, unpacked conv_window
             let mut reference = Tensor3::zeros(conv.output_shape());
             let mut window = vec![0.0f32; geo.window_volume()];
-            let mut scratch = vec![0.0f32; 2 * 2 * geo.kh * geo.kw];
             let mut outvals = vec![0.0f32; conv.out_maps()];
             let ow = geo.out_w();
             for (pos, (y0, x0)) in dfcnn_tensor::iter::WindowPositions::new(geo).enumerate() {
@@ -944,7 +1073,6 @@ mod tests {
                     conv.bias(),
                     conv.activation(),
                     2,
-                    &mut scratch,
                 );
                 for (k, &v) in outvals.iter().enumerate() {
                     reference.set(pos / ow, pos % ow, k, v);
@@ -965,20 +1093,45 @@ mod tests {
 
     #[test]
     fn fc_forward_into_bit_identical_to_fc_forward() {
+        // every output count (one lane, a partial block, a full block,
+        // several blocks) and bank count must reproduce the interleaved
+        // banks' rounding exactly
         let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let w = dfcnn_tensor::init::linear_weights(&mut rng, 90, 7);
-        let b = dfcnn_tensor::init::random_vector(&mut rng, 7, -0.1, 0.1);
-        let x = dfcnn_tensor::init::random_volume(&mut rng, Shape3::new(1, 1, 90), -1.0, 1.0);
-        for banks in [1usize, 4, 11] {
-            let reference = fc_forward(&w, &b, Activation::Tanh, x.as_slice(), banks);
-            let mut arena = FcArena::<f32>::new(&w, &b, banks);
-            let mut out = vec![0.0f32; 7];
-            fc_forward_into(&mut out, &mut arena, Activation::Tanh, x.as_slice());
-            assert_eq!(out, reference, "banks = {banks}");
-            // arena reuse: second call must reset cleanly
-            fc_forward_into(&mut out, &mut arena, Activation::Tanh, x.as_slice());
-            assert_eq!(out, reference);
+        let inputs = 90;
+        let mut reorder_visible = false;
+        for j in [1usize, 7, 8, 72] {
+            let w = dfcnn_tensor::init::linear_weights(&mut rng, inputs, j);
+            let b = dfcnn_tensor::init::random_vector(&mut rng, j, -0.1, 0.1);
+            let uniform = dfcnn_tensor::init::random_vector(&mut rng, inputs, -1.0, 1.0);
+            let xs = [
+                (uniform.as_slice().to_vec(), Activation::Tanh),
+                (mixed_magnitudes(&mut rng, inputs), Activation::Identity),
+            ];
+            for banks in [1usize, 4, 11, 16] {
+                let mut arena = FcArena::<f32>::new(&w, &b, banks);
+                for (x, act) in &xs {
+                    let reference = fc_forward(&w, &b, *act, x, banks);
+                    let mut out = vec![0.0f32; j];
+                    fc_forward_into(&mut out, &mut arena, *act, x);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&out), bits(&reference), "j = {j}, banks = {banks}");
+                    // arena reuse: second call must reset cleanly
+                    fc_forward_into(&mut out, &mut arena, *act, x);
+                    assert_eq!(bits(&out), bits(&reference));
+                    if *act == Activation::Identity {
+                        reorder_visible |= (0..j).any(|jj| {
+                            let seq = (0..inputs)
+                                .fold(b.get(jj), |acc, i| acc + w.get(jj, 0, 0, i) * x[i]);
+                            seq.to_bits() != reference[jj].to_bits()
+                        });
+                    }
+                }
+            }
         }
+        assert!(
+            reorder_visible,
+            "the rounding-sensitive input never distinguished bank order from left-to-right order"
+        );
     }
 
     #[test]
@@ -1029,16 +1182,7 @@ mod tests {
         let b = Tensor1::from_vec(vec![0.5, -0.5]);
         let window = vec![0.0f32; 4];
         let mut out = vec![0.0f32; 2];
-        let mut scratch = vec![0.0f32; 8];
-        conv_window(
-            &mut out,
-            &window,
-            &f,
-            &b,
-            Activation::Identity,
-            1,
-            &mut scratch,
-        );
+        conv_window(&mut out, &window, &f, &b, Activation::Identity, 1);
         assert_eq!(out, vec![0.5, -0.5]);
     }
 
@@ -1061,7 +1205,7 @@ mod tests {
             let window = q::<Q>(wf32.as_slice());
             let mut out_simd = vec![Q::default(); conv.out_maps()];
             let mut out_scalar = vec![Q::default(); conv.out_maps()];
-            let mut scratch = vec![0i64; in_ports * geo.kh * geo.kw];
+            let mut scratch = vec![[0i64; LANES]; packed.scratch_len(in_ports)];
             conv_window_packed(
                 &mut out_simd,
                 &window,

@@ -1,6 +1,6 @@
 //! The convolutional layer core (§IV-A, Algorithm 1) as a cycle actor.
 
-use crate::kernel::{conv_window_packed, PackedFilters};
+use crate::kernel::{conv_window_packed, PackedFilters, LANES};
 use crate::layer::{core_quiescence, core_stall, OutputQueue};
 use crate::sim::{Actor, Quiescence, Wiring};
 use crate::sst::WindowEngine;
@@ -43,7 +43,7 @@ pub struct ConvCore<E: Numeric = f32> {
     qwin: Vec<E>,
     out_buf: Vec<E>,
     emit_buf: Vec<f32>,
-    scratch: Vec<E::Acc>,
+    scratch: Vec<[E::Acc; LANES]>,
     inits: u64,
 }
 
@@ -67,12 +67,14 @@ impl<E: Numeric> ConvCore<E> {
         let engine = WindowEngine::new(geo, in_ports);
         let group_len = in_ports * geo.kh * geo.kw;
         let depth = LoopNest::conv_body_depth(group_len, ops) as u64;
+        let filters = PackedFilters::new(conv.filters());
         ConvCore {
             name: name.into(),
             engine,
             in_chs,
             out_q: OutputQueue::new(out_chs),
-            filters: PackedFilters::new(conv.filters()),
+            scratch: vec![[E::Acc::default(); LANES]; filters.scratch_len(in_ports)],
+            filters,
             bias: conv
                 .bias()
                 .as_slice()
@@ -88,7 +90,6 @@ impl<E: Numeric> ConvCore<E> {
             qwin: vec![E::zero(); geo.window_volume()],
             out_buf: vec![E::zero(); out_fm],
             emit_buf: vec![0.0; out_fm],
-            scratch: vec![E::Acc::default(); group_len],
             inits: 0,
         }
     }

@@ -143,6 +143,66 @@ impl TreeAdder {
         }
         values[0]
     }
+
+    /// `L` independent tree-order sums at once, one per lane: lane `l` of
+    /// the result is `self.sum(&[leaf(0)[l], leaf(1)[l], ..])`, bit for
+    /// bit, because every lane performs exactly the scalar pairing (level
+    /// by level, odd element forwarded). Level 0 is fused with `leaf`:
+    /// row `i` of the first level is `leaf(2i) + leaf(2i + 1)`, so leaves
+    /// are never stored before their first add. The remaining levels run
+    /// in `scratch`, which must hold at least `inputs().div_ceil(2)` rows
+    /// (none for a single input).
+    ///
+    /// This is how the conv core's `OUT_FM` per-filter tree adders and
+    /// the FC core's per-output merge trees map onto SIMD lanes: outputs
+    /// go across lanes, each lane's reduction order stays the hardware's.
+    pub fn sum_lanes<T, const L: usize>(
+        &self,
+        leaf: impl Fn(usize) -> [T; L],
+        scratch: &mut [[T; L]],
+    ) -> [T; L]
+    where
+        T: Copy + core::ops::Add<Output = T>,
+    {
+        let n = self.n;
+        if n == 1 {
+            return leaf(0);
+        }
+        let half = n / 2;
+        let mut len = n.div_ceil(2);
+        assert!(scratch.len() >= len, "scratch buffer too small");
+        for (i, row) in scratch[..half].iter_mut().enumerate() {
+            *row = add_lanes(leaf(2 * i), leaf(2 * i + 1));
+        }
+        if n % 2 == 1 {
+            scratch[half] = leaf(n - 1);
+        }
+        while len > 1 {
+            let half = len / 2;
+            for i in 0..half {
+                scratch[i] = add_lanes(scratch[2 * i], scratch[2 * i + 1]);
+            }
+            if len % 2 == 1 {
+                scratch[half] = scratch[len - 1];
+                len = half + 1;
+            } else {
+                len = half;
+            }
+        }
+        scratch[0]
+    }
+}
+
+/// Lane-wise `a + b`.
+#[inline(always)]
+fn add_lanes<T, const L: usize>(mut a: [T; L], b: [T; L]) -> [T; L]
+where
+    T: Copy + core::ops::Add<Output = T>,
+{
+    for (x, y) in a.iter_mut().zip(b) {
+        *x = *x + y;
+    }
+    a
 }
 
 #[cfg(test)]
@@ -234,6 +294,63 @@ mod tests {
             assert_eq!(t.sum_in_place(&mut buf), seq, "n={n}");
             let mut scratch = vec![0i64; n];
             assert_eq!(t.sum_with_scratch(&vals, &mut scratch), seq, "n={n}");
+        }
+    }
+
+    /// Lane `l` of `sum_lanes` over `leaves` must equal `sum` over column
+    /// `l`, bit for bit.
+    fn assert_lanes_match_scalar<const L: usize>(leaves: &[[f32; L]]) {
+        let n = leaves.len();
+        let t = TreeAdder::new(n);
+        let mut scratch = vec![[f32::NAN; L]; n.div_ceil(2)];
+        let got = t.sum_lanes(|i| leaves[i], &mut scratch);
+        for (l, g) in got.iter().enumerate() {
+            let column: Vec<f32> = leaves.iter().map(|r| r[l]).collect();
+            assert_eq!(g.to_bits(), t.sum(&column).to_bits(), "n={n}, lane {l}");
+        }
+    }
+
+    #[test]
+    fn lane_sums_match_scalar_sum_lane_by_lane() {
+        // splitmix64 → sign · mantissa · 10^e with e in [-3, 6): mixed
+        // magnitudes and signs, so most pairings round differently
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let mantissa = 1.0 + (z >> 40) as f32 / (1u32 << 24) as f32;
+            let sign = if z & 1 == 0 { 1.0 } else { -1.0 };
+            sign * mantissa * 10f32.powi((z >> 8 & 0xff) as i32 % 9 - 3)
+        };
+        let pattern = [1e8f32, 1.0, -1e8, 1.0];
+        for n in 1..40 {
+            // the rounding-sensitive pattern, rotated by the lane index so
+            // each lane sees a different pairing of the large values
+            let sensitive: Vec<[f32; 8]> = (0..n)
+                .map(|i| core::array::from_fn(|l| pattern[(i + l) % 4]))
+                .collect();
+            let random: Vec<[f32; 8]> = (0..n).map(|_| core::array::from_fn(|_| next())).collect();
+            for rows in [&sensitive, &random] {
+                assert_lanes_match_scalar(rows);
+                let lane0: Vec<[f32; 1]> = rows.iter().map(|r| [r[0]]).collect();
+                assert_lanes_match_scalar(&lane0);
+            }
+        }
+    }
+
+    #[test]
+    fn lane_sums_on_i64_are_exact() {
+        let t = TreeAdder::new(25);
+        let mut scratch = vec![[0i64; 8]; 13];
+        let got = t.sum_lanes(
+            |i| core::array::from_fn(|l| (i * 8 + l) as i64),
+            &mut scratch,
+        );
+        for (l, &g) in got.iter().enumerate() {
+            assert_eq!(g, (0..25).map(|i| (i * 8 + l) as i64).sum::<i64>());
         }
     }
 
