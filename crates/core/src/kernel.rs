@@ -64,8 +64,9 @@ pub fn scale_shift_hw<E: Numeric>(scale: E, shift: E, x: f32) -> f32 {
 /// Output maps per SIMD block in the rounding-order (`f32`) kernels: the
 /// conv core's filters and the FC core's outputs are computed 8 at a
 /// time, one per lane, each lane running exactly its output's scalar
-/// operation sequence. Eight `f32` lanes fill one 256-bit vector; wider
-/// rows spill their copies and run slower.
+/// operation sequence. Eight `f32` lanes fill one 256-bit vector. Sixteen
+/// lanes ran slower on TC2 even on an AVX-512 Xeon (conv2 +18%, fc1
+/// about 3×), so the width stays a constant.
 pub const LANES: usize = 8;
 
 /// Conv filters repacked for the window layout `(f, dy, dx)` — the order
@@ -926,10 +927,9 @@ mod tests {
         // a reordering
         let mut reorder_visible = false;
         for k in [1usize, 4, 8, 12, 17, 36] {
-            for (kh, kw) in [1usize, 3, 5]
-                .into_iter()
-                .flat_map(|a| [(a, 1), (a, 3), (a, 5)])
-            {
+            // square windows plus one of each non-square orientation,
+            // few enough cases for the Miri smoke run
+            for (kh, kw) in [(1usize, 1usize), (3, 3), (5, 5), (1, 3), (5, 3)] {
                 let filters = dfcnn_tensor::init::conv_filters(&mut rng, k, kh, kw, in_fm);
                 let bias = dfcnn_tensor::init::random_vector(&mut rng, k, -0.1, 0.1);
                 let packed = PackedFilters::<f32>::new(&filters);

@@ -94,13 +94,6 @@ where
         TreeAdder::new(self.partials.len()).sum(&self.partials)
     }
 
-    /// [`InterleavedBank::total`] without the internal allocation:
-    /// the merge tree runs in `scratch` (at least `banks()` long). Rounding
-    /// is identical to `total()` — the tree pairs partials the same way.
-    pub fn total_with_scratch(&self, scratch: &mut [T]) -> T {
-        TreeAdder::new(self.partials.len()).sum_with_scratch(&self.partials, scratch)
-    }
-
     /// Reset to zero.
     pub fn reset(&mut self) {
         self.partials.iter_mut().for_each(|p| *p = T::default());
@@ -192,18 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn total_with_scratch_is_bit_identical() {
-        for banks in [1usize, 2, 3, 7, 11, 16] {
-            let mut a = InterleavedAccumulator::new(banks);
-            for i in 0..100 {
-                a.push((i as f32) * 0.137 - 3.0);
-            }
-            let mut scratch = vec![0.0f32; banks];
-            assert_eq!(a.total(), a.total_with_scratch(&mut scratch));
-        }
-    }
-
-    #[test]
     fn reset_clears_state() {
         let mut a = InterleavedAccumulator::new(2);
         a.push(5.0);
@@ -226,8 +207,6 @@ mod tests {
         }
         assert_eq!(a.total(), seq);
         assert_eq!(b.total(), seq);
-        let mut scratch = vec![0i64; 11];
-        assert_eq!(a.total_with_scratch(&mut scratch), seq);
     }
 
     #[test]
