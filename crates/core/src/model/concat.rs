@@ -153,22 +153,19 @@ impl Actor for ConcatCore {
 
     fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
         let p_count = self.out_chs.len();
-        let mut used = vec![false; p_count];
         // strict global order; stop at the first value the owning operand
-        // cannot supply or the output cannot accept
+        // cannot supply or the output cannot accept. The ports divide both
+        // operands' FM counts, so the first `p_count` values use distinct
+        // ports.
         for _ in 0..p_count {
             let f = (self.seq % self.fm as u64) as usize;
             let p = fm_port(f, p_count);
-            if used[p] {
-                break;
-            }
             let src = self.in_chs[self.src_index(f)];
             if chans.peek(src).is_none() || !chans.can_push(self.out_chs[p]) {
                 break;
             }
             let v = chans.pop(src).unwrap();
             chans.push(self.out_chs[p], v);
-            used[p] = true;
             self.seq += 1;
             self.moved += 1;
             trace.record(cycle, &self.name, EventKind::Emit);

@@ -1,14 +1,16 @@
 //! The convolutional layer kind (§IV-A, Algorithm 1).
 
-use super::{CoreModel, CorePlan, LineBufferSpec, StageSpec, StageWorker, StaticProfile};
+use super::windowed::{windowed_interval, windowed_profile, WindowBody, WindowedCore};
+use super::{CoreModel, CorePlan, StageSpec, StageWorker, StaticProfile};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
-use crate::kernel::{conv_forward_hw_into, ConvArena};
-use crate::layer::ConvCore;
+use crate::kernel::{conv_forward_hw_into, conv_window_packed, ConvArena, PackedFilters, LANES};
 use crate::sim::Actor;
-use crate::sst::full_buffer_bound_per_port;
 use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::pipeline_ii;
+use dfcnn_hls::latency::OpLatency;
+use dfcnn_hls::pipeline::LoopNest;
+use dfcnn_nn::act::Activation;
 use dfcnn_nn::layer::{Conv2d, Layer};
 use dfcnn_tensor::{with_numeric, Numeric, Tensor3};
 use std::fmt::Write as _;
@@ -23,15 +25,71 @@ fn conv_layer(layer: &Layer) -> &Conv2d {
     }
 }
 
-/// Steady-state interval of a windowed (conv/pool) core: the max of
-/// per-port input serialisation, the Eq. 4 initiation schedule, and
-/// per-port output serialisation.
-pub(crate) fn windowed_interval(core: &CoreInfo) -> u64 {
-    let p = &core.params;
-    let per_port_in = core.in_values_per_image / p.in_ports as u64;
-    let initiations = core.positions * p.ii as u64;
-    let out_serial = core.positions * (p.out_fm / p.out_ports) as u64;
-    per_port_in.max(initiations).max(out_serial)
+/// The conv compute body (Algorithm 1): all `OUT_FM` outputs of one
+/// window in hardware order. Filters and bias are quantised once at
+/// build time; outputs are dequantised for the `f32` stream transport.
+pub struct ConvBody<E: Numeric> {
+    filters: PackedFilters<E>,
+    bias: Vec<E>,
+    activation: Activation,
+    in_ports: usize,
+    out: Vec<E>,
+    scratch: Vec<[E::Acc; LANES]>,
+}
+
+impl<E: Numeric> WindowBody<E> for ConvBody<E> {
+    fn initiate(&mut self, window: &[E], out: &mut [f32]) {
+        conv_window_packed(
+            &mut self.out,
+            window,
+            &self.filters,
+            &self.bias,
+            self.activation,
+            self.in_ports,
+            &mut self.scratch,
+        );
+        for (o, &v) in out.iter_mut().zip(&self.out) {
+            *o = v.to_f32();
+        }
+    }
+}
+
+/// The convolution core (§IV-A, Algorithm 1) as a cycle actor: the conv
+/// body in the shared SST shell.
+pub type ConvCore<E = f32> = WindowedCore<E, ConvBody<E>>;
+
+impl<E: Numeric> ConvCore<E> {
+    /// Build a core from the reference layer's parameters and a port
+    /// configuration. `ii` must come from Eq. 4
+    /// ([`dfcnn_hls::ii::pipeline_ii`]); the graph builder computes it.
+    pub fn new(
+        name: impl Into<String>,
+        conv: &Conv2d,
+        in_chs: Vec<ChannelId>,
+        out_chs: Vec<ChannelId>,
+        ii: usize,
+        ops: &OpLatency,
+    ) -> Self {
+        let geo = *conv.geometry();
+        let in_ports = in_chs.len();
+        let group_len = in_ports * geo.kh * geo.kw;
+        let depth = LoopNest::conv_body_depth(group_len, ops) as u64;
+        let filters = PackedFilters::new(conv.filters());
+        let body = ConvBody {
+            scratch: vec![[E::Acc::default(); LANES]; filters.scratch_len(in_ports)],
+            filters,
+            bias: conv
+                .bias()
+                .as_slice()
+                .iter()
+                .map(|&b| E::from_f32(b))
+                .collect(),
+            activation: conv.activation(),
+            in_ports,
+            out: vec![E::zero(); conv.out_maps()],
+        };
+        WindowedCore::from_body(name, geo, in_chs, out_chs, conv.out_maps(), ii, depth, body)
+    }
 }
 
 struct ConvWorker<E: Numeric> {
@@ -115,21 +173,8 @@ impl CoreModel for ConvModel {
 
     fn static_profile(&self, design: &NetworkDesign, core: &CoreInfo) -> StaticProfile {
         let idx = core.layer_index.expect("conv core has a layer");
-        let layer = &design.network().layers()[idx];
-        let g = *conv_layer(layer).geometry();
-        let lp = LayerPorts {
-            in_ports: core.params.in_ports,
-            out_ports: core.params.out_ports,
-        };
-        let required = full_buffer_bound_per_port(&g, core.params.in_ports);
-        StaticProfile {
-            out_values_per_image: g.positions() as u64 * conv_layer(layer).out_maps() as u64,
-            expected_ii: self.plan(layer, lp, design.config()).params.ii,
-            line_buffer: Some(LineBufferSpec {
-                capacity_per_port: design.config().line_buffer_cap.unwrap_or(required),
-                required_per_port: required,
-            }),
-        }
+        let c = conv_layer(&design.network().layers()[idx]);
+        windowed_profile(design, core, c.geometry(), c.out_maps())
     }
 
     fn block_label(&self, core: &CoreInfo) -> String {
@@ -336,5 +381,123 @@ mod tests {
         assert_eq!(plan.in_values_per_image, 16 * 16);
         // 5x5 window over a 16x16 input, stride 1 -> 12x12 positions
         assert_eq!(plan.positions, 12 * 12);
+    }
+
+    // ----- the conv actor: the conv body in the shared windowed shell
+
+    use super::super::windowed::tests::{assert_same_bits, run_windowed};
+    use dfcnn_tensor::{ConvGeometry, Fixed16, Fixed8, Shape3, Tensor1};
+
+    /// Stream one image through an isolated `ConvCore<E>`.
+    fn run_core<E: Numeric>(
+        conv: &Conv2d,
+        in_ports: usize,
+        out_ports: usize,
+        ii: usize,
+        img: &Tensor3<f32>,
+    ) -> (Tensor3<f32>, u64) {
+        let ops = OpLatency::f32_virtex7();
+        let make = |ins, outs| ConvCore::<E>::new("conv", conv, ins, outs, ii, &ops);
+        run_windowed(in_ports, out_ports, make, img, conv.output_shape())
+    }
+
+    /// The actor matches the host hardware-order kernel bit for bit in
+    /// `f32`, `Fixed16<8>` and `Fixed8<4>`.
+    fn assert_core_matches_kernel(
+        conv: &Conv2d,
+        in_ports: usize,
+        out_ports: usize,
+        ii: usize,
+        img: &Tensor3<f32>,
+    ) {
+        fn one<E: Numeric>(
+            conv: &Conv2d,
+            in_ports: usize,
+            out_ports: usize,
+            ii: usize,
+            img: &Tensor3<f32>,
+        ) {
+            let (got, _) = run_core::<E>(conv, in_ports, out_ports, ii, img);
+            let mut expect = Tensor3::zeros(conv.output_shape());
+            let mut arena = ConvArena::<E>::new(conv, in_ports);
+            conv_forward_hw_into(conv, in_ports, img, &mut expect, &mut arena);
+            assert_same_bits::<E>(&got, &expect);
+        }
+        one::<f32>(conv, in_ports, out_ports, ii, img);
+        one::<Fixed16<8>>(conv, in_ports, out_ports, ii, img);
+        one::<Fixed8<4>>(conv, in_ports, out_ports, ii, img);
+    }
+
+    fn random_conv(
+        seed: u64,
+        shape: Shape3,
+        k: usize,
+        khw: usize,
+        stride: usize,
+        pad: usize,
+    ) -> (Conv2d, Tensor3<f32>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let geo = ConvGeometry::new(shape, khw, khw, stride, pad);
+        let f = dfcnn_tensor::init::conv_filters(&mut rng, k, khw, khw, shape.c);
+        let b = dfcnn_tensor::init::random_vector(&mut rng, k, -0.1, 0.1);
+        let conv = Conv2d::new(geo, f, b, Activation::Tanh);
+        let img = dfcnn_tensor::init::random_volume(&mut rng, shape, -1.0, 1.0);
+        (conv, img)
+    }
+
+    #[test]
+    fn single_port_core_matches_hw_kernel_exactly() {
+        for pad in [0, 1] {
+            let (conv, img) = random_conv(1, Shape3::new(8, 8, 3), 4, 3, 1, pad);
+            let ii = pipeline_ii(3, 1, 4, 1);
+            assert_core_matches_kernel(&conv, 1, 1, ii, &img);
+        }
+    }
+
+    #[test]
+    fn fully_parallel_core_matches() {
+        let (conv, img) = random_conv(2, Shape3::new(6, 6, 2), 4, 3, 1, 0);
+        let ii = pipeline_ii(2, 2, 4, 4);
+        assert_eq!(ii, 1);
+        assert_core_matches_kernel(&conv, 2, 4, ii, &img);
+    }
+
+    #[test]
+    fn mixed_ports_match() {
+        let (conv, img) = random_conv(3, Shape3::new(7, 7, 4), 6, 3, 1, 0);
+        let ii = pipeline_ii(4, 2, 6, 2);
+        assert_core_matches_kernel(&conv, 2, 2, ii, &img);
+    }
+
+    #[test]
+    fn higher_ii_takes_proportionally_longer() {
+        let (conv, img) = random_conv(4, Shape3::new(10, 10, 1), 4, 3, 1, 0);
+        let (_, fast) = run_core::<f32>(&conv, 1, 4, 1, &img);
+        let (_, slow) = run_core::<f32>(&conv, 1, 1, 4, &img);
+        // 64 windows: II=4 adds ~3*63 cycles over II=1
+        assert!(
+            slow > fast + 150,
+            "II=4 run ({slow}) should be much slower than II=1 ({fast})"
+        );
+    }
+
+    #[test]
+    fn strided_core_matches() {
+        for (khw, pad) in [(2, 0), (2, 1), (3, 1)] {
+            let (conv, img) = random_conv(5, Shape3::new(8, 8, 2), 2, khw, 2, pad);
+            let ii = pipeline_ii(2, 1, 2, 1);
+            assert_core_matches_kernel(&conv, 1, 1, ii, &img);
+        }
+    }
+
+    #[test]
+    fn identity_1x1_core_passes_values() {
+        let geo = ConvGeometry::new(Shape3::new(3, 3, 1), 1, 1, 1, 0);
+        let mut f = dfcnn_tensor::Tensor4::zeros(1, 1, 1, 1);
+        f.set(0, 0, 0, 0, 1.0);
+        let conv = Conv2d::new(geo, f, Tensor1::zeros(1), Activation::Identity);
+        let img = Tensor3::from_fn(Shape3::new(3, 3, 1), |y, x, _| (y * 3 + x) as f32);
+        let (out, _) = run_core::<f32>(&conv, 1, 1, 1, &img);
+        assert_eq!(out, img);
     }
 }

@@ -102,15 +102,12 @@ impl<E: Numeric> Actor for EltwiseCore<E> {
 
     fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
         let p_count = self.out_chs.len();
-        let mut used = vec![false; p_count];
         // strict global order; stop at the first value either operand
-        // cannot supply or the output cannot accept
+        // cannot supply or the output cannot accept. The ports divide
+        // `fm`, so the first `p_count` values use distinct ports.
         for _ in 0..p_count {
             let f = (self.seq % self.fm as u64) as usize;
             let p = fm_port(f, p_count);
-            if used[p] {
-                break;
-            }
             let (src_a, src_b) = (self.in_chs[p], self.in_chs[p_count + p]);
             if chans.peek(src_a).is_none()
                 || chans.peek(src_b).is_none()
@@ -121,7 +118,6 @@ impl<E: Numeric> Actor for EltwiseCore<E> {
             let a = chans.pop(src_a).unwrap();
             let b = chans.pop(src_b).unwrap();
             chans.push(self.out_chs[p], crate::kernel::eltwise_add_hw::<E>(a, b));
-            used[p] = true;
             self.seq += 1;
             self.moved += 1;
             trace.record(cycle, &self.name, EventKind::Emit);

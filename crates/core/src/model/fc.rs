@@ -1,14 +1,31 @@
 //! The fully-connected layer kind (§IV-B): a single-input-port /
 //! single-output-port 1×1 convolution with interleaved accumulators.
+//!
+//! "we decided to implement a FCN layer as a single-input-port/
+//! single-output-port convolutional layer. In this way, the number of
+//! parallel multiplications is reduced, while the execution time remains
+//! linearly related to the number of input and output values."
+//!
+//! For each input value, all `OUT_FM` 1×1 convolutions happen in the same
+//! cycle; the floating-point accumulation latency is hidden by interleaved
+//! accumulator banks (see [`dfcnn_hls::accum`]): with `A` banks the input
+//! loop runs at `II = ceil(add_latency / A)`. After the last input, the
+//! actor ([`FcCore`]) drains (pipeline flush + merge tree + bias +
+//! activation) and sends the outputs sequentially on its single output
+//! port.
 
 use super::{validate_ports, CoreModel, CorePlan, StageSpec, StageWorker, StaticProfile};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
-use crate::kernel::{fc_forward_hw_into, FcArena};
-use crate::layer::FcCore;
-use crate::sim::Actor;
-use crate::stream::ChannelId;
+use crate::kernel::{fc_forward_hw_into, fc_forward_into, FcArena};
+use crate::sim::{Actor, Quiescence, Wiring};
+use crate::stream::{ChannelId, ChannelSet};
+use crate::trace::{EventKind, Stall, Trace};
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
+use dfcnn_hls::accum::InterleavedAccumulator;
 use dfcnn_hls::ii::pipeline_ii;
+use dfcnn_hls::latency::OpLatency;
+use dfcnn_hls::reduce::TreeAdder;
+use dfcnn_nn::act::Activation;
 use dfcnn_nn::layer::{Layer, Linear};
 use dfcnn_tensor::{with_numeric, Numeric, Shape3, Tensor3};
 use std::fmt::Write as _;
@@ -31,6 +48,202 @@ struct FcWorker<E: Numeric> {
 impl<E: Numeric> StageWorker for FcWorker<E> {
     fn apply_into(&mut self, input: &Tensor3<f32>, out: &mut Tensor3<f32>) {
         fc_forward_hw_into(&self.layer, input, out, &mut self.arena);
+    }
+}
+
+enum Phase {
+    /// Consuming input values (count so far).
+    Accumulate(usize),
+    /// Emitting output `j` starting at `ready_cycle`.
+    Drain { next_j: usize, ready: u64 },
+}
+
+/// The FC compute core. Generic over the executed element type: the
+/// arena holds the quantised weights and bias; input values are quantised
+/// and outputs dequantised inside [`fc_forward_into`] (identities for
+/// `E = f32`, which is bit-identical to before).
+pub struct FcCore<E: Numeric = f32> {
+    name: String,
+    in_ch: ChannelId,
+    out_ch: ChannelId,
+    arena: FcArena<E>,
+    activation: Activation,
+    /// Input-loop initiation interval: `ceil(add_latency / banks)`.
+    in_ii: u64,
+    /// Drain latency after the last input.
+    drain: u64,
+    inputs: usize,
+    outputs: usize,
+    /// Collected input values of the current image (numerics are computed
+    /// at drain time through the shared kernel, which reproduces the
+    /// interleaved-accumulator order).
+    buffer: Vec<f32>,
+    phase: Phase,
+    next_accept: u64,
+    results: Vec<f32>,
+    inits: u64,
+}
+
+impl<E: Numeric> FcCore<E> {
+    /// Build the core. `banks` is the interleaved accumulator count; the
+    /// paper's choice is "a higher number of accumulators than the single
+    /// addition latency" (e.g. ≥ 11 for f32).
+    pub fn new(
+        name: impl Into<String>,
+        linear: &Linear,
+        in_ch: ChannelId,
+        out_ch: ChannelId,
+        banks: usize,
+        ops: &OpLatency,
+    ) -> Self {
+        let acc = InterleavedAccumulator::new(banks);
+        let in_ii = acc.loop_ii(ops) as u64;
+        let drain = ops.add as u64
+            + TreeAdder::new(banks).latency(ops) as u64
+            + ops.add as u64 // bias add
+            + ops.activation as u64;
+        FcCore {
+            name: name.into(),
+            in_ch,
+            out_ch,
+            arena: FcArena::new(linear.weights(), linear.bias(), banks),
+            activation: linear.activation(),
+            in_ii,
+            drain,
+            inputs: linear.inputs(),
+            outputs: linear.outputs(),
+            buffer: Vec::with_capacity(linear.inputs()),
+            phase: Phase::Accumulate(0),
+            next_accept: 0,
+            results: vec![0.0; linear.outputs()],
+            inits: 0,
+        }
+    }
+
+    /// Input-loop initiation interval.
+    pub fn input_ii(&self) -> u64 {
+        self.in_ii
+    }
+
+    /// Drain latency in cycles.
+    pub fn drain_latency(&self) -> u64 {
+        self.drain
+    }
+
+    /// Stage interval per image in cycles: `I · II + drain + J`.
+    pub fn stage_interval(&self) -> u64 {
+        self.inputs as u64 * self.in_ii + self.drain + self.outputs as u64
+    }
+}
+
+impl<E: Numeric> Actor for FcCore<E> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
+        match self.phase {
+            Phase::Accumulate(count) => {
+                if cycle >= self.next_accept && chans.peek(self.in_ch).is_some() {
+                    let v = chans.pop(self.in_ch).unwrap();
+                    self.buffer.push(v);
+                    self.next_accept = cycle + self.in_ii;
+                    self.inits += 1;
+                    trace.record(cycle, &self.name, EventKind::Initiate);
+                    if count + 1 == self.inputs {
+                        fc_forward_into(
+                            &mut self.results,
+                            &mut self.arena,
+                            self.activation,
+                            &self.buffer,
+                        );
+                        self.buffer.clear();
+                        self.phase = Phase::Drain {
+                            next_j: 0,
+                            ready: cycle + self.drain,
+                        };
+                    } else {
+                        self.phase = Phase::Accumulate(count + 1);
+                    }
+                }
+            }
+            Phase::Drain { next_j, ready } => {
+                if cycle >= ready && chans.can_push(self.out_ch) {
+                    chans.push(self.out_ch, self.results[next_j]);
+                    trace.record(cycle, &self.name, EventKind::Emit);
+                    if next_j + 1 == self.outputs {
+                        self.phase = Phase::Accumulate(0);
+                    } else {
+                        self.phase = Phase::Drain {
+                            next_j: next_j + 1,
+                            ready: cycle + 1,
+                        };
+                    }
+                }
+            }
+        }
+    }
+
+    fn busy(&self) -> bool {
+        match self.phase {
+            Phase::Accumulate(c) => c > 0,
+            Phase::Drain { .. } => true,
+        }
+    }
+
+    fn initiations(&self) -> u64 {
+        self.inits
+    }
+
+    fn wiring(&self) -> Wiring {
+        Wiring {
+            inputs: vec![self.in_ch],
+            outputs: vec![self.out_ch],
+        }
+    }
+
+    fn quiescence(&self, now: u64, chans: &ChannelSet) -> Quiescence {
+        match self.phase {
+            Phase::Accumulate(_) => {
+                if chans.peek(self.in_ch).is_none() {
+                    Quiescence::Wait(None) // starved: push wakes us
+                } else if self.next_accept > now + 1 {
+                    Quiescence::Wait(Some(self.next_accept)) // II timer
+                } else {
+                    Quiescence::Active
+                }
+            }
+            Phase::Drain { ready, .. } => {
+                if !chans.can_push(self.out_ch) {
+                    Quiescence::Wait(None) // backpressured: pop wakes us
+                } else if ready > now + 1 {
+                    Quiescence::Wait(Some(ready)) // drain latency
+                } else {
+                    Quiescence::Active
+                }
+            }
+        }
+    }
+
+    fn stall(&self, chans: &ChannelSet) -> Stall {
+        match self.phase {
+            Phase::Accumulate(count) => {
+                if chans.peek(self.in_ch).is_some() {
+                    Stall::Computing // input present: paced by the II timer
+                } else if count > 0 {
+                    Stall::Starved(0) // mid-image, upstream ran dry
+                } else {
+                    Stall::Idle // between images
+                }
+            }
+            Phase::Drain { .. } => {
+                if chans.can_push(self.out_ch) {
+                    Stall::Computing // drain latency elapsing
+                } else {
+                    Stall::Backpressured(0)
+                }
+            }
+        }
     }
 }
 
@@ -282,5 +495,106 @@ mod tests {
         assert!(m.forces_single_port());
         assert_eq!(m.out_port_options(&layer, 16), vec![1]);
         assert_eq!(m.classifier_outputs(&layer), Some(10));
+    }
+
+    // ----- the FC actor
+
+    use crate::kernel::fc_forward_hw;
+
+    fn random_fc(seed: u64, inputs: usize, outputs: usize) -> (Linear, Tensor3<f32>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let w = dfcnn_tensor::init::linear_weights(&mut rng, inputs, outputs);
+        let b = dfcnn_tensor::init::random_vector(&mut rng, outputs, -0.1, 0.1);
+        let fc = Linear::new(w, b, Activation::Tanh);
+        let x = dfcnn_tensor::init::random_volume(&mut rng, Shape3::new(1, 1, inputs), -1.0, 1.0);
+        (fc, x)
+    }
+
+    fn run_core(
+        fc: &Linear,
+        banks: usize,
+        x: &Tensor3<f32>,
+        images: usize,
+    ) -> (Vec<Vec<f32>>, u64) {
+        let mut chans = ChannelSet::new();
+        let inp = chans.alloc(8);
+        let out = chans.alloc(8);
+        let ops = OpLatency::f32_virtex7();
+        let mut core = FcCore::<f32>::new("fc", fc, inp, out, banks, &ops);
+        let mut feed: Vec<f32> = Vec::new();
+        for _ in 0..images {
+            feed.extend_from_slice(x.as_slice());
+        }
+        let mut cursor = 0;
+        let mut results = vec![Vec::new(); images];
+        let mut img = 0;
+        let mut trace = Trace::disabled();
+        let mut cycle = 0u64;
+        while img < images {
+            if cursor < feed.len() && chans.can_push(inp) {
+                chans.push(inp, feed[cursor]);
+                cursor += 1;
+            }
+            core.tick(cycle, &mut chans, &mut trace);
+            while let Some(v) = chans.pop(out) {
+                results[img].push(v);
+                if results[img].len() == fc.outputs() {
+                    img += 1;
+                }
+            }
+            chans.commit_all();
+            cycle += 1;
+            assert!(cycle < 1_000_000, "fc core made no progress");
+        }
+        (results, cycle)
+    }
+
+    #[test]
+    fn outputs_match_hw_kernel_exactly() {
+        let (fc, x) = random_fc(1, 64, 10);
+        let (res, _) = run_core(&fc, 11, &x, 1);
+        let expect = fc_forward_hw(&fc, 11, &x);
+        assert_eq!(res[0].as_slice(), expect.as_slice());
+    }
+
+    #[test]
+    fn bank_count_controls_input_rate() {
+        let (fc, x) = random_fc(2, 100, 4);
+        let (_, fast) = run_core(&fc, 11, &x, 1);
+        let (_, slow) = run_core(&fc, 1, &x, 1);
+        // 1 bank -> II = 11 per input: ~11x slower feed
+        assert!(
+            slow > fast * 5,
+            "1-bank run ({slow}) should be much slower than 11-bank ({fast})"
+        );
+    }
+
+    #[test]
+    fn back_to_back_images_are_processed() {
+        let (fc, x) = random_fc(3, 20, 5);
+        let (res, _) = run_core(&fc, 11, &x, 3);
+        assert_eq!(res.len(), 3);
+        assert_eq!(res[0], res[1]);
+        assert_eq!(res[1], res[2]);
+    }
+
+    #[test]
+    fn stage_interval_formula() {
+        let (fc, _) = random_fc(4, 900, 72);
+        let ops = OpLatency::f32_virtex7();
+        let mut chans = ChannelSet::new();
+        let (i, o) = (chans.alloc(2), chans.alloc(2));
+        let core = FcCore::<f32>::new("fc", &fc, i, o, 11, &ops);
+        assert_eq!(core.input_ii(), 1);
+        // 900 inputs + drain + 72 outputs
+        assert_eq!(core.stage_interval(), 900 + core.drain_latency() + 72);
+    }
+
+    #[test]
+    fn single_output_layer_works() {
+        let (fc, x) = random_fc(5, 8, 1);
+        let (res, _) = run_core(&fc, 11, &x, 2);
+        assert_eq!(res[0].len(), 1);
+        assert_eq!(res[0], res[1]);
     }
 }

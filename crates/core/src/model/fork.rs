@@ -100,13 +100,13 @@ impl Actor for ForkCore {
     fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
         let n = self.in_chs.len();
         let b = self.branches();
-        let mut in_used = vec![false; n];
         // strict global order; stop at the first value that cannot move
-        // to *all* branches
+        // to *all* branches. The ports divide `fm`, so the first `n`
+        // values in sequence use `n` distinct ports.
         for _ in 0..n {
             let f = (self.seq % self.fm as u64) as usize;
             let p = fm_port(f, n);
-            if in_used[p] || chans.peek(self.in_chs[p]).is_none() {
+            if chans.peek(self.in_chs[p]).is_none() {
                 break;
             }
             if (0..b).any(|br| !chans.can_push(self.out_chs[br * n + p])) {
@@ -116,7 +116,6 @@ impl Actor for ForkCore {
             for br in 0..b {
                 chans.push(self.out_chs[br * n + p], v);
             }
-            in_used[p] = true;
             self.seq += 1;
             self.moved += 1;
             trace.record(cycle, &self.name, EventKind::Emit);

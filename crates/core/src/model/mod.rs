@@ -9,7 +9,10 @@
 //! validation rules, hardware-order compute, cycle-actor construction,
 //! resource parameters, HLS C++ emission and display labels — lives in one
 //! `CoreModel` implementation per kind ([`conv`], [`pool`], [`fc`],
-//! [`adapter`], [`logsoftmax`]).
+//! [`adapter`], [`logsoftmax`]). Kinds that stream alike share one actor
+//! shell: conv and pool wrap their compute body in [`windowed`]'s SST-fed
+//! core, and scale-shift is a [`crate::port::PortAdapter`] with a per-FM
+//! map.
 //!
 //! The consumers (`graph`, `sim`, `exec`, `verify`, `codegen`, `dse`,
 //! `multi`, `flow`) contain **zero per-kind dispatch**; a CI grep-lint
@@ -31,6 +34,7 @@ pub mod fork;
 pub mod logsoftmax;
 pub mod pool;
 pub mod scaleshift;
+pub mod windowed;
 
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign, StageInput};
 use crate::range::{Interval, Transfer};

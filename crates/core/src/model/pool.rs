@@ -1,15 +1,15 @@
 //! The sub-sampling (pooling) layer kind (§IV-A).
 
-use super::conv::windowed_interval;
-use super::{CoreModel, CorePlan, LineBufferSpec, StageSpec, StageWorker, StaticProfile};
+use super::windowed::{windowed_interval, windowed_profile, WindowBody, WindowedCore};
+use super::{CoreModel, CorePlan, StageSpec, StageWorker, StaticProfile};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
-use crate::kernel::{pool_forward_hw_into, PoolArena};
-use crate::layer::PoolCore;
+use crate::kernel::{pool_forward_hw_into, pool_window, PoolArena};
 use crate::sim::Actor;
-use crate::sst::full_buffer_bound_per_port;
 use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::pipeline_ii;
+use dfcnn_hls::latency::OpLatency;
+use dfcnn_hls::reduce::TreeAdder;
 use dfcnn_nn::layer::{Layer, Pool2d, PoolKind};
 use dfcnn_tensor::{with_numeric, Numeric, Tensor3};
 use std::fmt::Write as _;
@@ -32,6 +32,63 @@ struct PoolWorker<E: Numeric> {
 impl<E: Numeric> StageWorker for PoolWorker<E> {
     fn apply_into(&mut self, input: &Tensor3<f32>, out: &mut Tensor3<f32>) {
         pool_forward_hw_into(&self.layer, input, out, &mut self.arena);
+    }
+}
+
+/// The pooling compute body: each channel's `KH·KW` slice of the window
+/// pooled independently, then dequantised for the `f32` stream transport.
+///
+/// §IV-C: "as there is no combination between FM and rather just a
+/// sub-sampling of each FM, it is possible to insert parallel sub-sampling
+/// layer cores, one for each previous layer output port ... the
+/// sub-sampling cores act as a standard filter inserted between the
+/// convolutional layers without occupying too much area (perfect
+/// pipelining and no multiple windows/convolutions)." One body models the
+/// whole bank of parallel pooling cores of a layer.
+pub struct PoolBody {
+    kind: PoolKind,
+    /// Values per channel slice, `KH·KW`.
+    win: usize,
+}
+
+impl<E: Numeric> WindowBody<E> for PoolBody {
+    fn initiate(&mut self, window: &[E], out: &mut [f32]) {
+        for (o, chan) in out.iter_mut().zip(window.chunks_exact(self.win)) {
+            *o = pool_window(self.kind, chan).to_f32();
+        }
+    }
+}
+
+/// The pooling core bank as a cycle actor: the pool body in the shared
+/// SST shell. Results leave on the same number of ports (the usual
+/// configuration) or re-interleaved over a different port count.
+pub type PoolCore<E = f32> = WindowedCore<E, PoolBody>;
+
+impl<E: Numeric> PoolCore<E> {
+    /// Build the pooling bank from the reference layer and port config.
+    /// `ii` must come from Eq. 4 ([`pipeline_ii`]); the graph builder
+    /// computes it.
+    pub fn new(
+        name: impl Into<String>,
+        pool: &Pool2d,
+        in_chs: Vec<ChannelId>,
+        out_chs: Vec<ChannelId>,
+        ii: usize,
+        ops: &OpLatency,
+    ) -> Self {
+        let geo = *pool.geometry();
+        let win = geo.kh * geo.kw;
+        // comparator tree for max, adder tree + scale for mean
+        let depth = match pool.kind() {
+            PoolKind::Max => TreeAdder::new(win).depth() as u64 * ops.cmp as u64,
+            PoolKind::Mean => TreeAdder::new(win).latency(ops) as u64 + ops.mul as u64,
+        }
+        .max(1);
+        let body = PoolBody {
+            kind: pool.kind(),
+            win,
+        };
+        WindowedCore::from_body(name, geo, in_chs, out_chs, geo.input.c, ii, depth, body)
     }
 }
 
@@ -98,21 +155,8 @@ impl CoreModel for PoolModel {
 
     fn static_profile(&self, design: &NetworkDesign, core: &CoreInfo) -> StaticProfile {
         let idx = core.layer_index.expect("pool core has a layer");
-        let layer = &design.network().layers()[idx];
-        let g = *pool_layer(layer).geometry();
-        let lp = LayerPorts {
-            in_ports: core.params.in_ports,
-            out_ports: core.params.out_ports,
-        };
-        let required = full_buffer_bound_per_port(&g, core.params.in_ports);
-        StaticProfile {
-            out_values_per_image: g.positions() as u64 * g.input.c as u64,
-            expected_ii: self.plan(layer, lp, design.config()).params.ii,
-            line_buffer: Some(LineBufferSpec {
-                capacity_per_port: design.config().line_buffer_cap.unwrap_or(required),
-                required_per_port: required,
-            }),
-        }
+        let g = pool_layer(&design.network().layers()[idx]).geometry();
+        windowed_profile(design, core, g, g.input.c)
     }
 
     fn block_label(&self, core: &CoreInfo) -> String {
@@ -133,8 +177,15 @@ impl CoreModel for PoolModel {
         let idx = core.layer_index.expect("pool core has a layer");
         let l = pool_layer(&design.network().layers()[idx]);
         with_numeric!(design.config().numeric, E => Box::new(
-            PoolCore::<E>::new(core.name.clone(), l, in_chs, out_chs, &design.config().ops)
-                .with_line_buffer_cap(design.config().line_buffer_cap),
+            PoolCore::<E>::new(
+                core.name.clone(),
+                l,
+                in_chs,
+                out_chs,
+                core.params.ii,
+                &design.config().ops,
+            )
+            .with_line_buffer_cap(design.config().line_buffer_cap),
         ))
     }
 
@@ -256,5 +307,100 @@ mod tests {
         assert_eq!(plan.params.weights, 0);
         assert_eq!(plan.params.in_fm, plan.params.out_fm);
         assert_eq!(plan.params.ii, 6, "single-port 6-FM pool: II = 6");
+    }
+
+    // ----- the pool actor: the pool body in the shared windowed shell
+
+    use super::super::windowed::tests::{assert_same_bits, run_windowed};
+    use crate::sim::Actor;
+    use dfcnn_tensor::{ConvGeometry, Fixed16, Fixed8, Shape3};
+
+    /// The Eq. 4 II the graph builder would give this pool and ports.
+    fn plan_ii(pool: &Pool2d, in_ports: usize, out_ports: usize) -> usize {
+        let lp = LayerPorts {
+            in_ports,
+            out_ports,
+        };
+        let layer = Layer::Pool(pool.clone());
+        PoolModel
+            .plan(&layer, lp, &DesignConfig::default())
+            .params
+            .ii
+    }
+
+    /// Stream one image through an isolated `PoolCore<E>` and check it
+    /// against the host hardware-order kernel, bit for bit, in `f32`,
+    /// `Fixed16<8>` and `Fixed8<4>`.
+    fn assert_core_matches_kernel(
+        pool: &Pool2d,
+        in_ports: usize,
+        out_ports: usize,
+        img: &Tensor3<f32>,
+    ) {
+        fn one<E: Numeric>(pool: &Pool2d, in_ports: usize, out_ports: usize, img: &Tensor3<f32>) {
+            let ii = plan_ii(pool, in_ports, out_ports);
+            let ops = OpLatency::f32_virtex7();
+            let make = |ins, outs| PoolCore::<E>::new("pool", pool, ins, outs, ii, &ops);
+            let (got, _) = run_windowed(in_ports, out_ports, make, img, pool.output_shape());
+            let mut expect = Tensor3::zeros(pool.output_shape());
+            pool_forward_hw_into(pool, img, &mut expect, &mut PoolArena::<E>::new(pool));
+            assert_same_bits::<E>(&got, &expect);
+        }
+        one::<f32>(pool, in_ports, out_ports, img);
+        one::<Fixed16<8>>(pool, in_ports, out_ports, img);
+        one::<Fixed8<4>>(pool, in_ports, out_ports, img);
+    }
+
+    fn random_img(seed: u64, shape: Shape3) -> Tensor3<f32> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        dfcnn_tensor::init::random_volume(&mut rng, shape, -1.0, 1.0)
+    }
+
+    #[test]
+    fn maxpool_single_port_matches_kernel() {
+        for kind in [PoolKind::Max, PoolKind::Mean] {
+            let geo = ConvGeometry::new(Shape3::new(6, 6, 3), 2, 2, 2, 0);
+            let pool = Pool2d::new(geo, kind);
+            assert_core_matches_kernel(&pool, 1, 1, &random_img(1, geo.input));
+        }
+    }
+
+    #[test]
+    fn maxpool_parallel_ports_match() {
+        // the paper's TC1 configuration: one pool core per port
+        let geo = ConvGeometry::new(Shape3::new(12, 12, 6), 2, 2, 2, 0);
+        let pool = Pool2d::new(geo, PoolKind::Max);
+        assert_core_matches_kernel(&pool, 6, 6, &random_img(2, geo.input));
+    }
+
+    #[test]
+    fn meanpool_matches() {
+        let geo = ConvGeometry::new(Shape3::new(4, 4, 2), 2, 2, 2, 0);
+        let pool = Pool2d::new(geo, PoolKind::Mean);
+        assert_core_matches_kernel(&pool, 2, 2, &random_img(3, geo.input));
+    }
+
+    #[test]
+    fn port_reduction_matches() {
+        // 4 channels in on 4 ports, out on 2 ports
+        let geo = ConvGeometry::new(Shape3::new(4, 4, 4), 2, 2, 2, 0);
+        for kind in [PoolKind::Max, PoolKind::Mean] {
+            let pool = Pool2d::new(geo, kind);
+            assert_core_matches_kernel(&pool, 4, 2, &random_img(4, geo.input));
+        }
+    }
+
+    #[test]
+    fn fully_parallel_pool_ii_is_one() {
+        let geo = ConvGeometry::new(Shape3::new(4, 4, 6), 2, 2, 2, 0);
+        let pool = Pool2d::new(geo, PoolKind::Max);
+        let ii = plan_ii(&pool, 6, 6);
+        assert_eq!(ii, 1);
+        let mut chans = crate::stream::ChannelSet::new();
+        let ins: Vec<_> = (0..6).map(|_| chans.alloc(4)).collect();
+        let outs: Vec<_> = (0..6).map(|_| chans.alloc(4)).collect();
+        let core = PoolCore::<f32>::new("p", &pool, ins, outs, ii, &OpLatency::f32_virtex7());
+        assert_eq!(core.ii(), 1);
+        assert_eq!(core.initiations(), 0);
     }
 }

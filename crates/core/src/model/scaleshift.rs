@@ -7,8 +7,8 @@
 //! multiply and one add per value, no window, no reduction. It is a
 //! *paper layer* in the builder's sense — it carries a
 //! [`LayerPorts`] entry and an Eq. 4 II like conv/pool/FC — and its actor
-//! streams in strict global FM order exactly like
-//! [`crate::port::PortAdapter`], applying `y = scale[f]·x + shift[f]` on
+//! ([`ScaleShiftCore`]) *is* a [`PortAdapter`], streaming in strict global
+//! FM order, with a per-FM map that applies `y = scale[f]·x + shift[f]` on
 //! the way through. The same flat-index expression
 //! (`scale[i mod C]·x + shift[i mod C]`, channel-fastest storage) is used
 //! by the network layer, the host pipeline worker and the actor, so all
@@ -16,10 +16,9 @@
 
 use super::{CoreModel, CorePlan, StageSpec, StageWorker};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
-use crate::port::fm_port;
-use crate::sim::{Actor, Quiescence, Wiring};
-use crate::stream::{ChannelId, ChannelSet};
-use crate::trace::{EventKind, Stall, Trace};
+use crate::port::{FmMap, PortAdapter};
+use crate::sim::Actor;
+use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::pipeline_ii;
 use dfcnn_nn::layer::Layer;
@@ -36,124 +35,43 @@ fn scaleshift_of(layer: &Layer) -> &dfcnn_nn::layer::ScaleShift {
     }
 }
 
-/// The streaming affine actor: values move in strict global FM order,
-/// transformed per feature map on the way through. Generic over the
+/// The per-FM affine map of the scale-shift core. Generic over the
 /// executed element type: the coefficient ROMs are quantised once at
 /// build time; each value is quantised, transformed with the element's
-/// multiply/add and dequantised (the identity chain for `f32`). `fm`
-/// tracks the FM count (the quantised ROM length).
-pub struct ScaleShiftCore<E: Numeric = f32> {
-    name: String,
-    in_chs: Vec<ChannelId>,
-    out_chs: Vec<ChannelId>,
+/// multiply/add and dequantised (the identity chain for `f32`).
+pub struct ScaleShiftMap<E> {
     scale: Vec<E>,
     shift: Vec<E>,
-    seq: u64,
-    moved: u64,
 }
+
+impl<E: Numeric> FmMap for ScaleShiftMap<E> {
+    #[inline]
+    fn map(&self, f: usize, v: f32) -> f32 {
+        crate::kernel::scale_shift_hw::<E>(self.scale[f], self.shift[f], v)
+    }
+}
+
+/// The streaming affine actor: a [`PortAdapter`] whose per-FM map is
+/// `y = scale[f]·x + shift[f]`, so values move in strict global FM order
+/// and are transformed on the way through.
+pub type ScaleShiftCore<E = f32> = PortAdapter<ScaleShiftMap<E>>;
 
 impl<E: Numeric> ScaleShiftCore<E> {
     /// Build the core; coefficient vectors carry one entry per FM.
-    pub fn new(
+    pub fn scale_shift(
         name: impl Into<String>,
         in_chs: Vec<ChannelId>,
         out_chs: Vec<ChannelId>,
-        scale: Vec<f32>,
-        shift: Vec<f32>,
+        scale: &[f32],
+        shift: &[f32],
     ) -> Self {
         assert_eq!(scale.len(), shift.len(), "one (scale, shift) pair per FM");
-        assert!(
-            !in_chs.is_empty() && !out_chs.is_empty(),
-            "scaleshift needs ports"
-        );
-        assert_eq!(scale.len() % in_chs.len(), 0, "ports must divide FM count");
-        assert_eq!(scale.len() % out_chs.len(), 0, "ports must divide FM count");
-        ScaleShiftCore {
-            name: name.into(),
-            in_chs,
-            out_chs,
-            scale: scale.iter().map(|&v| E::from_f32(v)).collect(),
-            shift: shift.iter().map(|&v| E::from_f32(v)).collect(),
-            seq: 0,
-            moved: 0,
-        }
-    }
-}
-
-impl<E: Numeric> Actor for ScaleShiftCore<E> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
-        let n = self.in_chs.len();
-        let m = self.out_chs.len();
-        let fm = self.scale.len();
-        let mut in_used = vec![false; n];
-        let mut out_used = vec![false; m];
-        // strict global order; stop at the first value that cannot move
-        for _ in 0..n.max(m) {
-            let f = (self.seq % fm as u64) as usize;
-            let ip = fm_port(f, n);
-            let op = fm_port(f, m);
-            if in_used[ip] || out_used[op] {
-                break;
-            }
-            let src = self.in_chs[ip];
-            let dst = self.out_chs[op];
-            if chans.peek(src).is_none() || !chans.can_push(dst) {
-                break;
-            }
-            let v = chans.pop(src).unwrap();
-            chans.push(
-                dst,
-                crate::kernel::scale_shift_hw::<E>(self.scale[f], self.shift[f], v),
-            );
-            in_used[ip] = true;
-            out_used[op] = true;
-            self.seq += 1;
-            self.moved += 1;
-            trace.record(cycle, &self.name, EventKind::Emit);
-        }
-    }
-
-    fn busy(&self) -> bool {
-        false // stateless between cycles: the ROMs never change
-    }
-
-    fn initiations(&self) -> u64 {
-        self.moved
-    }
-
-    fn wiring(&self) -> Wiring {
-        Wiring {
-            inputs: self.in_chs.clone(),
-            outputs: self.out_chs.clone(),
-        }
-    }
-
-    fn quiescence(&self, _now: u64, chans: &ChannelSet) -> Quiescence {
-        let f = (self.seq % self.scale.len() as u64) as usize;
-        let src = self.in_chs[fm_port(f, self.in_chs.len())];
-        let dst = self.out_chs[fm_port(f, self.out_chs.len())];
-        if chans.peek(src).is_some() && chans.can_push(dst) {
-            Quiescence::Active
-        } else {
-            Quiescence::Wait(None)
-        }
-    }
-
-    fn stall(&self, chans: &ChannelSet) -> Stall {
-        let f = (self.seq % self.scale.len() as u64) as usize;
-        let ip = fm_port(f, self.in_chs.len());
-        let op = fm_port(f, self.out_chs.len());
-        if chans.peek(self.in_chs[ip]).is_none() {
-            Stall::Starved(ip)
-        } else if !chans.can_push(self.out_chs[op]) {
-            Stall::Backpressured(op)
-        } else {
-            Stall::Computing // the move happens next tick
-        }
+        let quantise = |c: &[f32]| c.iter().map(|&v| E::from_f32(v)).collect();
+        let map = ScaleShiftMap {
+            scale: quantise(scale),
+            shift: quantise(shift),
+        };
+        PortAdapter::with_map(name, in_chs, out_chs, scale.len(), map)
     }
 }
 
@@ -254,12 +172,12 @@ impl CoreModel for ScaleShiftModel {
     ) -> Box<dyn Actor> {
         let idx = core.layer_index.expect("scaleshift cores are layer-backed");
         let l = scaleshift_of(&design.network().layers()[idx]);
-        with_numeric!(design.config().numeric, E => Box::new(ScaleShiftCore::<E>::new(
+        with_numeric!(design.config().numeric, E => Box::new(ScaleShiftCore::<E>::scale_shift(
             core.name.clone(),
             in_chs,
             out_chs,
-            l.scale().to_vec(),
-            l.shift().to_vec(),
+            l.scale(),
+            l.shift(),
         )))
     }
 
@@ -327,6 +245,9 @@ mod tests {
     use dfcnn_nn::layer::ScaleShift;
     use dfcnn_tensor::Shape3;
 
+    use crate::stream::ChannelSet;
+    use crate::trace::Trace;
+
     fn drive(core: &mut ScaleShiftCore<f32>, chans: &mut ChannelSet, cycles: usize) {
         let mut trace = Trace::disabled();
         for c in 0..cycles {
@@ -353,12 +274,12 @@ mod tests {
             chans.push(i0, v);
         }
         chans.commit_all();
-        let mut core = ScaleShiftCore::<f32>::new(
+        let mut core = ScaleShiftCore::<f32>::scale_shift(
             "scaleshift",
             vec![i0],
             vec![o0],
-            vec![2.0, -1.0],
-            vec![0.5, 1.0],
+            &[2.0, -1.0],
+            &[0.5, 1.0],
         );
         drive(&mut core, &mut chans, 8);
         assert_eq!(drain(&mut chans, o0), vec![2.5, -1.0, 6.5, -3.0]);
@@ -387,12 +308,12 @@ mod tests {
             chans.push(i0, v);
         }
         chans.commit_all();
-        let mut core = ScaleShiftCore::<f32>::new(
+        let mut core = ScaleShiftCore::<f32>::scale_shift(
             "scaleshift",
             vec![i0],
             vec![o0],
-            l.scale().to_vec(),
-            l.shift().to_vec(),
+            l.scale(),
+            l.shift(),
         );
         drive(&mut core, &mut chans, 20);
         assert_eq!(drain(&mut chans, o0).as_slice(), expect.as_slice());
@@ -443,12 +364,12 @@ mod tests {
         chans.push(ins[0], 3.0); // f0
         chans.push(ins[1], 4.0); // f1
         chans.commit_all();
-        let mut core = ScaleShiftCore::<f32>::new(
+        let mut core = ScaleShiftCore::<f32>::scale_shift(
             "scaleshift",
             ins,
             vec![o0],
-            vec![10.0, 100.0],
-            vec![0.0, 0.0],
+            &[10.0, 100.0],
+            &[0.0, 0.0],
         );
         drive(&mut core, &mut chans, 8);
         assert_eq!(drain(&mut chans, o0), vec![10.0, 200.0, 30.0, 400.0]);

@@ -238,6 +238,8 @@ pub struct LinkActor {
     in_flight: std::collections::VecDeque<(u64, usize, f32)>,
     rr: usize,
     moved: u64,
+    /// Per-lane "already served this cycle" flags, reused every tick.
+    lane_used: Vec<bool>,
 }
 
 impl LinkActor {
@@ -252,6 +254,7 @@ impl LinkActor {
         assert_eq!(in_chs.len(), out_chs.len(), "link lanes must match");
         assert!(words_per_cycle > 0.0, "link needs bandwidth");
         LinkActor {
+            lane_used: vec![false; in_chs.len()],
             name: name.into(),
             in_chs,
             out_chs,
@@ -277,13 +280,13 @@ impl crate::sim::Actor for LinkActor {
         trace: &mut crate::trace::Trace,
     ) {
         // deliver landed words, one per lane per cycle
-        let mut delivered = vec![false; self.out_chs.len()];
+        self.lane_used.fill(false);
         let mut i = 0;
         while i < self.in_flight.len() {
             let (ready, lane, v) = self.in_flight[i];
-            if ready <= cycle && !delivered[lane] && chans.can_push(self.out_chs[lane]) {
+            if ready <= cycle && !self.lane_used[lane] && chans.can_push(self.out_chs[lane]) {
                 chans.push(self.out_chs[lane], v);
-                delivered[lane] = true;
+                self.lane_used[lane] = true;
                 self.in_flight.remove(i);
                 trace.record(cycle, &self.name, crate::trace::EventKind::Emit);
             } else {
@@ -300,18 +303,18 @@ impl crate::sim::Actor for LinkActor {
             (self.latency as f64 * self.words_per_cycle).ceil() as usize + self.in_chs.len();
         self.credit = self.credit.min(1.0) + self.words_per_cycle;
         let lanes = self.in_chs.len();
-        let mut taken = vec![false; lanes];
+        self.lane_used.fill(false);
         while self.credit >= 1.0 && self.in_flight.len() < wire_capacity {
             let mut sent = false;
             for k in 0..lanes {
                 let lane = (self.rr + k) % lanes;
-                if !taken[lane] {
+                if !self.lane_used[lane] {
                     if let Some(v) = chans.peek(self.in_chs[lane]) {
                         chans.pop(self.in_chs[lane]);
                         self.in_flight.push_back((cycle + self.latency, lane, v));
                         self.credit -= 1.0;
                         self.moved += 1;
-                        taken[lane] = true;
+                        self.lane_used[lane] = true;
                         self.rr = (lane + 1) % lanes;
                         sent = true;
                         break;

@@ -19,6 +19,12 @@
 //! several per cycle when they use disjoint input and output ports — which
 //! preserves per-FIFO ordering while matching the bandwidth of the
 //! narrower side, exactly like the hardware.
+//!
+//! The adapter also carries a per-FM value map ([`FmMap`]), applied to
+//! each value on the way through. The default, [`IdentityMap`], moves
+//! values unchanged; the scale-shift core
+//! ([`crate::model::scaleshift::ScaleShiftCore`]) is this adapter with a
+//! per-FM affine map.
 
 use crate::sim::{Actor, Quiescence, Wiring};
 use crate::stream::{ChannelId, ChannelSet};
@@ -30,8 +36,28 @@ pub fn fm_port(f: usize, ports: usize) -> usize {
     f % ports
 }
 
-/// The adapter actor for the §IV-A port-width cases.
-pub struct PortAdapter {
+/// A per-FM value map applied by a [`PortAdapter`] to each value it
+/// moves.
+pub trait FmMap {
+    /// The value leaving for feature map `f`, given the value `v` that
+    /// arrived.
+    fn map(&self, f: usize, v: f32) -> f32;
+}
+
+/// The plain adapter's map: values pass unchanged.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdentityMap;
+
+impl FmMap for IdentityMap {
+    #[inline]
+    fn map(&self, _f: usize, v: f32) -> f32 {
+        v
+    }
+}
+
+/// The adapter actor for the §IV-A port-width cases, applying the per-FM
+/// map `M` on the way through.
+pub struct PortAdapter<M = IdentityMap> {
     name: String,
     in_chs: Vec<ChannelId>,
     out_chs: Vec<ChannelId>,
@@ -40,6 +66,7 @@ pub struct PortAdapter {
     /// Global value sequence number (pixel-major, FM-minor).
     seq: u64,
     moved: u64,
+    map: M,
 }
 
 impl PortAdapter {
@@ -49,6 +76,20 @@ impl PortAdapter {
         in_chs: Vec<ChannelId>,
         out_chs: Vec<ChannelId>,
         fm: usize,
+    ) -> Self {
+        PortAdapter::with_map(name, in_chs, out_chs, fm, IdentityMap)
+    }
+}
+
+impl<M: FmMap> PortAdapter<M> {
+    /// Build an adapter carrying `fm` interleaved feature maps that maps
+    /// each value through `map`.
+    pub fn with_map(
+        name: impl Into<String>,
+        in_chs: Vec<ChannelId>,
+        out_chs: Vec<ChannelId>,
+        fm: usize,
+        map: M,
     ) -> Self {
         assert!(
             !in_chs.is_empty() && !out_chs.is_empty(),
@@ -63,6 +104,7 @@ impl PortAdapter {
             fm,
             seq: 0,
             moved: 0,
+            map,
         }
     }
 
@@ -72,7 +114,7 @@ impl PortAdapter {
     }
 }
 
-impl Actor for PortAdapter {
+impl<M: FmMap> Actor for PortAdapter<M> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -80,26 +122,19 @@ impl Actor for PortAdapter {
     fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
         let n = self.in_chs.len();
         let m = self.out_chs.len();
-        let mut in_used = vec![false; n];
-        let mut out_used = vec![false; m];
         // move values in strict global order; stop at the first one that
-        // cannot move (port conflict, empty input, or full output)
-        for _ in 0..n.max(m) {
+        // cannot move (empty input or full output). Both port counts
+        // divide `fm`, so consecutive values use consecutive ports and the
+        // first min(n, m) of them never share one.
+        for _ in 0..n.min(m) {
             let f = (self.seq % self.fm as u64) as usize;
-            let ip = fm_port(f, n);
-            let op = fm_port(f, m);
-            if in_used[ip] || out_used[op] {
-                break;
-            }
-            let src = self.in_chs[ip];
-            let dst = self.out_chs[op];
+            let src = self.in_chs[fm_port(f, n)];
+            let dst = self.out_chs[fm_port(f, m)];
             if chans.peek(src).is_none() || !chans.can_push(dst) {
                 break;
             }
             let v = chans.pop(src).unwrap();
-            chans.push(dst, v);
-            in_used[ip] = true;
-            out_used[op] = true;
+            chans.push(dst, self.map.map(f, v));
             self.seq += 1;
             self.moved += 1;
             trace.record(cycle, &self.name, EventKind::Emit);

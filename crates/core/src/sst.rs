@@ -27,6 +27,12 @@
 //! IN_PORTS`) then processes FMs `{g·P, …, g·P+P-1}` — one per port — in
 //! group `g`, which is exactly how [`WindowEngine::extract`] orders the
 //! window buffer.
+//!
+//! The engine is generic over the stored value, `WindowEngine<T = f32>`.
+//! The simulator's conv and pool cores store the executed element type:
+//! each value is quantised once, as it enters the line buffer, not once
+//! per window that reads it. Padding reads `T::default()`, which is the
+//! zero of every [`dfcnn_tensor::Element`].
 
 use dfcnn_tensor::ConvGeometry;
 
@@ -54,15 +60,15 @@ pub fn full_buffer_bound_per_port(geo: &ConvGeometry, in_ports: usize) -> usize 
 /// One port's line buffer: a window of the value stream with absolute
 /// indexing, so readiness and freeing are O(1) index comparisons.
 #[derive(Clone, Debug)]
-struct PortBuffer {
-    buf: std::collections::VecDeque<f32>,
+struct PortBuffer<T> {
+    buf: std::collections::VecDeque<T>,
     /// Absolute stream index of `buf[0]`.
     head: u64,
     /// Total values accepted (absolute stream index of the next value).
     received: u64,
 }
 
-impl PortBuffer {
+impl<T: Copy> PortBuffer<T> {
     /// `capacity` is the full-buffering bound; preallocating it makes the
     /// steady-state accept/free path allocation-free.
     fn new(capacity: usize) -> Self {
@@ -74,7 +80,7 @@ impl PortBuffer {
     }
 
     #[inline]
-    fn get(&self, abs: u64) -> f32 {
+    fn get(&self, abs: u64) -> T {
         debug_assert!(
             abs >= self.head && abs < self.received,
             "index out of buffer"
@@ -82,7 +88,7 @@ impl PortBuffer {
         self.buf[(abs - self.head) as usize]
     }
 
-    fn accept(&mut self, v: f32) {
+    fn accept(&mut self, v: T) {
         self.buf.push_back(v);
         self.received += 1;
     }
@@ -96,13 +102,13 @@ impl PortBuffer {
 }
 
 /// Sliding-window engine for one layer: `IN_PORTS` line buffers plus the
-/// window scheduler.
+/// window scheduler, storing values of type `T`.
 #[derive(Clone, Debug)]
-pub struct WindowEngine {
+pub struct WindowEngine<T = f32> {
     geo: ConvGeometry,
     in_ports: usize,
     ch_per_port: usize,
-    ports: Vec<PortBuffer>,
+    ports: Vec<PortBuffer<T>>,
     /// Per-port line-buffer capacity in values. Defaults to the SST
     /// full-buffering bound; overridable (fault injection) via
     /// [`WindowEngine::with_capacity_per_port`].
@@ -113,7 +119,7 @@ pub struct WindowEngine {
     max_occupancy: usize,
 }
 
-impl WindowEngine {
+impl<T: Copy + Default> WindowEngine<T> {
     /// Create an engine for the given geometry and port count.
     ///
     /// # Panics
@@ -268,7 +274,7 @@ impl WindowEngine {
     /// which the values are redirected to the window registers", §IV-A):
     /// this keeps occupancy within the full-buffering bound in every
     /// stride/window combination.
-    pub fn accept(&mut self, p: usize, v: f32) {
+    pub fn accept(&mut self, p: usize, v: T) {
         assert!(self.can_accept(p), "line buffer full on port {p}");
         let oldest = self.oldest_needed();
         let pb = &mut self.ports[p];
@@ -286,11 +292,12 @@ impl WindowEngine {
 
     /// Copy the next window into `out` and advance the sweep, freeing
     /// storage behind it. Layout: `out[(f·KH + dy)·KW + dx]` for FM `f`
-    /// (zero-filled where the window overhangs the padded border).
+    /// (`T::default()`, the zero, where the window overhangs the padded
+    /// border).
     ///
     /// # Panics
     /// If the window is not ready or `out` has the wrong length.
-    pub fn extract(&mut self, out: &mut [f32]) {
+    pub fn extract(&mut self, out: &mut [T]) {
         assert!(self.window_ready(), "window not ready");
         assert_eq!(
             out.len(),
@@ -307,7 +314,7 @@ impl WindowEngine {
                 for dx in 0..self.geo.kw {
                     let (y, x) = (y0 + dy as isize, x0 + dx as isize);
                     let v = if y < 0 || x < 0 || y >= h as isize || x >= w as isize {
-                        0.0
+                        T::default()
                     } else {
                         self.ports[p].get(self.abs_index(img, y as usize, x as usize, slot))
                     };
@@ -480,9 +487,9 @@ mod tests {
     #[test]
     fn capacity_is_full_buffer_formula() {
         let geo = ConvGeometry::new(Shape3::new(32, 32, 3), 5, 5, 1, 0);
-        let eng = WindowEngine::new(geo, 1);
+        let eng = WindowEngine::<f32>::new(geo, 1);
         assert_eq!(eng.capacity_per_port(), (4 * 32 + 5) * 3);
-        let eng3 = WindowEngine::new(geo, 3);
+        let eng3 = WindowEngine::<f32>::new(geo, 3);
         assert_eq!(eng3.capacity_per_port(), 4 * 32 + 5);
     }
 
@@ -507,7 +514,7 @@ mod tests {
     #[should_panic(expected = "must divide")]
     fn non_dividing_ports_rejected() {
         let geo = ConvGeometry::new(Shape3::new(4, 4, 3), 2, 2, 1, 0);
-        WindowEngine::new(geo, 2);
+        WindowEngine::<f32>::new(geo, 2);
     }
 
     #[test]
@@ -516,7 +523,7 @@ mod tests {
         for ports in [1, 2, 3, 6] {
             assert_eq!(
                 full_buffer_bound_per_port(&geo, ports),
-                WindowEngine::new(geo, ports).capacity_per_port()
+                WindowEngine::<f32>::new(geo, ports).capacity_per_port()
             );
         }
     }
