@@ -6,7 +6,8 @@
 //! Three measurement groups, each on both paper test cases' shapes:
 //!
 //! * `conv_window_packed` vs `conv_window_packed_scalar` — the hot conv
-//!   group product, per element type (`f32`, `q16f8`, `q8f4`),
+//!   window, per element type (`f32`, `q16f8`, `q8f4`): for fixed point
+//!   the 16-lane kernel against one filter at a time in `i64`,
 //! * `Numeric::dot_acc` vs `Numeric::dot_acc_scalar` — the FC row dot,
 //! * whole-network `hw_forward` per numeric spec (end-to-end effect).
 //!
@@ -14,7 +15,7 @@
 //! classified through every supported fixed spec's quantised datapath.
 //! Results go to `results/numeric_kernels.json` and `BENCH_kernels.json` (the
 //! committed CI artifact). In release builds on the packed conv kernel
-//! the fixed-point SIMD path must hold a ≥ 1.2× margin over the scalar
+//! the fixed-point lane kernel must hold a ≥ 1.2× margin over the scalar
 //! loop — the CI smoke contract for the vectorised kernels.
 //!
 //! ```text
@@ -119,8 +120,8 @@ fn time_ns(reps: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// One conv shape, one element type: time the packed kernel with the
-/// element's dot fast path against the forced-scalar reduction, checking
+/// One conv shape, one element type: time the packed kernel against its
+/// scalar form (for fixed point, one filter at a time in `i64`), checking
 /// both produce identical bits first.
 fn conv_case<E: Numeric>(
     case: &str,
@@ -344,7 +345,7 @@ fn main() {
         dot.push(dot_case::<Fixed16<8>>(case, "q16f8", fc_len));
         dot.push(dot_case::<Fixed8<4>>(case, "q8f4", fc_len));
     }
-    println!("packed conv window (SIMD dot vs scalar reduction):");
+    println!("packed conv window (lane kernel vs scalar reduction):");
     println!(
         "{:<5} {:<6} {:>7} {:>9} {:>11} {:>11} {:>8}",
         "case", "elem", "out_fm", "win_len", "simd_ns", "scalar_ns", "speedup"
@@ -465,8 +466,8 @@ fn main() {
         Err(e) => eprintln!("[warn] could not write BENCH_kernels.json: {e}"),
     }
 
-    // CI smoke contract: the fixed-point dot fast path must beat the
-    // forced-scalar reduction on the packed conv kernel in release builds
+    // CI smoke contract: the fixed-point lane kernel must beat the
+    // per-filter scalar reduction on the packed conv window in release builds
     if release {
         let worst = record
             .conv

@@ -525,6 +525,13 @@ impl NetworkDesign {
     /// when normalisation is on the fabric). Works for chains and
     /// fork/join graphs alike by walking the host pipeline's stage
     /// topology.
+    ///
+    /// This is the oracle, not a fast path: perfbench's output gate and
+    /// the engine tests compare against it. It rebuilds the host pipeline
+    /// and so repacks every layer's weights on each call, on purpose, so
+    /// that no state carried between images can hide in its answer. To
+    /// run many images, use [`crate::exec::ThreadedEngine`], which builds
+    /// each stage's worker once.
     pub fn hw_forward(&self, input: &Tensor3<f32>) -> Tensor3<f32> {
         let stages = model::host_pipeline(self);
         let mut outs: Vec<Tensor3<f32>> = Vec::with_capacity(stages.len());

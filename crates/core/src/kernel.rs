@@ -6,7 +6,10 @@
 //! (Algorithm 1's `reduce`), the sequential accumulation across Algorithm
 //! 1's group loop, and the FC core's interleaved accumulators (§IV-B).
 //! The f32 kernels vectorise across outputs ([`LANES`] at a time), never
-//! within one output's sum, so each output keeps exactly that order.
+//! within one output's sum, so each output keeps exactly that order. The
+//! fixed-point conv kernel also runs across outputs, [`EXACT_LANES`] at a
+//! time, as Algorithm 1's core multiplies one window by every filter in
+//! the same cycle; there the order is free and only the lane width counts.
 //! Both execution engines (the cycle simulator and the threaded engine)
 //! call these functions, so their outputs are **bit-identical** to each
 //! other; the reference implementation in `dfcnn-nn` uses plain
@@ -17,9 +20,11 @@
 //! behaviour bit for bit (identity conversions, same summation orders, so
 //! the golden traces stay byte-stable). The fixed-point instantiations
 //! ([`dfcnn_tensor::Fixed16`], [`dfcnn_tensor::Fixed8`]) quantise values
-//! on ingest, multiply-accumulate exactly in `i64` (`EXACT_SUM`), and
-//! saturate on the way out — which also unlocks the SIMD fast path
-//! ([`Numeric::dot_acc`]) because exact sums are order-independent.
+//! on ingest, multiply-accumulate exactly (`EXACT_SUM`), and saturate on
+//! the way out. Exact sums are order-independent, which is what lets the
+//! conv kernel add `i32` lanes ([`Numeric::mac_lanes`], spilling into
+//! `i64` before any lane can overflow) and the FC kernel take the SIMD
+//! dot ([`Numeric::dot_acc`]) without changing a bit.
 //! Transport between cores stays `f32`; conversions happen at each core's
 //! boundary, exactly where a fabric datapath would place its format
 //! converters.
@@ -28,7 +33,7 @@ use dfcnn_hls::accum::InterleavedBank;
 use dfcnn_hls::reduce::TreeAdder;
 use dfcnn_nn::act::Activation;
 use dfcnn_nn::layer::{Conv2d, Linear, Pool2d, PoolKind};
-use dfcnn_tensor::{Numeric, Shape3, Tensor1, Tensor3, Tensor4};
+use dfcnn_tensor::{Numeric, Shape3, Tensor1, Tensor3, Tensor4, EXACT_LANES};
 
 /// Apply an activation in the element domain, as the conv and FC cores'
 /// activation unit does on each output before it leaves the core. ReLU
@@ -66,24 +71,29 @@ pub fn scale_shift_hw<E: Numeric>(scale: E, shift: E, x: f32) -> f32 {
 /// time, one per lane, each lane running exactly its output's scalar
 /// operation sequence. Eight `f32` lanes fill one 256-bit vector. Sixteen
 /// lanes ran slower on TC2 even on an AVX-512 Xeon (conv2 +18%, fc1
-/// about 3×), so the width stays a constant.
+/// about 3×), so the width stays a constant. The exact-sum conv kernel
+/// uses [`EXACT_LANES`] instead.
 pub const LANES: usize = 8;
 
-/// Conv filters repacked for the window layout `(f, dy, dx)` — the order
-/// [`crate::sst::WindowEngine::extract`] writes the window buffer — and
-/// quantised into the element type once at build time. One layout per
-/// element type, chosen by [`Numeric::EXACT_SUM`]:
+/// Conv filters repacked lane-major and quantised into the element type
+/// once at build time: filter `k` sits in lane `k % N` of block `k / N`,
+/// with `OUT_FM` padded up to a multiple of `N` by zero filters (computed,
+/// then discarded), so window position `pos` reads one `N`-wide row
+/// holding that weight of `N` filters. One layout per element type,
+/// chosen by [`Numeric::EXACT_SUM`]:
 ///
-/// * **exact sums** (fixed point): filter-major, `data[k · L + pos]` with
-///   `L = KH · KW · IN_FM`, so each filter is one contiguous slice for the
-///   whole-window dot [`Numeric::dot_acc`];
-/// * **rounding sums** (`f32`): lane-major `[block][pos][LANES]`, filter
-///   `k` in lane `k % LANES` of block `k / LANES`, with `OUT_FM` padded up
-///   to a multiple of [`LANES`] by zero filters. Window position `pos`
-///   then reads one `LANES`-wide row holding that weight of 8 filters, so
-///   8 filters' tree adders run side by side in vector lanes, in exactly
-///   the scalar order ([`conv_window_packed`] vs [`conv_window`] is
-///   pinned by a test).
+/// * **exact sums** (fixed point): `[block][pos][EXACT_LANES]`, `N = 16`,
+///   with `pos` in the input volume's native `(dy, dx, f)` order (the
+///   [`Tensor4`] filter order), so an interior window is `KH` runs of
+///   `KW · IN_FM` values that line up with `KH` runs of rows. The rows feed
+///   [`Numeric::mac_lanes`], whose `i32` lanes spill into `i64` every
+///   `spill` window values — the largest count that no value the storage
+///   type can hold can overflow, whatever the design's input range;
+/// * **rounding sums** (`f32`): `[block][pos][LANES]`, `N = 8`, with `pos`
+///   in the `(f, dy, dx)` order [`crate::sst::WindowEngine::extract`]
+///   writes windows, so 8 filters' tree adders run side by side in vector
+///   lanes, in exactly the scalar order ([`conv_window_packed`] vs
+///   [`conv_window`] is pinned by a test).
 #[derive(Clone, Debug)]
 pub struct PackedFilters<E = f32> {
     data: Vec<E>,
@@ -92,38 +102,35 @@ pub struct PackedFilters<E = f32> {
     stride: usize,
     /// Per-channel window size (`KH · KW`).
     win: usize,
+    /// Window values the exact-sum kernel adds into its `i32` lanes
+    /// between spills into `i64` ([`Numeric::lane_spill`] of the
+    /// weights); `usize::MAX` for `f32`, whose lanes are `Acc` itself.
+    spill: usize,
 }
 
 impl<E: Numeric> PackedFilters<E> {
     /// Repack `filters` (native layout `(dy, dx, f)` per filter) into the
-    /// element type's layout, quantising each weight. Done once per layer
-    /// at design/engine build time.
+    /// element type's layout, quantising each weight, and bound the lane
+    /// spill. Done once per layer at design/engine build time.
     pub fn new(filters: &Tensor4<f32>) -> Self {
         let (k_count, kh, kw, in_fm) = (filters.k(), filters.kh(), filters.kw(), filters.c());
         let stride = kh * kw * in_fm;
-        let slots = if E::EXACT_SUM {
-            k_count
-        } else {
-            k_count.next_multiple_of(LANES)
-        };
-        let mut data = vec![E::zero(); slots * stride];
+        let lanes = if E::EXACT_SUM { EXACT_LANES } else { LANES };
+        let mut data = vec![E::zero(); k_count.next_multiple_of(lanes) * stride];
         for k in 0..k_count {
-            let fk = filters.filter(k);
-            for f in 0..in_fm {
-                for dy in 0..kh {
-                    for dx in 0..kw {
-                        let pos = (f * kh + dy) * kw + dx;
-                        let at = if E::EXACT_SUM {
-                            k * stride + pos
-                        } else {
-                            ((k / LANES) * stride + pos) * LANES + k % LANES
-                        };
-                        data[at] = E::from_f32(fk[(dy * kw + dx) * in_fm + f]);
-                    }
-                }
+            for (native, &w) in filters.filter(k).iter().enumerate() {
+                let pos = if E::EXACT_SUM {
+                    native
+                } else {
+                    // native = (dy·KW + dx)·IN_FM + f  →  (f·KH + dy)·KW + dx
+                    let (f, p) = (native % in_fm, native / in_fm);
+                    f * kh * kw + p
+                };
+                data[((k / lanes) * stride + pos) * lanes + k % lanes] = E::from_f32(w);
             }
         }
         PackedFilters {
+            spill: E::lane_spill(&data),
             data,
             k: k_count,
             stride,
@@ -154,6 +161,32 @@ impl<E: Numeric> PackedFilters<E> {
             0
         } else {
             (in_ports * self.win).div_ceil(2)
+        }
+    }
+}
+
+/// The exact-sum outputs of one window: for each 16-filter block,
+/// [`Numeric::mac_lanes`] over the segments `segments(block)` yields (rows
+/// read at `stride`), then bias, rescale and activation per lane.
+fn conv_exact_blocks<'a, E: Numeric, I>(
+    out: &mut [E],
+    filters: &'a PackedFilters<E>,
+    bias: &[E],
+    activation: Activation,
+    stride: usize,
+    segments: impl Fn(&'a [[E; EXACT_LANES]]) -> I,
+) where
+    I: IntoIterator<Item = (&'a [E], &'a [[E; EXACT_LANES]])>,
+{
+    let (rows, _) = filters.data.as_chunks::<EXACT_LANES>();
+    for ((block, outs), biases) in rows
+        .chunks_exact(filters.stride)
+        .zip(out.chunks_mut(EXACT_LANES))
+        .zip(bias.chunks(EXACT_LANES))
+    {
+        let sums = E::mac_lanes(segments(block), stride, filters.spill);
+        for ((slot, &s), &b) in outs.iter_mut().zip(&sums).zip(biases) {
+            *slot = activate(activation, E::narrow(b.widen() + s));
         }
     }
 }
@@ -215,19 +248,23 @@ pub fn conv_window(
 }
 
 /// [`conv_window`] with pre-packed filters: the steady-state form used by
-/// the execution engines, generic over the element type. `scratch` must
-/// hold [`PackedFilters::scratch_len`] rows.
+/// the execution engines, generic over the element type. `window` is in
+/// the [`crate::sst::WindowEngine::extract`] layout `(f, dy, dx)`;
+/// `scratch` must hold [`PackedFilters::scratch_len`] rows.
 ///
-/// For `f32` (`EXACT_SUM = false`) the filters go across SIMD lanes, 8 at
-/// a time ([`LANES`]): for each group, [`TreeAdder::sum_lanes`] runs the 8
-/// filters' tree adders side by side, its first level fused with the
-/// products (`f[2j]·w[2j] + f[2j+1]·w[2j+1]` per lane), and each lane then
-/// adds its group sum to its accumulator. Every lane performs exactly the
-/// scalar operations of [`conv_window`] for its filter, in the same order,
-/// so every output bit is unchanged. For exact accumulators (fixed point)
-/// each filter reduces through the SIMD dot kernel [`Numeric::dot_acc`]
-/// over the whole window — order-independent, so still bit-identical to
-/// the scalar form ([`conv_window_packed_scalar`]).
+/// The filters go across SIMD lanes in both forms. For `f32`
+/// (`EXACT_SUM = false`) 8 at a time ([`LANES`]): for each group,
+/// [`TreeAdder::sum_lanes`] runs the 8 filters' tree adders side by side,
+/// its first level fused with the products (`f[2j]·w[2j] + f[2j+1]·w[2j+1]`
+/// per lane), and each lane then adds its group sum to its accumulator.
+/// Every lane performs exactly the scalar operations of [`conv_window`]
+/// for its filter, in the same order, so every output bit is unchanged.
+/// For exact accumulators (fixed point) 16 at a time ([`EXACT_LANES`]):
+/// each window value is broadcast to its weight row through
+/// [`Numeric::mac_lanes`], one channel's `KH · KW` values per segment with
+/// the `(dy, dx, f)` rows read at stride `IN_FM`. Integer sums are
+/// order-free, so this is bit-identical to the per-filter
+/// [`conv_window_packed_scalar`].
 pub fn conv_window_packed<E: Numeric>(
     out: &mut [E],
     window: &[E],
@@ -237,86 +274,25 @@ pub fn conv_window_packed<E: Numeric>(
     in_ports: usize,
     scratch: &mut [[E::Acc; LANES]],
 ) {
-    conv_window_packed_impl(
-        out,
-        window,
-        filters,
-        bias,
-        activation,
-        in_ports,
-        scratch,
-        E::dot_acc,
-    )
-}
-
-/// [`conv_window_packed`] with the exact-sum reduction forced onto the
-/// plain scalar loop ([`Numeric::dot_acc_scalar`]): the baseline the SIMD
-/// path is proven equal to (proptests) and benchmarked against. For `f32`
-/// the dot kernels are not used at all (the tree adder defines the
-/// rounding), so both forms are the same function.
-pub fn conv_window_packed_scalar<E: Numeric>(
-    out: &mut [E],
-    window: &[E],
-    filters: &PackedFilters<E>,
-    bias: &[E],
-    activation: Activation,
-    in_ports: usize,
-    scratch: &mut [[E::Acc; LANES]],
-) {
-    conv_window_packed_impl(
-        out,
-        window,
-        filters,
-        bias,
-        activation,
-        in_ports,
-        scratch,
-        E::dot_acc_scalar,
-    )
-}
-
-#[allow(clippy::too_many_arguments)] // mirrors conv_window_packed plus the dot kernel
-fn conv_window_packed_impl<E: Numeric>(
-    out: &mut [E],
-    window: &[E],
-    filters: &PackedFilters<E>,
-    bias: &[E],
-    activation: Activation,
-    in_ports: usize,
-    scratch: &mut [[E::Acc; LANES]],
-    // a fn item, not a fn pointer: each variant monomorphizes with its dot
-    // kernel inlined into the filter loop
-    dot: impl Fn(&[E], &[E]) -> E::Acc,
-) {
-    let flen = filters.filter_len();
-    assert_eq!(out.len(), filters.k(), "output buffer length mismatch");
-    assert_eq!(window.len(), flen, "window length mismatch");
-    assert_eq!(bias.len(), filters.k(), "bias length mismatch");
-    assert_eq!(
-        (flen / filters.window()) % in_ports,
-        0,
-        "ports must divide channels"
-    );
+    check_window_args(out, window, filters, bias, in_ports);
+    let (flen, win) = (filters.filter_len(), filters.window());
+    if E::EXACT_SUM {
+        let in_fm = flen / win;
+        conv_exact_blocks(out, filters, bias, activation, in_fm, |block| {
+            window
+                .chunks_exact(win)
+                .enumerate()
+                .map(move |(f, xs)| (xs, &block[f..]))
+        });
+        return;
+    }
     assert!(
         scratch.len() >= filters.scratch_len(in_ports),
         "scratch must hold PackedFilters::scratch_len rows"
     );
-    if E::EXACT_SUM {
-        // exact accumulation: order-free, so each filter's whole
-        // contiguous window goes through the dot fast path in one call —
-        // the group decomposition only matters when order matters
-        for ((slot, fk), &b) in out
-            .iter_mut()
-            .zip(filters.data.chunks_exact(flen))
-            .zip(bias)
-        {
-            *slot = activate(activation, E::narrow(b.widen() + dot(fk, window)));
-        }
-        return;
-    }
     // rounding accumulation: LANES filters per block, each lane the
     // hardware's per-filter order — bias, then `acc + tree(group)` per group
-    let group_len = in_ports * filters.window();
+    let group_len = in_ports * win;
     let tree = TreeAdder::new(group_len);
     let (rows, _) = filters.data.as_chunks::<LANES>();
     for ((block, outs), biases) in rows
@@ -347,6 +323,60 @@ fn conv_window_packed_impl<E: Numeric>(
             *slot = activate(activation, E::narrow(a));
         }
     }
+}
+
+/// [`conv_window_packed`] for exact sums as a plain scalar loop: one
+/// filter at a time, each product widened by [`Numeric::mul_full`] into an
+/// `i64` accumulator, reading that filter's lane of the lane-major rows —
+/// the baseline the lane kernel is proven equal to and benchmarked
+/// against. For `f32` the tree adder defines the rounding, so both forms
+/// are the same function.
+pub fn conv_window_packed_scalar<E: Numeric>(
+    out: &mut [E],
+    window: &[E],
+    filters: &PackedFilters<E>,
+    bias: &[E],
+    activation: Activation,
+    in_ports: usize,
+    scratch: &mut [[E::Acc; LANES]],
+) {
+    if !E::EXACT_SUM {
+        return conv_window_packed(out, window, filters, bias, activation, in_ports, scratch);
+    }
+    check_window_args(out, window, filters, bias, in_ports);
+    let (flen, win) = (filters.filter_len(), filters.window());
+    let in_fm = flen / win;
+    let (rows, _) = filters.data.as_chunks::<EXACT_LANES>();
+    for (k, (slot, &b)) in out.iter_mut().zip(bias).enumerate() {
+        let (block, lane) = (&rows[(k / EXACT_LANES) * flen..], k % EXACT_LANES);
+        let mut acc = b.widen();
+        // window (f, dy, dx) against rows (dy, dx, f)
+        for (f, xs) in window.chunks_exact(win).enumerate() {
+            for (p, &x) in xs.iter().enumerate() {
+                acc = acc + x.mul_full(block[p * in_fm + f][lane]);
+            }
+        }
+        *slot = activate(activation, E::narrow(acc));
+    }
+}
+
+/// The shape checks both packed conv kernels make.
+fn check_window_args<E: Numeric>(
+    out: &[E],
+    window: &[E],
+    filters: &PackedFilters<E>,
+    bias: &[E],
+    in_ports: usize,
+) {
+    let flen = filters.filter_len();
+    assert_eq!(out.len(), filters.k(), "output buffer length mismatch");
+    assert_eq!(window.len(), flen, "window length mismatch");
+    assert_eq!(bias.len(), filters.k(), "bias length mismatch");
+    assert_eq!(
+        (flen / filters.window()) % in_ports,
+        0,
+        "ports must divide channels"
+    );
 }
 
 /// Pooling of one per-channel window (`KH·KW` values in `(dy, dx)` order).
@@ -546,6 +576,10 @@ pub fn fc_forward(
 /// staging buffers, and the tree adder's lane rows
 /// ([`PackedFilters::scratch_len`]). Constructed once per stage;
 /// [`conv_forward_hw_into`] then allocates nothing per image.
+///
+/// The window buffer follows the filters' layout: `(f, dy, dx)` for
+/// rounding sums, where every window is gathered; the native `(dy, dx, f)`
+/// for exact sums, where only windows that overlap the padding are.
 #[derive(Clone, Debug)]
 pub struct ConvArena<E: Numeric = f32> {
     packed: PackedFilters<E>,
@@ -581,11 +615,16 @@ impl<E: Numeric> ConvArena<E> {
 /// Whole-image conv layer forward pass in hardware order, allocation-free:
 /// writes into a caller-owned output volume using the arena's buffers.
 /// The input volume is quantised once per image, on ingest, where a
-/// fabric datapath would place its converter; windows are then gathered
-/// from the quantised copy (padding reads `E::zero()`, which equals
-/// `E::from_f32(0.0)`), and outputs are dequantised on emission. Both
-/// conversions are the identity for `f32`, so the f32 instantiation is
-/// bit-identical to [`conv_forward_hw`].
+/// fabric datapath would place its converter, and outputs are dequantised
+/// on emission. Both conversions are the identity for `f32`, so the f32
+/// instantiation is bit-identical to [`conv_forward_hw`].
+///
+/// Windows come from the quantised copy; padding reads `E::zero()`, which
+/// equals `E::from_f32(0.0)`. For exact sums an interior window is read in
+/// place: `KH` contiguous runs of `KW · IN_FM` values, each against its
+/// run of lane rows. Only windows that overlap the padding are gathered,
+/// in the same `(dy, dx, f)` order. For rounding sums every window is
+/// gathered in `(f, dy, dx)` order for [`conv_window_packed`].
 pub fn conv_forward_hw_into<E: Numeric>(
     conv: &Conv2d,
     in_ports: usize,
@@ -600,6 +639,10 @@ pub fn conv_forward_hw_into<E: Numeric>(
     let (h, w) = (geo.input.h, geo.input.w);
     for (q, &x) in arena.qin.iter_mut().zip(input.as_slice()) {
         *q = E::from_f32(x);
+    }
+    if E::EXACT_SUM {
+        assert_eq!(in_fm % in_ports, 0, "ports must divide channels");
+        return conv_exact_image(conv, out, arena);
     }
     let src = &arena.qin;
     let (ow, k_count) = (geo.out_w(), conv.out_maps());
@@ -643,6 +686,59 @@ pub fn conv_forward_hw_into<E: Numeric>(
         let (oy, ox) = (pos / ow, pos % ow);
         let dst = &mut out.as_mut_slice()[(oy * ow + ox) * k_count..(oy * ow + ox + 1) * k_count];
         for (d, &v) in dst.iter_mut().zip(&arena.outvals) {
+            *d = v.to_f32();
+        }
+    }
+}
+
+/// [`conv_forward_hw_into`]'s window loop for exact sums, once `qin` is
+/// filled.
+fn conv_exact_image<E: Numeric>(conv: &Conv2d, out: &mut Tensor3<f32>, arena: &mut ConvArena<E>) {
+    let geo = *conv.geometry();
+    let (kh, kw, in_fm) = (geo.kh, geo.kw, geo.input.c);
+    let (h, w) = (geo.input.h, geo.input.w);
+    let ConvArena {
+        packed,
+        bias,
+        qin,
+        window,
+        outvals,
+        ..
+    } = arena;
+    let (qin, activation) = (&*qin, conv.activation());
+    let (ow, k_count, run) = (geo.out_w(), conv.out_maps(), kw * in_fm);
+    for (pos, (y0, x0)) in dfcnn_tensor::iter::WindowPositions::new(geo).enumerate() {
+        let inside =
+            y0 >= 0 && x0 >= 0 && y0 + kh as isize <= h as isize && x0 + kw as isize <= w as isize;
+        if inside {
+            let base = (y0 as usize * w + x0 as usize) * in_fm;
+            conv_exact_blocks(outvals, packed, bias, activation, 1, |block| {
+                (0..kh).map(move |dy| {
+                    (
+                        &qin[base + dy * w * in_fm..][..run],
+                        &block[dy * run..][..run],
+                    )
+                })
+            });
+        } else {
+            for (dy, row) in window.chunks_exact_mut(run).enumerate() {
+                row.fill(E::zero());
+                let y = y0 + dy as isize;
+                let (lo, hi) = (x0.max(0), (x0 + kw as isize).min(w as isize));
+                if (0..h as isize).contains(&y) && lo < hi {
+                    let at = |x: isize| (y as usize * w + x as usize) * in_fm;
+                    let src = &qin[at(lo)..at(hi)];
+                    row[(lo - x0) as usize * in_fm..][..src.len()].copy_from_slice(src);
+                }
+            }
+            let window = window.as_slice();
+            conv_exact_blocks(outvals, packed, bias, activation, 1, |block| {
+                [(window, block)]
+            });
+        }
+        let (oy, ox) = (pos / ow, pos % ow);
+        let dst = &mut out.as_mut_slice()[(oy * ow + ox) * k_count..(oy * ow + ox + 1) * k_count];
+        for (d, &v) in dst.iter_mut().zip(outvals.iter()) {
             *d = v.to_f32();
         }
     }
@@ -1029,66 +1125,132 @@ mod tests {
 
     /// Quantise-once + table tanh against the per-window reference, with
     /// the arena reused for a second image.
-    fn assert_fixed_conv_matches_per_window<E: Numeric>(conv: &Conv2d, x: &Tensor3<f32>) {
-        let reference = conv_tanh_per_window_reference::<E>(conv, 2, x);
-        let mut arena = ConvArena::<E>::new(conv, 2);
+    fn assert_fixed_conv_matches_per_window<E: Numeric>(
+        conv: &Conv2d,
+        in_ports: usize,
+        x: &Tensor3<f32>,
+    ) {
+        let reference = conv_tanh_per_window_reference::<E>(conv, in_ports, x);
+        let mut arena = ConvArena::<E>::new(conv, in_ports);
         for _ in 0..2 {
             let mut got = Tensor3::zeros(conv.output_shape());
-            conv_forward_hw_into(conv, 2, x, &mut got, &mut arena);
-            assert_eq!(got, reference, "{}", core::any::type_name::<E>());
+            conv_forward_hw_into(conv, in_ports, x, &mut got, &mut arena);
+            assert_eq!(
+                got,
+                reference,
+                "{}, {} filters, {}x{}, in_ports = {in_ports}, pad = {}, stride = {}",
+                core::any::type_name::<E>(),
+                conv.out_maps(),
+                conv.geometry().kh,
+                conv.geometry().kw,
+                conv.geometry().pad,
+                conv.geometry().stride
+            );
         }
+    }
+
+    /// Filter counts for the lane-kernel tests: one lane, a partial, a
+    /// full, a full-plus-one and several 16-lane blocks (and so full and
+    /// partial 8-lane blocks for f32).
+    const FILTER_COUNTS: [usize; 5] = [1, 12, 16, 17, 36];
+
+    /// Square windows plus one of each non-square orientation.
+    const WINDOWS: [(usize, usize); 5] = [(1, 1), (3, 3), (5, 5), (1, 3), (5, 3)];
+
+    /// Filters at the extremes of `E`'s storage — every weight `MIN` in
+    /// even filters, `MAX` in odd ones — for inputs at `MIN`: each product
+    /// is as large as the storage allows and an even filter's lane only
+    /// grows, so the lane spill is as small as it gets (1 for 16-bit
+    /// storage) and one value more overflows.
+    fn extreme_filters<E: Numeric>(k: usize, kh: usize, kw: usize, in_fm: usize) -> Tensor4<f32> {
+        let (lo, hi) = (E::min_value().to_f32(), (-E::min_value()).to_f32());
+        Tensor4::from_fn(
+            k,
+            kh,
+            kw,
+            in_fm,
+            |k, _, _, _| if k % 2 == 0 { lo } else { hi },
+        )
     }
 
     #[test]
     fn conv_hw_into_bit_identical_with_padding_and_stride() {
-        // the strided fast path + padded slow path must agree with the
-        // plain get_padded window build, bit for bit — in f32 against the
-        // unpacked kernel, in fixed point against per-window quantisation
+        // the in-place interior windows, the border gather and the f32
+        // path's window build must agree with the plain get_padded window
+        // build, bit for bit — in f32 against the unpacked kernel, in
+        // fixed point against per-window quantisation and the scalar
+        // kernel. Pad/stride and port count cycle over the filter-count x
+        // window grid, so every pairing of the two appears.
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        for (pad, stride) in [(0usize, 1usize), (1, 1), (2, 2), (1, 3)] {
-            let geo = ConvGeometry::new(Shape3::new(7, 7, 4), 3, 3, stride, pad);
-            let f = dfcnn_tensor::init::conv_filters(&mut rng, 3, 3, 3, 4);
-            let b = dfcnn_tensor::init::random_vector(&mut rng, 3, -0.1, 0.1);
-            let tanh_conv = Conv2d::new(geo, f.clone(), b.clone(), Activation::Tanh);
-            let conv = Conv2d::new(geo, f, b, Activation::Relu);
-            let x = dfcnn_tensor::init::random_volume(&mut rng, geo.input, -1.0, 1.0);
-            // reference: window via get_padded only, unpacked conv_window
-            let mut reference = Tensor3::zeros(conv.output_shape());
-            let mut window = vec![0.0f32; geo.window_volume()];
-            let mut outvals = vec![0.0f32; conv.out_maps()];
-            let ow = geo.out_w();
-            for (pos, (y0, x0)) in dfcnn_tensor::iter::WindowPositions::new(geo).enumerate() {
-                for fm in 0..geo.input.c {
-                    for dy in 0..geo.kh {
-                        for dx in 0..geo.kw {
-                            window[(fm * geo.kh + dy) * geo.kw + dx] =
-                                x.get_padded(y0 + dy as isize, x0 + dx as isize, fm);
+        let in_fm = 6;
+        let placements = [(0usize, 1usize), (1, 1), (2, 2), (1, 3)];
+        let mut case = 0;
+        for k in FILTER_COUNTS {
+            for (kh, kw) in WINDOWS {
+                let (pad, stride) = placements[case % 4];
+                let in_ports = [1usize, 2, 3, 6][case / 4 % 4];
+                case += 1;
+                let geo = ConvGeometry::new(Shape3::new(6, 6, in_fm), kh, kw, stride, pad);
+                let f = dfcnn_tensor::init::conv_filters(&mut rng, k, kh, kw, in_fm);
+                let b = dfcnn_tensor::init::random_vector(&mut rng, k, -0.1, 0.1);
+                let tanh_conv = Conv2d::new(geo, f.clone(), b.clone(), Activation::Tanh);
+                let conv = Conv2d::new(geo, f, b, Activation::Relu);
+                let x = dfcnn_tensor::init::random_volume(&mut rng, geo.input, -1.0, 1.0);
+                // reference: window via get_padded only, unpacked conv_window
+                let mut reference = Tensor3::zeros(conv.output_shape());
+                let mut window = vec![0.0f32; geo.window_volume()];
+                let mut outvals = vec![0.0f32; conv.out_maps()];
+                let ow = geo.out_w();
+                for (pos, (y0, x0)) in dfcnn_tensor::iter::WindowPositions::new(geo).enumerate() {
+                    for fm in 0..geo.input.c {
+                        for dy in 0..geo.kh {
+                            for dx in 0..geo.kw {
+                                window[(fm * geo.kh + dy) * geo.kw + dx] =
+                                    x.get_padded(y0 + dy as isize, x0 + dx as isize, fm);
+                            }
                         }
                     }
+                    conv_window(
+                        &mut outvals,
+                        &window,
+                        conv.filters(),
+                        conv.bias(),
+                        conv.activation(),
+                        in_ports,
+                    );
+                    for (kk, &v) in outvals.iter().enumerate() {
+                        reference.set(pos / ow, pos % ow, kk, v);
+                    }
                 }
-                conv_window(
-                    &mut outvals,
-                    &window,
-                    conv.filters(),
-                    conv.bias(),
-                    conv.activation(),
-                    2,
+                let mut arena = ConvArena::<f32>::new(&conv, in_ports);
+                let mut got = Tensor3::zeros(conv.output_shape());
+                conv_forward_hw_into(&conv, in_ports, &x, &mut got, &mut arena);
+                assert_eq!(
+                    got, reference,
+                    "k = {k}, {kh}x{kw}, pad = {pad}, stride = {stride}"
                 );
-                for (k, &v) in outvals.iter().enumerate() {
-                    reference.set(pos / ow, pos % ow, k, v);
-                }
+                // arena reuse across images must not leak state
+                let mut got2 = Tensor3::zeros(conv.output_shape());
+                conv_forward_hw_into(&conv, in_ports, &x, &mut got2, &mut arena);
+                assert_eq!(got2, reference);
+                assert_fixed_conv_matches_per_window::<Q>(&tanh_conv, in_ports, &x);
+                assert_fixed_conv_matches_per_window::<Fixed8<4>>(&tanh_conv, in_ports, &x);
             }
-            let mut arena = ConvArena::<f32>::new(&conv, 2);
-            let mut got = Tensor3::zeros(conv.output_shape());
-            conv_forward_hw_into(&conv, 2, &x, &mut got, &mut arena);
-            assert_eq!(got, reference, "pad = {pad}, stride = {stride}");
-            // arena reuse across images must not leak state
-            let mut got2 = Tensor3::zeros(conv.output_shape());
-            conv_forward_hw_into(&conv, 2, &x, &mut got2, &mut arena);
-            assert_eq!(got2, reference);
-            assert_fixed_conv_matches_per_window::<Q>(&tanh_conv, &x);
-            assert_fixed_conv_matches_per_window::<Fixed8<4>>(&tanh_conv, &x);
         }
+        // the in-place path at the storage extremes: an undersized lane
+        // spill overflows an i32 lane, which panics under overflow checks
+        assert_extreme_conv_matches_per_window::<Q>();
+        assert_extreme_conv_matches_per_window::<Fixed8<4>>();
+    }
+
+    /// [`extreme_filters`] over an image at `MIN`, with interior and
+    /// border windows.
+    fn assert_extreme_conv_matches_per_window<E: Numeric>() {
+        let geo = ConvGeometry::new(Shape3::new(5, 5, 6), 3, 3, 1, 1);
+        let filters = extreme_filters::<E>(17, 3, 3, 6);
+        let conv = Conv2d::new(geo, filters, Tensor1::zeros(17), Activation::Tanh);
+        let x = Tensor3::from_fn(geo.input, |_, _, _| E::min_value().to_f32());
+        assert_fixed_conv_matches_per_window::<E>(&conv, 3, &x);
     }
 
     #[test]
@@ -1193,38 +1355,86 @@ mod tests {
         xs.iter().map(|&x| E::from_f32(x)).collect()
     }
 
+    /// The lane kernel against the per-filter scalar loop on one
+    /// `(f, dy, dx)` window, the form the simulator's conv core calls.
+    fn assert_packed_lanes_equal_scalar<E: Numeric>(
+        filters: &Tensor4<f32>,
+        bias: &[f32],
+        window: &[f32],
+        in_ports: usize,
+    ) -> PackedFilters<E> {
+        let packed = PackedFilters::<E>::new(filters);
+        let (bias, window) = (q::<E>(bias), q::<E>(window));
+        let mut out_lanes = vec![E::zero(); filters.k()];
+        let mut out_scalar = vec![E::zero(); filters.k()];
+        conv_window_packed(
+            &mut out_lanes,
+            &window,
+            &packed,
+            &bias,
+            Activation::Tanh,
+            in_ports,
+            &mut [],
+        );
+        conv_window_packed_scalar(
+            &mut out_scalar,
+            &window,
+            &packed,
+            &bias,
+            Activation::Tanh,
+            in_ports,
+            &mut [],
+        );
+        assert_eq!(
+            out_lanes,
+            out_scalar,
+            "{}, k = {}, {}x{}, in_ports = {in_ports}",
+            core::any::type_name::<E>(),
+            filters.k(),
+            filters.kh(),
+            filters.kw()
+        );
+        packed
+    }
+
     #[test]
     fn conv_window_packed_fixed_simd_equals_scalar_bitwise() {
-        let (conv, _) = random_conv(13, 6, 4, 5);
-        let geo = *conv.geometry();
         let mut rng = ChaCha8Rng::seed_from_u64(14);
-        let packed = PackedFilters::<Q>::new(conv.filters());
-        let bias = q::<Q>(conv.bias().as_slice());
-        for in_ports in [1usize, 2, 3, 6] {
-            let wf32 = dfcnn_tensor::init::random_vector(&mut rng, geo.window_volume(), -1.0, 1.0);
-            let window = q::<Q>(wf32.as_slice());
-            let mut out_simd = vec![Q::default(); conv.out_maps()];
-            let mut out_scalar = vec![Q::default(); conv.out_maps()];
-            let mut scratch = vec![[0i64; LANES]; packed.scratch_len(in_ports)];
-            conv_window_packed(
-                &mut out_simd,
-                &window,
-                &packed,
+        let in_fm = 6;
+        for k in FILTER_COUNTS {
+            for (kh, kw) in WINDOWS {
+                let filters = dfcnn_tensor::init::conv_filters(&mut rng, k, kh, kw, in_fm);
+                let bias = dfcnn_tensor::init::random_vector(&mut rng, k, -0.1, 0.1);
+                for in_ports in [1usize, 2, 3, 6] {
+                    let window =
+                        dfcnn_tensor::init::random_vector(&mut rng, kh * kw * in_fm, -1.0, 1.0);
+                    let (b, w) = (bias.as_slice(), window.as_slice());
+                    assert_packed_lanes_equal_scalar::<Q>(&filters, b, w, in_ports);
+                    assert_packed_lanes_equal_scalar::<Fixed8<4>>(&filters, b, w, in_ports);
+                }
+            }
+        }
+        // storage extremes: an undersized lane spill overflows an i32 lane,
+        // which panics under overflow checks
+        let bias = vec![0.0f32; 17];
+        for (kh, kw) in WINDOWS {
+            let len = kh * kw * in_fm;
+            let window = vec![Q::MIN.to_f32(); len];
+            let packed = assert_packed_lanes_equal_scalar::<Q>(
+                &extreme_filters::<Q>(17, kh, kw, in_fm),
                 &bias,
-                conv.activation(),
-                in_ports,
-                &mut scratch,
-            );
-            conv_window_packed_scalar(
-                &mut out_scalar,
                 &window,
-                &packed,
-                &bias,
-                conv.activation(),
-                in_ports,
-                &mut scratch,
+                2,
             );
-            assert_eq!(out_simd, out_scalar, "in_ports = {in_ports}");
+            assert_eq!(packed.spill, 1, "|MIN|^2 = 2^30 fits an i32 lane once");
+            let window = vec![Fixed8::<4>::MIN.to_f32(); len];
+            let packed = assert_packed_lanes_equal_scalar::<Fixed8<4>>(
+                &extreme_filters::<Fixed8<4>>(17, kh, kw, in_fm),
+                &bias,
+                &window,
+                2,
+            );
+            assert_eq!(packed.spill, (i32::MAX / (1 << 14)) as usize);
         }
     }
 

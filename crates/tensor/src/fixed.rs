@@ -7,7 +7,7 @@
 //! value with a compile-time fractional bit count, providing saturating
 //! arithmetic as a hardware fixed-point datapath would.
 
-use crate::Element;
+use crate::{Element, EXACT_LANES};
 use serde::{Deserialize, Serialize};
 
 /// Signed fixed-point number with `FRAC` fractional bits in an `i32`
@@ -173,6 +173,23 @@ struct TanhTable<S> {
     out: Box<[S]>,
 }
 
+/// Independent `i32` lane sets in [`crate::Numeric::mac_lanes`]: input
+/// values go round-robin over them, so consecutive multiply-adds do not
+/// wait on each other's result.
+const LANE_SETS: usize = 4;
+
+/// Add the `i32` lane sets of [`crate::Numeric::mac_lanes`] into their
+/// `i64` totals and clear them.
+#[inline]
+fn spill_lanes(acc: &mut [i64; EXACT_LANES], lanes: &mut [[i32; EXACT_LANES]; LANE_SETS]) {
+    for set in lanes.iter_mut() {
+        for (a, s) in acc.iter_mut().zip(set.iter_mut()) {
+            *a += i64::from(*s);
+            *s = 0;
+        }
+    }
+}
+
 // Narrow-storage fixed-point scalars for the *executed* datapath.
 //
 // [`Fixed`] above keeps 32-bit storage and exists for costing studies; the
@@ -266,7 +283,6 @@ macro_rules! narrow_fixed {
             /// sums. The `chunks_exact` structure is what lets LLVM drop
             /// the bounds checks and vectorize; exact in any order, so
             /// bit-identical to the sequential loop.
-            #[cfg(not(feature = "portable-simd"))]
             #[inline]
             fn dot_i64_lanes(a: &[Self], b: &[Self]) -> i64 {
                 const LANES: usize = 32;
@@ -296,7 +312,6 @@ macro_rules! narrow_fixed {
             /// each lane's partial sum by `2^16 · 2^14 < i32::MAX` per
             /// block; blocks spill into the `i64` total. `dot_acc` only
             /// selects this kernel for 1-byte storage.
-            #[cfg(not(feature = "portable-simd"))]
             #[inline]
             fn dot_i32_lanes(a: &[Self], b: &[Self]) -> i64 {
                 const LANES: usize = 16;
@@ -331,6 +346,54 @@ macro_rules! narrow_fixed {
         }
 
         impl<const FRAC: u32> $name<FRAC> {
+            /// `xs[i] · rows[i · stride]` into the lane sets of
+            /// [`crate::Numeric::mac_lanes`], round robin, with no spill.
+            /// Contiguous rows (`stride == 1`, the host's interior windows)
+            /// take a loop free of bounds checks.
+            #[inline(always)]
+            fn mac_run(
+                lanes: &mut [[i32; EXACT_LANES]; LANE_SETS],
+                xs: &[Self],
+                rows: &[[Self; EXACT_LANES]],
+                stride: usize,
+            ) {
+                let (quads, tail) = xs.as_chunks::<LANE_SETS>();
+                let [l0, l1, l2, l3] = lanes;
+                if stride == 1 {
+                    let (row_quads, row_tail) = rows[..xs.len()].as_chunks::<LANE_SETS>();
+                    for (x, r) in quads.iter().zip(row_quads) {
+                        Self::mac_row(l0, x[0].0, &r[0]);
+                        Self::mac_row(l1, x[1].0, &r[1]);
+                        Self::mac_row(l2, x[2].0, &r[2]);
+                        Self::mac_row(l3, x[3].0, &r[3]);
+                    }
+                    for (x, r) in tail.iter().zip(row_tail) {
+                        Self::mac_row(l0, x.0, r);
+                    }
+                } else {
+                    for (x, r) in quads.iter().zip(rows.chunks(LANE_SETS * stride)) {
+                        Self::mac_row(l0, x[0].0, &r[0]);
+                        Self::mac_row(l1, x[1].0, &r[stride]);
+                        Self::mac_row(l2, x[2].0, &r[2 * stride]);
+                        Self::mac_row(l3, x[3].0, &r[3 * stride]);
+                    }
+                    let rows = rows.get(quads.len() * LANE_SETS * stride..).unwrap_or_default();
+                    for (x, r) in tail.iter().zip(rows.chunks(stride)) {
+                        Self::mac_row(l0, x.0, &r[0]);
+                    }
+                }
+            }
+
+            /// One input value broadcast across one weight row into a lane
+            /// set of [`crate::Numeric::mac_lanes`].
+            #[inline(always)]
+            fn mac_row(set: &mut [i32; EXACT_LANES], x: $store, row: &[Self; EXACT_LANES]) {
+                let x = i32::from(x);
+                for (s, w) in set.iter_mut().zip(row) {
+                    *s += x * i32::from(w.0);
+                }
+            }
+
             /// [`crate::Numeric::tanh_hw`]'s default expression, at one raw.
             fn tanh_f32(raw: $store) -> $store {
                 <Self as Element>::from_f32(Self(raw).to_f32().tanh()).0
@@ -460,7 +523,6 @@ macro_rules! narrow_fixed {
                 $name(<$store as crate::cast::SatNarrow>::sat_i64(acc >> FRAC))
             }
 
-            #[cfg(not(feature = "portable-simd"))]
             fn dot_acc(a: &[Self], b: &[Self]) -> i64 {
                 // Integer sums are exact, so any lane discipline equals the
                 // scalar loop bit-for-bit; the two kernels below only pick
@@ -473,34 +535,6 @@ macro_rules! narrow_fixed {
                 }
             }
 
-            #[cfg(feature = "portable-simd")]
-            fn dot_acc(a: &[Self], b: &[Self]) -> i64 {
-                // Explicit `std::simd` lanes (nightly, behind the
-                // `portable-simd` feature): `i32` products widened into
-                // `i64` lane accumulators. Exact for both storage widths,
-                // so bit-identical to the chunked and scalar paths.
-                use core::simd::prelude::*;
-                const LANES: usize = 16;
-                let n = a.len().min(b.len());
-                let chunks = n / LANES;
-                let mut lanes = Simd::<i64, LANES>::splat(0);
-                for c in 0..chunks {
-                    let base = c * LANES;
-                    let va = Simd::<i32, LANES>::from_array(core::array::from_fn(|l| {
-                        i32::from(a[base + l].0)
-                    }));
-                    let vb = Simd::<i32, LANES>::from_array(core::array::from_fn(|l| {
-                        i32::from(b[base + l].0)
-                    }));
-                    lanes += (va * vb).cast::<i64>();
-                }
-                let mut acc = lanes.reduce_sum();
-                for i in chunks * LANES..n {
-                    acc += i64::from(i32::from(a[i].0) * i32::from(b[i].0));
-                }
-                acc
-            }
-
             fn dot_acc_scalar(a: &[Self], b: &[Self]) -> i64 {
                 let n = a.len().min(b.len());
                 let mut acc = 0i64;
@@ -508,6 +542,51 @@ macro_rules! narrow_fixed {
                     acc += i64::from(i32::from(a[i].0) * i32::from(b[i].0));
                 }
                 acc
+            }
+
+            /// `i16·i16 → i32` (or `i8·i8`) products added into 16 `i32`
+            /// lanes, which spill into the `i64` result every `spill` input
+            /// values and once at the end. Exact, and so equal to any other
+            /// summation order, whenever `spill` ≤ [`Self::lane_spill`] of
+            /// the weights in `rows`.
+            #[inline]
+            fn mac_lanes<'a>(
+                segments: impl IntoIterator<Item = (&'a [Self], &'a [[Self; EXACT_LANES]])>,
+                stride: usize,
+                spill: usize,
+            ) -> [i64; EXACT_LANES] {
+                assert!(spill > 0, "a lane must take at least one value between spills");
+                let mut acc = [0i64; EXACT_LANES];
+                let mut lanes = [[0i32; EXACT_LANES]; LANE_SETS];
+                let mut left = spill;
+                for (mut xs, mut rows) in segments {
+                    while xs.len() >= left {
+                        let (now, rest) = xs.split_at(left);
+                        Self::mac_run(&mut lanes, now, rows, stride);
+                        spill_lanes(&mut acc, &mut lanes);
+                        rows = rows.get(left * stride..).unwrap_or_default();
+                        xs = rest;
+                        left = spill;
+                    }
+                    Self::mac_run(&mut lanes, xs, rows, stride);
+                    left -= xs.len();
+                }
+                spill_lanes(&mut acc, &mut lanes);
+                acc
+            }
+
+            /// The largest `n` with `n · max|raw w| · |MIN| ≤ i32::MAX`: no
+            /// input the storage type can hold drives an `i32` lane past
+            /// its range within `n` products, whatever the input range the
+            /// design assumes.
+            fn lane_spill(weights: &[Self]) -> usize {
+                let w_max = weights.iter().map(|w| w.0.unsigned_abs()).max().unwrap_or(0);
+                let per_value = u64::from(w_max) * u64::from(<$store>::MIN.unsigned_abs());
+                match per_value {
+                    0 => usize::MAX,
+                    p => usize::try_from(u64::from(i32::MAX.unsigned_abs()) / p)
+                        .unwrap_or(usize::MAX),
+                }
             }
 
             /// A table lookup, equal on every raw value to the default
@@ -786,7 +865,7 @@ mod tests {
 
     mod narrow {
         use super::super::*;
-        use crate::Numeric;
+        use crate::{Numeric, EXACT_LANES};
 
         type Q = Fixed16<8>;
         type B = Fixed8<4>;
@@ -840,6 +919,66 @@ mod tests {
                 .map(|i| Q::from_f64(0.9 - (i as f64) * 0.017))
                 .collect();
             assert_eq!(Q::dot_acc(&a, &b), Q::dot_acc_scalar(&a, &b));
+        }
+
+        /// `mac_lanes` against a plain `i64` sum per lane, over segments of
+        /// assorted lengths read contiguously and at a stride, for spill
+        /// counts that fall inside, at the end of and beyond a segment.
+        fn check_mac_lanes<E: Numeric<Acc = i64>>(
+            weight: impl Fn(usize) -> E,
+            x: impl Fn(usize) -> E,
+        ) {
+            let rows: Vec<[E; EXACT_LANES]> = (0..120)
+                .map(|i| core::array::from_fn(|l| weight(i * EXACT_LANES + l)))
+                .collect();
+            let xs: Vec<E> = (0..40).map(x).collect();
+            let safe = E::lane_spill(rows.as_flattened());
+            for stride in [1usize, 3] {
+                let cuts = [(0usize, 5usize), (5, 9), (9, 9), (9, 22), (22, 40)];
+                let segments = || cuts.iter().map(|&(a, b)| (&xs[a..b], &rows[a * stride..]));
+                let mut want = [0i64; EXACT_LANES];
+                for (seg, seg_rows) in segments() {
+                    for (i, x) in seg.iter().enumerate() {
+                        for (w, r) in want.iter_mut().zip(&seg_rows[i * stride]) {
+                            *w += x.mul_full(*r);
+                        }
+                    }
+                }
+                for spill in [1usize, 3, 4, 5, 13, 40, safe]
+                    .into_iter()
+                    .filter(|&n| n <= safe)
+                {
+                    let got = E::mac_lanes(segments(), stride, spill);
+                    assert_eq!(got, want, "stride {stride}, spill {spill}");
+                }
+            }
+        }
+
+        #[test]
+        fn mac_lanes_equals_scalar_sum_across_spills() {
+            // `v` folded into `[-span/2, span/2)`
+            fn centred(v: usize, span: usize) -> i32 {
+                i32::try_from(v % span).unwrap() - i32::try_from(span / 2).unwrap()
+            }
+            let raw16 = |v, span| Q::from_raw(i16::try_from(centred(v, span)).unwrap());
+            let raw8 = |v| B::from_raw(i8::try_from(centred(v, 256)).unwrap());
+            // inputs over each storage type's whole range; 16-bit weights
+            // within ±1024, so the spill bound (63) leaves room to vary it
+            check_mac_lanes(|i| raw16(i * 7919, 2048), |i| raw16(i * 7919, 65536));
+            check_mac_lanes(|i| raw8(i * 151), |i| raw8(i * 1057 + 3));
+        }
+
+        #[test]
+        fn lane_spill_is_the_largest_safe_count() {
+            let w = [Q::from_raw(-3), Q::from_raw(1024), Q::from_raw(0)];
+            // 1024 · 32768 = 2^25 per value: 63 values fit below 2^31
+            assert_eq!(Q::lane_spill(&w), 63);
+            assert_eq!(Q::lane_spill(&[Q::MIN]), 1);
+            // 32767 · 32768 = 2^30 - 2^15 per value: two fit
+            assert_eq!(Q::lane_spill(&[Q::MAX]), 2);
+            assert_eq!(B::lane_spill(&[B::MIN]), 131_071);
+            assert_eq!(Q::lane_spill(&[Q::from_raw(0)]), usize::MAX);
+            assert_eq!(<f32 as Numeric>::lane_spill(&[1.0]), usize::MAX);
         }
 
         #[test]

@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 //! # dfcnn-tensor
 //!
 //! Dense tensor substrate for the `dfcnn` workspace: the Rust reproduction of
@@ -105,6 +104,11 @@ impl Element for f32 {
     }
 }
 
+/// Output lanes of [`Numeric::mac_lanes`]: the exact-sum conv kernel
+/// computes this many filters per block: one 512-bit vector's worth of
+/// `i32` lanes.
+pub const EXACT_LANES: usize = 16;
+
 /// Element types the *compute kernels* can execute: [`Element`] plus the
 /// multiply-accumulate contract of a hardware datapath.
 ///
@@ -159,6 +163,42 @@ pub trait Numeric: Element + core::ops::Neg<Output = Self> {
 
     /// Reference scalar dot product (plain sequential loop).
     fn dot_acc_scalar(a: &[Self], b: &[Self]) -> Self::Acc;
+
+    /// Multiply-accumulate across output lanes: lane `l` of the result
+    /// is the sum, over every `(xs, rows)` segment and every `i`, of
+    /// `xs[i] · rows[i · stride][l]`. Each input value is broadcast to
+    /// the [`EXACT_LANES`] weights of one row, as the conv core feeds one
+    /// window value to every filter in the same cycle.
+    ///
+    /// The default sums full-width products in `Acc`. Fixed-point types
+    /// override it with `i32` lanes that spill into the `i64` result
+    /// every `spill` input values (counted across segments), which is
+    /// exact as long as `spill` is at most [`Numeric::lane_spill`] of
+    /// the weights; the kernels call it with that bound.
+    fn mac_lanes<'a>(
+        segments: impl IntoIterator<Item = (&'a [Self], &'a [[Self; EXACT_LANES]])>,
+        stride: usize,
+        spill: usize,
+    ) -> [Self::Acc; EXACT_LANES] {
+        let _ = spill;
+        let mut acc = [Self::Acc::default(); EXACT_LANES];
+        for (xs, rows) in segments {
+            for (&x, row) in xs.iter().zip(rows.iter().step_by(stride)) {
+                for (a, &w) in acc.iter_mut().zip(row) {
+                    *a = *a + x.mul_full(w);
+                }
+            }
+        }
+        acc
+    }
+
+    /// The largest `spill` for which [`Numeric::mac_lanes`] over these
+    /// weights stays exact for any input the storage type can hold:
+    /// `usize::MAX` when the lanes are `Acc` itself (the default).
+    fn lane_spill(weights: &[Self]) -> usize {
+        let _ = weights;
+        usize::MAX
+    }
 
     /// The activation unit's tanh: evaluate in `f32` and re-quantise.
     /// Fixed-point types override this with a lookup table built from

@@ -7,8 +7,7 @@
 //!
 //! - [`dot_f32_lanes`] walks the input in chunks of [`LANES`], accumulating
 //!   one partial sum per lane position — the layout LLVM autovectorizes
-//!   into packed FMAs on stable Rust, with a `std::simd` variant behind
-//!   the nightly-only `portable-simd` feature.
+//!   into packed multiplies and adds on stable Rust.
 //! - [`dot_f32_lanes_scalar`] performs the *same* floating-point
 //!   operations in the same order via a plain indexed loop
 //!   (`lanes[i % LANES] += a[i] * b[i]`), so the two are bit-identical by
@@ -36,7 +35,6 @@ fn reduce_lanes(l: [f32; LANES]) -> f32 {
 /// One partial sum per lane position, chunk by chunk — the
 /// autovectorization-friendly layout. Bit-identical to
 /// [`dot_f32_lanes_scalar`].
-#[cfg(not(feature = "portable-simd"))]
 pub fn dot_f32_lanes(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len().min(b.len());
     let chunks = n / LANES;
@@ -52,30 +50,6 @@ pub fn dot_f32_lanes(a: &[f32], b: &[f32]) -> f32 {
         tail += a[i] * b[i];
     }
     reduce_lanes(lanes) + tail
-}
-
-/// Explicit `std::simd` dot product (nightly; `portable-simd` feature).
-///
-/// Performs the same per-lane operations in the same order as the stable
-/// chunked kernel, so it stays bit-identical to
-/// [`dot_f32_lanes_scalar`].
-#[cfg(feature = "portable-simd")]
-pub fn dot_f32_lanes(a: &[f32], b: &[f32]) -> f32 {
-    use core::simd::prelude::*;
-    let n = a.len().min(b.len());
-    let chunks = n / LANES;
-    let mut lanes = Simd::<f32, LANES>::splat(0.0);
-    for c in 0..chunks {
-        let base = c * LANES;
-        let va = Simd::<f32, LANES>::from_slice(&a[base..base + LANES]);
-        let vb = Simd::<f32, LANES>::from_slice(&b[base..base + LANES]);
-        lanes += va * vb;
-    }
-    let mut tail = 0.0f32;
-    for i in chunks * LANES..n {
-        tail += a[i] * b[i];
-    }
-    reduce_lanes(lanes.to_array()) + tail
 }
 
 /// Reference implementation of the lane discipline as a plain indexed
