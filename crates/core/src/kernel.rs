@@ -1190,7 +1190,7 @@ mod tests {
                 let (pad, stride) = placements[case % 4];
                 let in_ports = [1usize, 2, 3, 6][case / 4 % 4];
                 case += 1;
-                let geo = ConvGeometry::new(Shape3::new(6, 6, in_fm), kh, kw, stride, pad);
+                let geo = ConvGeometry::new(Shape3::new(5, 5, in_fm), kh, kw, stride, pad);
                 let f = dfcnn_tensor::init::conv_filters(&mut rng, k, kh, kw, in_fm);
                 let b = dfcnn_tensor::init::random_vector(&mut rng, k, -0.1, 0.1);
                 let tanh_conv = Conv2d::new(geo, f.clone(), b.clone(), Activation::Tanh);
