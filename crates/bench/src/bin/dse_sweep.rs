@@ -13,8 +13,7 @@
 //!    steady-state interval is committed next to its Eq. 4 prediction and
 //!    the [`DriftReport`] bound is asserted.
 //!
-//! Writes `results/dse_sweep.json` and the committed `BENCH_dse.json`
-//! provenance record.
+//! Writes the committed `results/dse_sweep.json` provenance record.
 //!
 //! ```text
 //! cargo run -p dfcnn-bench --release --bin dse_sweep
@@ -144,11 +143,4 @@ fn main() {
         joins,
     };
     write_json("dse_sweep", &out);
-    match std::fs::write(
-        "BENCH_dse.json",
-        serde_json::to_string_pretty(&out).unwrap(),
-    ) {
-        Ok(()) => println!("\n[written BENCH_dse.json]"),
-        Err(e) => eprintln!("[warn] could not write BENCH_dse.json: {e}"),
-    }
 }

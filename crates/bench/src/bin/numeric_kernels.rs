@@ -1,22 +1,21 @@
 //! Kernel microbenchmarks of the numeric datapath: SIMD/chunked packed
-//! kernels against their scalar twins, f32 against the executed
-//! fixed-point types, plus the accuracy-vs-FRAC sweep that justifies the
-//! default fixed spec.
+//! kernels against their scalar twins, plus the accuracy-vs-FRAC sweep
+//! that justifies the default fixed spec.
 //!
-//! Three measurement groups, each on both paper test cases' shapes:
+//! Two measurement groups, each on both paper test cases' shapes:
 //!
 //! * `conv_window_packed` vs `conv_window_packed_scalar` — the hot conv
 //!   window, per element type (`f32`, `q16f8`, `q8f4`): for fixed point
 //!   the 16-lane kernel against one filter at a time in `i64`,
-//! * `Numeric::dot_acc` vs `Numeric::dot_acc_scalar` — the FC row dot,
-//! * whole-network `hw_forward` per numeric spec (end-to-end effect).
+//! * `Numeric::dot_acc` vs `Numeric::dot_acc_scalar` — the FC row dot.
 //!
-//! Then the accuracy sweep: both test cases trained once in f32, then
-//! classified through every supported fixed spec's quantised datapath.
-//! Results go to `results/numeric_kernels.json` and `BENCH_kernels.json` (the
-//! committed CI artifact). In release builds on the packed conv kernel
-//! the fixed-point lane kernel must hold a ≥ 1.2× margin over the scalar
-//! loop — the CI smoke contract for the vectorised kernels.
+//! Whole-network throughput per numeric spec is perfbench's
+//! `host_img_per_s`. Then the accuracy sweep: both test cases trained once
+//! in f32, then classified through every supported fixed spec's quantised
+//! datapath. Results go to `results/numeric_kernels.json`. In release
+//! builds on the packed conv kernel the fixed-point lane kernel must hold
+//! a ≥ 1.2× margin over the scalar loop — the CI smoke contract for the
+//! vectorised kernels.
 //!
 //! ```text
 //! cargo run -p dfcnn-bench --release --bin numeric_kernels
@@ -63,14 +62,6 @@ struct DotRow {
 }
 
 #[derive(Serialize)]
-struct ForwardRow {
-    case: String,
-    numeric: String,
-    us_per_image: f64,
-    speedup_vs_f32: f64,
-}
-
-#[derive(Serialize)]
 struct FracRow {
     case: String,
     numeric: String,
@@ -87,7 +78,6 @@ struct Record {
     release: bool,
     conv: Vec<ConvRow>,
     dot: Vec<DotRow>,
-    forward: Vec<ForwardRow>,
     frac_sweep: Vec<FracRow>,
 }
 
@@ -225,50 +215,6 @@ fn dot_case<E: Numeric>(case: &str, elem: &str, len: usize) -> DotRow {
     }
 }
 
-/// Whole-network forward throughput per numeric spec, through the same
-/// host kernel path all three engines share.
-fn forward_rows(
-    case: &str,
-    net: &dfcnn_nn::Network,
-    ports: &PortConfig,
-    images: &[Tensor3<f32>],
-) -> Vec<ForwardRow> {
-    let mut rows = Vec::new();
-    let mut f32_us = 0.0;
-    for spec in [
-        NumericSpec::F32,
-        NumericSpec::default_fixed(),
-        NumericSpec::Fixed8 { frac: 4 },
-    ] {
-        let design = NetworkDesign::new(
-            net,
-            ports.clone(),
-            DesignConfig {
-                numeric: spec,
-                ..DesignConfig::default()
-            },
-        )
-        .expect("design must build");
-        let reps = 6;
-        let ns = time_ns(reps, || {
-            for img in images {
-                black_box(design.hw_forward(black_box(img)));
-            }
-        });
-        let us_per_image = ns / 1e3 / images.len() as f64;
-        if spec == NumericSpec::F32 {
-            f32_us = us_per_image;
-        }
-        rows.push(ForwardRow {
-            case: case.to_string(),
-            numeric: spec.label(),
-            us_per_image,
-            speedup_vs_f32: f32_us / us_per_image,
-        });
-    }
-    rows
-}
-
 /// Train one test case in f32, then classify the held-out set through
 /// every supported spec's quantised datapath.
 fn frac_sweep(
@@ -368,38 +314,6 @@ fn main() {
         );
     }
 
-    // end-to-end forward per numeric spec (untrained weights: timing only)
-    let mut forward = Vec::new();
-    {
-        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-        let net1 = NetworkSpec::test_case_1().build(&mut rng);
-        let mut gen = SyntheticUsps::new(SEED ^ 1);
-        let imgs = Dataset::new(gen.generate(8)).image_batch(8);
-        forward.extend(forward_rows(
-            "TC1",
-            &net1,
-            &PortConfig::paper_test_case_1(),
-            &imgs,
-        ));
-        let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ 10);
-        let net2 = NetworkSpec::test_case_2().build(&mut rng);
-        let mut gen = SyntheticCifar::new(SEED ^ 11);
-        let imgs = Dataset::new(gen.generate(4)).image_batch(4);
-        forward.extend(forward_rows(
-            "TC2",
-            &net2,
-            &PortConfig::paper_test_case_2(),
-            &imgs,
-        ));
-    }
-    println!("\nwhole-network hw_forward:");
-    for r in &forward {
-        println!(
-            "  {:<5} {:<6} {:>9.1} us/image ({:.2}x vs f32)",
-            r.case, r.numeric, r.us_per_image, r.speedup_vs_f32
-        );
-    }
-
     // accuracy vs FRAC: both test cases trained once in f32, classified
     // through every supported quantised datapath
     println!("\naccuracy vs FRAC (trained f32 weights, quantised inference):");
@@ -454,17 +368,9 @@ fn main() {
         release,
         conv,
         dot,
-        forward,
         frac_sweep: frac_rows,
     };
     write_json("numeric_kernels", &record);
-    match std::fs::write(
-        "BENCH_kernels.json",
-        serde_json::to_string_pretty(&record).unwrap(),
-    ) {
-        Ok(()) => println!("[written BENCH_kernels.json]"),
-        Err(e) => eprintln!("[warn] could not write BENCH_kernels.json: {e}"),
-    }
 
     // CI smoke contract: the fixed-point lane kernel must beat the
     // per-filter scalar reduction on the packed conv window in release builds

@@ -10,14 +10,14 @@
 //! Every analysis is cross-checked dynamically: the design's test images
 //! stream through the host pipeline and each stage's observed min/max
 //! must lie inside the static interval. Results go to
-//! `results/range_audit.json` and `BENCH_range.json` (the committed CI
-//! artifact). In release builds two contracts are enforced:
+//! `results/range_audit.json` (the committed CI artifact). In release
+//! builds two contracts are enforced:
 //!
 //! * **soundness** — observed ⊆ static on every (design, format) pair,
 //!   including formats the checker rejects (saturating kernels clamp
 //!   into the container and the transfers model exactly that);
 //! * **prediction** — the q8f6 accuracy collapse measured in
-//!   `BENCH_kernels.json` is flagged by the `value-range` rule on both
+//!   `results/numeric_kernels.json` is flagged by the `value-range` rule on both
 //!   paper designs, while q16f8 checks clean.
 //!
 //! ```text
@@ -256,13 +256,6 @@ fn main() {
         recommendations,
     };
     write_json("range_audit", &record);
-    match std::fs::write(
-        "BENCH_range.json",
-        serde_json::to_string_pretty(&record).unwrap(),
-    ) {
-        Ok(()) => println!("[written BENCH_range.json]"),
-        Err(e) => eprintln!("[warn] could not write BENCH_range.json: {e}"),
-    }
 
     // CI smoke contracts (release builds only): every observed range must
     // stay inside its static interval, and the measured q8f6 collapse

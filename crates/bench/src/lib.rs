@@ -20,14 +20,13 @@
 //! | `scaling` | §VI — bigger networks, fixed point, multi-FPGA partitioning |
 //! | `pipeline_trace` | stage-occupancy timelines (the §IV-C concurrency claim) |
 //! | `calibration` | fitting the DMA-overhead knob to the paper's absolute numbers |
-//! | `host_pipeline` | §IV-C on the host — sequential vs pipelined vs replicated stages, per-stage profile |
-//! | `numeric_kernels` | numeric datapath — SIMD vs scalar dot kernels, fixed vs f32 forward, accuracy-vs-FRAC sweep |
-//! | `telemetry_bench` | live-telemetry overhead (≤ 5% release gate) + adaptive vs static replication |
+//! | `numeric_kernels` | numeric datapath — lane vs scalar conv and dot kernels (≥ 1.2× release gate), accuracy-vs-FRAC sweep |
 //!
 //! All binaries print human-readable tables and write JSON records under
-//! `results/`.
+//! `results/`. Host and simulator throughput is perfbench's to measure
+//! (`perfbench/README.md`); the wall-clock CI gates are the release-only
+//! tests in `tests/timing_gates.rs`.
 
-use dfcnn_core::exec::{ReplicationPlan, ThreadedEngine};
 use dfcnn_core::graph::{DesignConfig, NetworkDesign, PortConfig};
 use dfcnn_datasets::{Dataset, Generator, SyntheticCifar, SyntheticUsps};
 use dfcnn_nn::topology::NetworkSpec;
@@ -185,59 +184,6 @@ pub fn mean_time_per_image_us(tc: &TestCase, batch: usize) -> f64 {
     result
         .measurement(tc.design.config().clock_hz)
         .mean_time_per_image_us()
-}
-
-/// Wall-clock comparison of the two simulator schedulers on one batch.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct SchedComparison {
-    /// Batch size simulated.
-    pub batch: usize,
-    /// Simulated cycles (identical between schedulers by construction).
-    pub cycles: u64,
-    /// Wall-clock seconds of the event-driven scheduler.
-    pub event_wall_s: f64,
-    /// Wall-clock seconds of the dense reference sweep.
-    pub reference_wall_s: f64,
-    /// `reference_wall_s / event_wall_s`.
-    pub speedup: f64,
-}
-
-/// Run one batch under both the event-driven scheduler and the dense
-/// reference sweep, assert the results are identical, and report the
-/// wall-clock times.
-pub fn scheduler_comparison(tc: &TestCase, batch: usize) -> SchedComparison {
-    let images: Vec<_> = (0..batch)
-        .map(|i| tc.images[i % tc.images.len()].clone())
-        .collect();
-    let t0 = std::time::Instant::now();
-    let (event, _) = tc.design.instantiate(&images).run();
-    let event_wall_s = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let (reference, _) = tc.design.instantiate(&images).reference_mode().run();
-    let reference_wall_s = t1.elapsed().as_secs_f64();
-    assert_eq!(event, reference, "schedulers diverged — conformance bug");
-    SchedComparison {
-        batch,
-        cycles: event.cycles,
-        event_wall_s,
-        reference_wall_s,
-        speedup: reference_wall_s / event_wall_s,
-    }
-}
-
-/// The static replication schedule the host benches compare against:
-/// time every stage sequentially on the first two images, plan once from
-/// those means with [`ReplicationPlan::adaptive`], and fall back to one
-/// worker per stage where the planner refuses to replicate.
-pub fn static_plan(
-    engine: &ThreadedEngine,
-    images: &[Tensor3<f32>],
-    host_threads: usize,
-) -> ReplicationPlan {
-    let (_, profile) = engine.run_sequential_profiled(&images[..images.len().min(2)]);
-    let means: Vec<u64> = profile.stages.iter().map(|s| s.mean_interval_ns).collect();
-    ReplicationPlan::adaptive(&means, host_threads)
-        .unwrap_or_else(|| ReplicationPlan::uniform(engine.stage_count()))
 }
 
 /// A Fig. 6 sweep: `(batch, mean µs/image)` pairs.

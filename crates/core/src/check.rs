@@ -509,7 +509,7 @@ fn reconvergence_buffering(design: &NetworkDesign, out: &mut Vec<DesignDiagnosti
 /// - `value-range` (error): a core's pre-saturation interval escapes the
 ///   container, so the saturating narrow can clip real activations — the
 ///   statically-predicted form of the q8f6 accuracy collapse measured in
-///   `BENCH_kernels.json`.
+///   `results/numeric_kernels.json`.
 /// - `value-range` (warning): the interval fits but with under one bit of
 ///   headroom; a slightly different input scale would saturate.
 /// - `accumulator-width` (error): the worst-case exact-sum magnitude

@@ -4,7 +4,7 @@
 //! The paper's dataflow pipeline only works because every core's
 //! arithmetic fits its fixed-point container; until now the repo
 //! discovered overflow empirically (the q8f6 accuracy collapse in
-//! `BENCH_kernels.json`). This module makes that a static, pre-synthesis
+//! `results/numeric_kernels.json`). This module makes that a static, pre-synthesis
 //! decision — the same place Haddoc-style flows fix per-layer bit widths.
 //!
 //! Every [`crate::model::CoreModel`] contributes a

@@ -56,8 +56,8 @@ impl TreeAdder {
     }
 
     /// Latency of the *sequential* alternative (a single accumulator chain
-    /// over `n` inputs): `(n - 1) * add_latency`. The ablation benchmark
-    /// compares this against [`TreeAdder::latency`].
+    /// over `n` inputs): `(n - 1) * add_latency`, the baseline the §IV-A
+    /// ablation compares against [`TreeAdder::latency`].
     pub fn sequential_latency(&self, ops: &OpLatency) -> u32 {
         (self.n as u32 - 1) * ops.add
     }

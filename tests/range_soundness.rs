@@ -8,7 +8,7 @@
 //!   designs the checker rejects*: saturating kernels clamp into the
 //!   container, and the transfers model exactly that.
 //! - **Prediction**: the q8f6 accuracy collapse measured empirically in
-//!   `BENCH_kernels.json` (test accuracy 0.2 vs 1.0 for q16f8) must be
+//!   `results/numeric_kernels.json` (test accuracy 0.2 vs 1.0 for q16f8) must be
 //!   *predicted* by the `value-range` checker rule, while q16f8 checks
 //!   clean on the paper designs.
 //! - **Recommendation**: `recommend_frac` must return the maximal FRAC
@@ -217,7 +217,7 @@ fn random_dag_observed_ranges_stay_inside_static_intervals() {
 }
 
 /// The headline acceptance case: the empirically-measured q8f6 collapse
-/// (BENCH_kernels.json, test accuracy 0.2) is *predicted* statically —
+/// (results/numeric_kernels.json, test accuracy 0.2) is *predicted* statically —
 /// the checker rejects q8f6 on both paper test cases with the
 /// `value-range` rule, while q16f8 checks clean.
 #[test]
