@@ -687,10 +687,7 @@ impl ThreadedEngine {
                 let refs: Vec<&Tensor3<f32>> = self.stages[s]
                     .inputs
                     .iter()
-                    .map(|inp| match inp {
-                        StageInput::Image => img,
-                        StageInput::Stage(t) => &done[*t],
-                    })
+                    .map(|inp| inp.pick(img, done))
                     .collect();
                 let t = Instant::now();
                 worker.apply_multi(&refs, &mut rest[0]);

@@ -26,7 +26,7 @@
 //!
 //! All per-layer-kind knowledge (validation, Eq. 4 II, actors, compute,
 //! labels) comes from the [`crate::model`] registry — this module only
-//! walks the chain.
+//! wires the cores.
 
 use crate::endpoints::{Sink, SinkState, Source};
 use crate::model;
@@ -229,8 +229,18 @@ pub enum StageInput {
     Stage(usize),
 }
 
-/// One node of a graph design's *stage* topology: the image-level compute
-/// order the host engines follow. Forks and adapters are port plumbing
+impl StageInput {
+    /// The operand itself: the batch image or an earlier stage's output.
+    pub fn pick<'a, T>(self, image: &'a T, outs: &'a [T]) -> &'a T {
+        match self {
+            StageInput::Image => image,
+            StageInput::Stage(j) => &outs[j],
+        }
+    }
+}
+
+/// One node of a design's *stage* topology: the image-level compute order
+/// the host engines follow. Forks and adapters are port plumbing
 /// and have no stage — a branch's first stage taps the fork's producer
 /// directly.
 #[derive(Clone, Debug)]
@@ -252,125 +262,38 @@ pub struct NetworkDesign {
     cores: Vec<CoreInfo>,
     classes: usize,
     edges: Vec<EdgeInfo>,
-    /// `Some` for fork/join graph designs (built by [`GraphBuilder`]);
-    /// `None` for chains, which derive their stage order from the layer
-    /// list.
-    stage_topo: Option<Vec<StageNode>>,
+    stage_topo: Vec<StageNode>,
 }
 
 impl NetworkDesign {
     /// Validate a port configuration against a trained network and derive
-    /// every core's parameters.
+    /// every core's parameters. The chain is lowered through
+    /// [`GraphBuilder`], one [`GraphBuilder::layer`] call per network
+    /// layer, so a chain is the degenerate core graph.
     ///
     /// # Errors
     /// A human-readable message if the configuration is inconsistent
-    /// (wrong layer count, ports not dividing FM counts, multi-port FC).
+    /// (wrong layer count, ports not dividing FM counts, multi-port FC,
+    /// unsupported numeric spec).
     pub fn new(network: &Network, ports: PortConfig, config: DesignConfig) -> Result<Self, String> {
-        if !config.numeric.is_supported() {
-            return Err(format!(
-                "unsupported numeric spec {:?}: kernels are monomorphised for {}",
-                config.numeric,
-                NumericSpec::supported_labels().join(", ")
-            ));
-        }
-        let paper_layers: Vec<(usize, &Layer)> = network
-            .layers()
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| model::paper_layer_model(l).is_some())
-            .collect();
-        if paper_layers.len() != ports.layers.len() {
+        let paper_layers = model::paper_layer_count(network);
+        if paper_layers != ports.layers.len() {
             return Err(format!(
                 "port config has {} entries but the network has {} paper layers",
                 ports.layers.len(),
-                paper_layers.len()
+                paper_layers
             ));
         }
-        let mut cores: Vec<CoreInfo> = Vec::new();
-        let mut counts: Vec<(&'static str, usize)> = Vec::new();
-        let mut prev_out_ports: Option<usize> = None;
-        let mut classes = 0;
-        let push_core = |cores: &mut Vec<CoreInfo>,
-                         prev_out_ports: &mut Option<usize>,
-                         m: &dyn model::CoreModel,
-                         name: String,
-                         layer_index: usize,
-                         layer: &Layer,
-                         lp: LayerPorts|
-         -> Result<(), String> {
-            m.validate(&name, layer, lp)?;
-            let plan = m.plan(layer, lp, &config);
-            // adapter between the previous layer's output and this input
-            // (unless fault injection asked for the raw mismatch)
-            if let Some(prev) = *prev_out_ports {
-                if !config.omit_adapters {
-                    if let Some(adapter) = model::adapter::plan_between(
-                        prev,
-                        lp.in_ports,
-                        plan.params.in_fm,
-                        plan.in_values_per_image,
-                        cores.len(),
-                    ) {
-                        cores.push(adapter);
-                    }
-                }
-            }
-            cores.push(CoreInfo {
-                name,
-                params: plan.params,
-                layer_index: Some(layer_index),
-                in_values_per_image: plan.in_values_per_image,
-                positions: plan.positions,
-            });
-            *prev_out_ports = Some(lp.out_ports);
-            Ok(())
-        };
-        for ((layer_index, layer), lp) in paper_layers.iter().zip(ports.layers.iter()) {
-            let m = model::paper_layer_model(layer).expect("filtered to paper layers");
-            let name = model::next_name(&mut counts, m.label());
-            if let Some(k) = m.classifier_outputs(layer) {
-                classes = k;
-            }
-            push_core(
-                &mut cores,
-                &mut prev_out_ports,
-                m,
-                name,
-                *layer_index,
-                layer,
-                *lp,
-            )?;
+        let (mut g, mut tap) = GraphBuilder::new(network.input_shape(), config);
+        let mut entries = ports.layers.iter();
+        for layer in network.layers() {
+            let lp = match model::paper_layer_model(layer) {
+                Some(_) => *entries.next().expect("entry count checked above"),
+                None => LayerPorts::SINGLE,
+            };
+            tap = g.layer(tap, layer.clone(), lp)?;
         }
-        if config.fabric_normalization {
-            if let Some((layer_index, layer)) = network
-                .layers()
-                .iter()
-                .enumerate()
-                .find(|(_, l)| model::is_normalization(l))
-            {
-                let m = model::normalization_model();
-                let name = model::next_name(&mut counts, m.label());
-                push_core(
-                    &mut cores,
-                    &mut prev_out_ports,
-                    m,
-                    name,
-                    layer_index,
-                    layer,
-                    LayerPorts::SINGLE,
-                )?;
-            }
-        }
-        let edges = chain_edges(&cores, classes, config.inter_fifo_depth);
-        Ok(NetworkDesign {
-            network: network.clone(),
-            ports,
-            config,
-            cores,
-            classes,
-            edges,
-            stage_topo: None,
-        })
+        g.finish(tap)
     }
 
     /// The trained network this design implements.
@@ -413,16 +336,11 @@ impl NetworkDesign {
         &self.edges
     }
 
-    /// The stage topology of a fork/join graph design, or `None` for
-    /// chains (whose stage order is the layer list).
-    pub fn stage_topo(&self) -> Option<&[StageNode]> {
-        self.stage_topo.as_deref()
-    }
-
-    /// Whether this design is a fork/join graph (built by
-    /// [`GraphBuilder`]) rather than a linear chain.
-    pub fn is_graph(&self) -> bool {
-        self.stage_topo.is_some()
+    /// The stage topology: the image-level compute order the host engines
+    /// and the reference forward follow, one node per layer-backed core,
+    /// join and flatten, in topological order.
+    pub fn stage_topo(&self) -> &[StageNode] {
+        &self.stage_topo
     }
 
     /// Number of edges entering core `idx`.
@@ -522,9 +440,8 @@ impl NetworkDesign {
     /// Run the hardware-order forward pass on the host (no timing):
     /// exactly what the accelerator computes for one image, ending at the
     /// values the sink collects (classifier scores, or log-probabilities
-    /// when normalisation is on the fabric). Works for chains and
-    /// fork/join graphs alike by walking the host pipeline's stage
-    /// topology.
+    /// when normalisation is on the fabric), walking the host pipeline's
+    /// stage topology.
     ///
     /// This is the oracle, not a fast path: perfbench's output gate and
     /// the engine tests compare against it. It rebuilds the host pipeline
@@ -536,14 +453,8 @@ impl NetworkDesign {
         let stages = model::host_pipeline(self);
         let mut outs: Vec<Tensor3<f32>> = Vec::with_capacity(stages.len());
         for hs in &stages {
-            let ins: Vec<&Tensor3<f32>> = hs
-                .inputs
-                .iter()
-                .map(|si| match si {
-                    StageInput::Image => input,
-                    StageInput::Stage(j) => &outs[*j],
-                })
-                .collect();
+            let ins: Vec<&Tensor3<f32>> =
+                hs.inputs.iter().map(|si| si.pick(input, &outs)).collect();
             let mut out = Tensor3::zeros(hs.spec.out_shape);
             hs.spec.make_worker().apply_multi(&ins, &mut out);
             outs.push(out);
@@ -672,38 +583,6 @@ impl NetworkDesign {
     }
 }
 
-/// The linear edge list of a chain design: source → cores in order → sink,
-/// every FIFO at `depth`.
-fn chain_edges(cores: &[CoreInfo], classes: usize, depth: usize) -> Vec<EdgeInfo> {
-    let Some(first) = cores.first() else {
-        return Vec::new();
-    };
-    let mut edges = vec![EdgeInfo {
-        from: NodeRef::Source,
-        to: NodeRef::Core(0),
-        ports: first.params.in_ports,
-        values_per_image: first.in_values_per_image,
-        depth,
-    }];
-    for i in 1..cores.len() {
-        edges.push(EdgeInfo {
-            from: NodeRef::Core(i - 1),
-            to: NodeRef::Core(i),
-            ports: cores[i - 1].params.out_ports,
-            values_per_image: cores[i].in_values_per_image,
-            depth,
-        });
-    }
-    edges.push(EdgeInfo {
-        from: NodeRef::Core(cores.len() - 1),
-        to: NodeRef::Sink,
-        ports: cores.last().unwrap().params.out_ports,
-        values_per_image: classes as u64,
-        depth,
-    });
-    edges
-}
-
 /// A live stream endpoint during graph construction: the node producing
 /// it, the volume shape and port count it carries, and the host stage
 /// computing it. Deliberately *not* `Clone` — every stream must be
@@ -790,11 +669,25 @@ impl GraphBuilder {
         });
     }
 
+    /// Record a stage node; returns the operand that reads its output.
+    fn push_stage(
+        &mut self,
+        core: Option<usize>,
+        name: String,
+        inputs: Vec<StageInput>,
+    ) -> StageInput {
+        self.topo.push(StageNode { core, name, inputs });
+        StageInput::Stage(self.topo.len() - 1)
+    }
+
     /// Apply a network layer to a stream. Paper layers (conv, pool,
-    /// linear, scale-shift) instantiate a core — with a demux/widen
-    /// adapter at a port mismatch, exactly like the chain builder —
-    /// flatten is a core-less reshape stage, and the normalisation
-    /// operator is rejected (graph designs keep LogSoftMax on the host).
+    /// linear, scale-shift) instantiate a core, with a demux/widen adapter
+    /// at a port mismatch unless [`DesignConfig::omit_adapters`] leaves the
+    /// mismatch in place. Flatten is a core-less reshape stage. The
+    /// normalisation operator instantiates its core, with no
+    /// [`PortConfig`] entry, only under
+    /// [`DesignConfig::fabric_normalization`]; otherwise it stays on the
+    /// host and the stream passes through unchanged.
     pub fn layer(
         &mut self,
         tap: Tap,
@@ -802,35 +695,6 @@ impl GraphBuilder {
         lp: LayerPorts,
     ) -> Result<Tap, String> {
         let layer: Layer = layer.into();
-        if model::is_reshape(&layer) {
-            if layer.input_shape() != tap.shape {
-                return Err(format!(
-                    "flatten expects {} but the stream carries {}",
-                    layer.input_shape(),
-                    tap.shape
-                ));
-            }
-            let out_shape = layer.output_shape();
-            self.layers.push(layer);
-            let t_idx = self.topo.len();
-            self.topo.push(StageNode {
-                core: None,
-                name: "flatten".to_string(),
-                inputs: vec![tap.stage],
-            });
-            return Ok(Tap {
-                node: tap.node,
-                shape: out_shape,
-                ports: tap.ports,
-                stage: StageInput::Stage(t_idx),
-            });
-        }
-        let Some(m) = model::paper_layer_model(&layer) else {
-            return Err(format!(
-                "graph designs keep the {} operator on the host",
-                layer.kind_name()
-            ));
-        };
         if layer.input_shape() != tap.shape {
             return Err(format!(
                 "{} expects {} but the stream carries {}",
@@ -839,14 +703,42 @@ impl GraphBuilder {
                 tap.shape
             ));
         }
+        let out_shape = layer.output_shape();
+        let (m, port_entry) = match model::paper_layer_model(&layer) {
+            Some(m) => (m, true),
+            None if model::is_normalization(&layer) => {
+                if !self.config.fabric_normalization {
+                    // host-side: the sink collects the scores it reads
+                    self.layers.push(layer);
+                    return Ok(tap);
+                }
+                (model::normalization_model(), false)
+            }
+            None => {
+                // flatten, the only remaining kind: a stage but no core,
+                // since the stream is already in (y, x, c) order
+                self.layers.push(layer);
+                let stage = self.push_stage(None, "flatten".to_string(), vec![tap.stage]);
+                return Ok(Tap {
+                    shape: out_shape,
+                    stage,
+                    ..tap
+                });
+            }
+        };
         let name = model::next_name(&mut self.counts, m.label());
         m.validate(&name, &layer, lp)?;
         let plan = m.plan(&layer, lp, &self.config);
 
-        // adapter at a port mismatch (the source always adapts itself)
+        // adapter at a port mismatch (the source always adapts itself);
+        // the omit_adapters fault wires the producer's ports straight in
         let mut from = tap.node;
-        let mut from_ports = tap.ports;
-        if from != NodeRef::Source && from_ports != lp.in_ports {
+        let mut from_ports = if from == NodeRef::Source {
+            lp.in_ports
+        } else {
+            tap.ports
+        };
+        if from_ports != lp.in_ports && !self.config.omit_adapters {
             let a_idx = self.cores.len();
             let adapter = model::adapter::plan_between(
                 from_ports,
@@ -866,16 +758,17 @@ impl GraphBuilder {
             from = NodeRef::Core(a_idx);
             from_ports = lp.in_ports;
         }
-        let _ = from_ports;
 
-        let out_shape = layer.output_shape();
         let layer_index = self.layers.len();
         self.layers.push(layer);
+        if port_entry {
+            self.port_entries.push(lp);
+        }
         let core_idx = self.cores.len();
         self.edge(
             from,
             NodeRef::Core(core_idx),
-            lp.in_ports,
+            from_ports,
             plan.in_values_per_image,
         );
         self.cores.push(CoreInfo {
@@ -885,18 +778,12 @@ impl GraphBuilder {
             in_values_per_image: plan.in_values_per_image,
             positions: plan.positions,
         });
-        self.port_entries.push(lp);
-        let t_idx = self.topo.len();
-        self.topo.push(StageNode {
-            core: Some(core_idx),
-            name,
-            inputs: vec![tap.stage],
-        });
+        let stage = self.push_stage(Some(core_idx), name, vec![tap.stage]);
         Ok(Tap {
             node: NodeRef::Core(core_idx),
             shape: out_shape,
             ports: lp.out_ports,
-            stage: StageInput::Stage(t_idx),
+            stage,
         })
     }
 
@@ -954,17 +841,12 @@ impl GraphBuilder {
         self.edge(a.node, NodeRef::Core(idx), a.ports, values);
         self.edge(b.node, NodeRef::Core(idx), b.ports, values);
         self.cores.push(info);
-        let t_idx = self.topo.len();
-        self.topo.push(StageNode {
-            core: Some(idx),
-            name,
-            inputs: vec![a.stage, b.stage],
-        });
+        let stage = self.push_stage(Some(idx), name, vec![a.stage, b.stage]);
         Ok(Tap {
             node: NodeRef::Core(idx),
             shape: a.shape,
             ports: a.ports,
-            stage: StageInput::Stage(t_idx),
+            stage,
         })
     }
 
@@ -1006,25 +888,28 @@ impl GraphBuilder {
         self.edge(a.node, NodeRef::Core(idx), a.ports, a.shape.len() as u64);
         self.edge(b.node, NodeRef::Core(idx), b.ports, b.shape.len() as u64);
         self.cores.push(info);
-        let t_idx = self.topo.len();
-        self.topo.push(StageNode {
-            core: Some(idx),
-            name,
-            inputs: vec![a.stage, b.stage],
-        });
+        let stage = self.push_stage(Some(idx), name, vec![a.stage, b.stage]);
         Ok(Tap {
             node: NodeRef::Core(idx),
             shape: Shape3::new(a.shape.h, a.shape.w, a.shape.c + b.shape.c),
             ports: a.ports,
-            stage: StageInput::Stage(t_idx),
+            stage,
         })
     }
 
     /// Terminate the graph at `tap` (the sink collects its full volume as
-    /// classifier scores), auto-size reconvergent-path FIFOs, and apply
-    /// the [`DesignConfig::skip_fifo_cap`] fault clamp if set.
+    /// classifier scores), check that the numeric spec has kernels,
+    /// auto-size reconvergent-path FIFOs, and apply the
+    /// [`DesignConfig::skip_fifo_cap`] fault clamp if set.
     pub fn finish(self, tap: Tap) -> Result<NetworkDesign, String> {
         let mut me = self;
+        if !me.config.numeric.is_supported() {
+            return Err(format!(
+                "unsupported numeric spec {:?}: kernels are monomorphised for {}",
+                me.config.numeric,
+                NumericSpec::supported_labels().join(", ")
+            ));
+        }
         if me.cores.is_empty() || tap.node == NodeRef::Source {
             return Err("a graph design needs at least one core".to_string());
         }
@@ -1048,7 +933,7 @@ impl GraphBuilder {
             cores: me.cores,
             classes,
             edges: me.edges,
-            stage_topo: Some(me.topo),
+            stage_topo: me.topo,
         };
         design.autosize_reconvergence();
         if let Some(cap) = design.config.skip_fifo_cap {
@@ -1075,7 +960,7 @@ impl GraphBuilder {
 /// the spec's depth-first traversal and consumes the slice in order);
 /// passing prebuilt layers lets a design-space sweep draw weights once and
 /// re-lower thousands of port candidates. `ports` carries one entry per
-/// paper layer in traversal order, exactly like the chain builder.
+/// paper layer in traversal order, exactly like [`NetworkDesign::new`].
 ///
 /// [`GraphSpec::build_layers`]: dfcnn_nn::topology::GraphSpec::build_layers
 pub fn build_graph_design(
@@ -1635,14 +1520,11 @@ mod tests {
 
     #[test]
     fn chain_edges_are_the_linear_list() {
-        let d = NetworkDesign::new(
-            &tc1_network(),
-            PortConfig::paper_test_case_1(),
-            DesignConfig::default(),
-        )
-        .unwrap();
-        assert!(!d.is_graph());
-        assert!(d.stage_topo().is_none());
+        // conv1 emits 2 ports into a 1-port pool: a widen adapter sits
+        // between them
+        let mut ports = PortConfig::single_port(4);
+        ports.layers[0].out_ports = 2;
+        let d = NetworkDesign::new(&tc1_network(), ports, DesignConfig::default()).unwrap();
         let edges = d.edges();
         assert_eq!(edges.len(), d.cores().len() + 1);
         assert_eq!(edges[0].from, NodeRef::Source);
@@ -1659,6 +1541,37 @@ mod tests {
             assert_eq!(d.core_in_degree(i), 1);
             assert_eq!(d.core_out_degree(i), 1);
         }
+        // the stage topology is the linear list too: the non-adapter
+        // cores plus flatten, in layer order, each reading the one before
+        let cores: Vec<_> = d.cores().iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(cores, vec!["conv1", "widen1", "pool1", "conv2", "fc1"]);
+        let topo = d.stage_topo();
+        let stages: Vec<_> = topo.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(stages, vec!["conv1", "pool1", "conv2", "flatten", "fc1"]);
+        for (i, node) in topo.iter().enumerate() {
+            let prev = match i {
+                0 => StageInput::Image,
+                _ => StageInput::Stage(i - 1),
+            };
+            assert_eq!(node.inputs, vec![prev], "stage {}", node.name);
+        }
+    }
+
+    #[test]
+    fn unsupported_numeric_spec_is_rejected_on_every_design() {
+        use dfcnn_nn::topology::GraphSpec;
+        let config = DesignConfig {
+            numeric: NumericSpec::Fixed16 { frac: 7 },
+            ..DesignConfig::default()
+        };
+        let spec = GraphSpec::resnet8_cifar();
+        let layers = spec.build_layers(&mut ChaCha8Rng::seed_from_u64(3));
+        let ports = PortConfig::single_port(spec.paper_depth());
+        let err = build_graph_design(&spec, &layers, &ports, config).unwrap_err();
+        assert!(err.contains("unsupported numeric spec"), "{err}");
+        let err = NetworkDesign::new(&tc2_network(), PortConfig::paper_test_case_2(), config)
+            .unwrap_err();
+        assert!(err.contains("unsupported numeric spec"), "{err}");
     }
 
     // --- fork/join graph construction ---
@@ -1671,7 +1584,6 @@ mod tests {
     #[test]
     fn residual_graph_topology() {
         let d = residual_graph(DesignConfig::default());
-        assert!(d.is_graph());
         let names: Vec<_> = d.cores().iter().map(|c| c.name.as_str()).collect();
         assert_eq!(
             names,
@@ -1681,7 +1593,7 @@ mod tests {
         assert_eq!(d.core_out_degree(1), 2);
         assert_eq!(d.core_in_degree(4), 2);
         assert_eq!(d.classes(), 4);
-        let topo = d.stage_topo().unwrap();
+        let topo = d.stage_topo();
         let stage_names: Vec<_> = topo.iter().map(|n| n.name.as_str()).collect();
         assert_eq!(
             stage_names,
@@ -1828,6 +1740,43 @@ mod tests {
     }
 
     #[test]
+    fn graph_builder_places_logsoftmax_by_normalization_setting() {
+        use dfcnn_nn::layer::{Flatten, Linear, LogSoftmax};
+        let input = Shape3::new(6, 6, 2);
+        for fabric in [false, true] {
+            let config = DesignConfig {
+                fabric_normalization: fabric,
+                ..DesignConfig::default()
+            };
+            let geo = ConvGeometry::new(input, 3, 3, 1, 1);
+            let f = Tensor4::from_fn(2, 3, 3, 2, |k, y, x, c| ((k + y + x + c) as f32) * 0.02);
+            let conv = Conv2d::new(geo, f, Tensor1::zeros(2), Activation::Identity);
+            let w = Tensor4::from_fn(3, 1, 1, 72, |j, _, _, i| ((j + i) % 5) as f32 * 0.01);
+            let fc = Linear::new(w, Tensor1::zeros(3), Activation::Identity);
+            let (mut g, x) = GraphBuilder::new(input, config);
+            let x = g.layer(x, conv, LayerPorts::SINGLE).unwrap();
+            let x = g.layer(x, Flatten::new(input), LayerPorts::SINGLE).unwrap();
+            let x = g.layer(x, fc, LayerPorts::SINGLE).unwrap();
+            let x = g.layer(x, LogSoftmax::new(3), LayerPorts::SINGLE).unwrap();
+            let d = g.finish(x).unwrap();
+            let cores: Vec<_> = d.cores().iter().map(|c| c.name.as_str()).collect();
+            let stages: Vec<_> = d.stage_topo().iter().map(|n| n.name.as_str()).collect();
+            if fabric {
+                assert_eq!(cores, vec!["conv1", "fc1", "logsoftmax1"]);
+                assert_eq!(stages, vec!["conv1", "flatten", "fc1", "logsoftmax1"]);
+            } else {
+                assert_eq!(cores, vec!["conv1", "fc1"]);
+                assert_eq!(stages, vec!["conv1", "flatten", "fc1"]);
+            }
+            assert_eq!(d.host_normalization(), !fabric);
+            assert_eq!(d.on_fabric_normalization(), fabric);
+            assert_eq!(d.network().depth(), 4, "the network keeps the layer");
+            assert_eq!(d.ports().layers.len(), 2, "no port entry for it");
+            assert_eq!(d.classes(), 3);
+        }
+    }
+
+    #[test]
     fn concat_rejects_bad_wiring() {
         let input = Shape3::new(8, 8, 2);
         let geo = ConvGeometry::new(input, 3, 3, 1, 1);
@@ -1914,7 +1863,6 @@ mod tests {
         assert_eq!(names.iter().filter(|n| n.starts_with("add")).count(), 3);
         assert_eq!(names.iter().filter(|n| n.starts_with("conv")).count(), 9);
         assert_eq!(d.classes(), 4);
-        assert!(d.is_graph());
 
         // the inception cell folds its 4-way concat pairwise
         let spec = GraphSpec::inception_cell();

@@ -5,7 +5,7 @@
 //! `plan_between` — and no host pipeline stage (pure port plumbing with
 //! no image-level effect).
 
-use super::{CoreModel, CorePlan, StageSpec};
+use super::{CoreModel, CorePlan};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
 use crate::port::PortAdapter;
 use crate::sim::Actor;
@@ -168,16 +168,6 @@ impl CoreModel for DemuxModel {
              // layer according to how the FMs are interleaved (SIV-A case 2)",
         )
     }
-
-    fn stage(
-        &self,
-        _name: String,
-        _layer: &Layer,
-        _lp: LayerPorts,
-        _config: &DesignConfig,
-    ) -> Option<StageSpec> {
-        None
-    }
 }
 
 impl CoreModel for WidenModel {
@@ -233,16 +223,6 @@ impl CoreModel for WidenModel {
             "widened-filter merge: cycles the reads from the previous layer's\n\
              // output ports (SIV-A case 3)",
         )
-    }
-
-    fn stage(
-        &self,
-        _name: String,
-        _layer: &Layer,
-        _lp: LayerPorts,
-        _config: &DesignConfig,
-    ) -> Option<StageSpec> {
-        None
     }
 }
 

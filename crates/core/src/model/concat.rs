@@ -373,21 +373,11 @@ impl CoreModel for ConcatJoinModel {
         s
     }
 
-    fn stage(
-        &self,
-        _name: String,
-        _layer: &Layer,
-        _lp: LayerPorts,
-        _config: &DesignConfig,
-    ) -> Option<StageSpec> {
-        None // not layer-backed; graph_stage builds the join stage
-    }
-
     fn input_channel_count(&self, core: &CoreInfo) -> usize {
         2 * core.params.in_ports
     }
 
-    fn graph_stage(
+    fn stage(
         &self,
         _design: &NetworkDesign,
         core: &CoreInfo,

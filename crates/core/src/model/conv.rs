@@ -12,7 +12,7 @@ use dfcnn_hls::latency::OpLatency;
 use dfcnn_hls::pipeline::LoopNest;
 use dfcnn_nn::act::Activation;
 use dfcnn_nn::layer::{Conv2d, Layer};
-use dfcnn_tensor::{with_numeric, Numeric, Tensor3};
+use dfcnn_tensor::{with_numeric, Numeric, Shape3, Tensor3};
 use std::fmt::Write as _;
 
 /// The conv [`CoreModel`].
@@ -292,15 +292,14 @@ impl CoreModel for ConvModel {
 
     fn stage(
         &self,
-        name: String,
-        layer: &Layer,
-        lp: LayerPorts,
-        config: &DesignConfig,
+        design: &NetworkDesign,
+        core: &CoreInfo,
+        _in_shapes: &[Shape3],
     ) -> Option<StageSpec> {
-        let c = conv_layer(layer).clone();
-        let in_ports = lp.in_ports;
-        Some(with_numeric!(config.numeric, E => StageSpec::new(
-            name,
+        let c = conv_layer(&design.network().layers()[core.layer_index?]).clone();
+        let in_ports = core.params.in_ports;
+        Some(with_numeric!(design.config().numeric, E => StageSpec::new(
+            core.name.clone(),
             c.output_shape(),
             move || {
                 Box::new(ConvWorker::<E> {

@@ -288,21 +288,11 @@ impl CoreModel for EltwiseAddModel {
         s
     }
 
-    fn stage(
-        &self,
-        _name: String,
-        _layer: &Layer,
-        _lp: LayerPorts,
-        _config: &DesignConfig,
-    ) -> Option<StageSpec> {
-        None // not layer-backed; graph_stage builds the join stage
-    }
-
     fn input_channel_count(&self, core: &CoreInfo) -> usize {
         2 * core.params.in_ports
     }
 
-    fn graph_stage(
+    fn stage(
         &self,
         design: &NetworkDesign,
         core: &CoreInfo,

@@ -265,10 +265,6 @@ impl CoreModel for FcModel {
         true
     }
 
-    fn classifier_outputs(&self, layer: &Layer) -> Option<usize> {
-        Some(fc_layer(layer).outputs())
-    }
-
     fn validate(&self, name: &str, layer: &Layer, lp: LayerPorts) -> Result<(), String> {
         if lp != LayerPorts::SINGLE {
             return Err(format!(
@@ -421,16 +417,15 @@ impl CoreModel for FcModel {
 
     fn stage(
         &self,
-        name: String,
-        layer: &Layer,
-        _lp: LayerPorts,
-        config: &DesignConfig,
+        design: &NetworkDesign,
+        core: &CoreInfo,
+        _in_shapes: &[Shape3],
     ) -> Option<StageSpec> {
-        let f = fc_layer(layer).clone();
-        let banks = config.fc_banks;
+        let f = fc_layer(&design.network().layers()[core.layer_index?]).clone();
+        let banks = design.config().fc_banks;
         let out_shape = Shape3::new(1, 1, f.outputs());
-        Some(with_numeric!(config.numeric, E => StageSpec::new(
-            name,
+        Some(with_numeric!(design.config().numeric, E => StageSpec::new(
+            core.name.clone(),
             out_shape,
             move || {
                 Box::new(FcWorker::<E> {
@@ -494,7 +489,6 @@ mod tests {
         let layer = small_fc();
         assert!(m.forces_single_port());
         assert_eq!(m.out_port_options(&layer, 16), vec![1]);
-        assert_eq!(m.classifier_outputs(&layer), Some(10));
     }
 
     // ----- the FC actor

@@ -13,7 +13,7 @@
 //! backpressures the whole fork, which is exactly the hardware behaviour
 //! of a tee writing all branch FIFOs in the same cycle.
 
-use super::{CoreModel, CorePlan, StageSpec};
+use super::{CoreModel, CorePlan};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
 use crate::port::fm_port;
 use crate::sim::{Actor, Quiescence, Wiring};
@@ -256,16 +256,6 @@ impl CoreModel for ForkModel {
             ip = p.in_ports,
         );
         s
-    }
-
-    fn stage(
-        &self,
-        _name: String,
-        _layer: &Layer,
-        _lp: LayerPorts,
-        _config: &DesignConfig,
-    ) -> Option<StageSpec> {
-        None // pure port plumbing: branches tap the producer's image
     }
 }
 

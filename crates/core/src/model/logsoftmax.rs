@@ -334,14 +334,13 @@ impl CoreModel for LogSoftmaxModel {
 
     fn stage(
         &self,
-        name: String,
-        layer: &Layer,
-        _lp: LayerPorts,
-        config: &DesignConfig,
+        design: &NetworkDesign,
+        core: &CoreInfo,
+        _in_shapes: &[Shape3],
     ) -> Option<StageSpec> {
-        let k = classes_of(layer);
-        Some(with_numeric!(config.numeric, E => StageSpec::new(
-            name,
+        let k = classes_of(&design.network().layers()[core.layer_index?]);
+        Some(with_numeric!(design.config().numeric, E => StageSpec::new(
+            core.name.clone(),
             Shape3::new(1, 1, k),
             move || {
                 Box::new(LogSoftmaxWorker::<E> {

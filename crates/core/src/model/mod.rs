@@ -75,7 +75,8 @@ pub struct StaticProfile {
     pub line_buffer: Option<LineBufferSpec>,
 }
 
-/// Everything [`NetworkDesign::new`] derives for one core of a kind.
+/// Everything [`crate::graph::GraphBuilder::layer`] derives for one core of
+/// a kind.
 #[derive(Clone, Debug)]
 pub struct CorePlan {
     /// The cost-model / simulator parameters (including the Eq. 4 II).
@@ -165,12 +166,6 @@ pub trait CoreModel: Sync {
         false
     }
 
-    /// Classifier width this layer would give the sink, if it is a
-    /// classifier head (FC layers report their output count).
-    fn classifier_outputs(&self, _layer: &Layer) -> Option<usize> {
-        None
-    }
-
     /// Validate a port choice for this kind. The default enforces the
     /// common rules (non-zero ports, ports divide FM counts); kinds with
     /// extra constraints override and layer their own checks first.
@@ -247,15 +242,20 @@ pub trait CoreModel: Sync {
     /// design.
     fn emit_cpp(&self, design: &NetworkDesign, idx: usize) -> String;
 
-    /// The host pipeline stage for this layer, or `None` for kinds that
-    /// are pure port plumbing with no image-level effect (adapters).
+    /// The host pipeline stage of one core, named after the core, given
+    /// the shapes of its input operands (in core input-edge order).
+    /// Layer-backed kinds read their layer through
+    /// [`CoreInfo::layer_index`]; the joins derive their output from the
+    /// operand shapes. The default is `None`, for kinds that are pure port
+    /// plumbing with no image-level effect (adapters, fork).
     fn stage(
         &self,
-        name: String,
-        layer: &Layer,
-        lp: LayerPorts,
-        config: &DesignConfig,
-    ) -> Option<StageSpec>;
+        _design: &NetworkDesign,
+        _core: &CoreInfo,
+        _in_shapes: &[Shape3],
+    ) -> Option<StageSpec> {
+        None
+    }
 
     /// How many input channels the instantiated actor consumes. The
     /// default is one channel per input port; two-operand joins (the
@@ -281,30 +281,7 @@ pub trait CoreModel: Sync {
         vec![core.in_values_per_image / in_degree.max(1) as u64; in_degree]
     }
 
-    /// The host pipeline stage of one core in a *graph* (fork/join)
-    /// design, given the shapes of its input operands. The default serves
-    /// layer-backed cores through [`CoreModel::stage`]; plumbing kinds
-    /// (adapters, fork) have no stage and multi-input kinds override.
-    fn graph_stage(
-        &self,
-        design: &NetworkDesign,
-        core: &CoreInfo,
-        _in_shapes: &[Shape3],
-    ) -> Option<StageSpec> {
-        let idx = core.layer_index?;
-        let lp = LayerPorts {
-            in_ports: core.params.in_ports,
-            out_ports: core.params.out_ports,
-        };
-        self.stage(
-            core.name.clone(),
-            &design.network().layers()[idx],
-            lp,
-            design.config(),
-        )
-    }
-
-    /// Reference-numerics forward of one core in a graph design (the
+    /// Reference-numerics forward of one core of a design (the
     /// independent check the conformance suite compares the engines
     /// against). Layer-backed cores run their network layer's forward;
     /// plumbing kinds return `None`; multi-input kinds override.
@@ -405,13 +382,6 @@ pub fn is_normalization(layer: &Layer) -> bool {
     matches!(layer, Layer::LogSoftmax(_))
 }
 
-/// Whether a layer is the core-less reshape (flatten): the graph builder
-/// gives it a stage node but no fabric core — the stream is already in
-/// (y, x, c) order, so on the wire it is a no-op.
-pub fn is_reshape(layer: &Layer) -> bool {
-    matches!(layer, Layer::Flatten(_))
-}
-
 /// The model of the on-fabric normalisation core.
 pub fn normalization_model() -> &'static dyn CoreModel {
     &LOGSOFTMAX_MODEL
@@ -448,51 +418,8 @@ impl StageWorker for FlattenWorker {
     }
 }
 
-/// The host pipeline of a design, one [`StageSpec`] per image-level stage:
-/// every paper layer, flatten (a reshape stage), and — when
-/// [`DesignConfig::fabric_normalization`] is set — the normalisation core.
-/// Adapters are port plumbing with no image-level effect and produce no
-/// stage. Consumed by [`crate::exec::ThreadedEngine`] and
-/// [`NetworkDesign::hw_forward`], which therefore stay bit-identical.
-pub fn pipeline_stages(design: &NetworkDesign) -> Vec<StageSpec> {
-    let mut stages = Vec::new();
-    let mut counts: Vec<(&'static str, usize)> = Vec::new();
-    let mut port_iter = design.ports().layers.iter();
-    let mut cur_shape = design.network().input_shape();
-    for layer in design.network().layers() {
-        if let Some(m) = paper_layer_model(layer) {
-            let lp = *port_iter.next().expect("port config exhausted");
-            let name = next_name(&mut counts, m.label());
-            let spec = m
-                .stage(name, layer, lp, design.config())
-                .expect("paper layers always have a pipeline stage");
-            cur_shape = spec.out_shape;
-            stages.push(spec);
-        } else if is_normalization(layer) {
-            if design.config().fabric_normalization {
-                let m = normalization_model();
-                let name = next_name(&mut counts, m.label());
-                let spec = m
-                    .stage(name, layer, LayerPorts::SINGLE, design.config())
-                    .expect("normalisation core has a pipeline stage");
-                cur_shape = spec.out_shape;
-                stages.push(spec);
-            }
-            // host-side by default: the sink collects pre-normalised scores
-        } else {
-            // flatten — the only remaining layer kind
-            cur_shape = Shape3::new(1, 1, cur_shape.len());
-            stages.push(StageSpec::new("flatten".to_string(), cur_shape, || {
-                Box::new(FlattenWorker)
-            }));
-        }
-    }
-    stages
-}
-
 /// One stage of the host pipeline together with where its input operands
-/// come from — the graph-aware generalisation of a bare [`StageSpec`]
-/// list. Chains degenerate to `inputs = [previous stage]`.
+/// come from. In a chain every stage reads the one before it.
 #[derive(Debug)]
 pub struct HostStage {
     /// The stage's name, output geometry and worker factory.
@@ -501,45 +428,28 @@ pub struct HostStage {
     pub inputs: Vec<StageInput>,
 }
 
-/// The host pipeline of any design — chain or fork/join graph — as
-/// [`HostStage`]s in topological order. Chain designs reuse
-/// [`pipeline_stages`] verbatim (each stage reads its predecessor), so
-/// [`crate::exec::ThreadedEngine`] and [`NetworkDesign::hw_forward`] stay
-/// bit-identical to before; graph designs walk the recorded stage
-/// topology and resolve each core's stage via
-/// [`CoreModel::graph_stage`].
+/// The host pipeline of a design as [`HostStage`]s: one stage per node
+/// of [`NetworkDesign::stage_topo`], in topological order, each core's
+/// stage resolved via [`CoreModel::stage`]. Consumed by
+/// [`crate::exec::ThreadedEngine`] and [`NetworkDesign::hw_forward`],
+/// which therefore stay bit-identical.
 pub fn host_pipeline(design: &NetworkDesign) -> Vec<HostStage> {
-    let Some(topo) = design.stage_topo() else {
-        return pipeline_stages(design)
-            .into_iter()
-            .enumerate()
-            .map(|(i, spec)| HostStage {
-                spec,
-                inputs: vec![if i == 0 {
-                    StageInput::Image
-                } else {
-                    StageInput::Stage(i - 1)
-                }],
-            })
-            .collect();
-    };
+    let topo = design.stage_topo();
+    let input_shape = design.network().input_shape();
     let mut shapes: Vec<Shape3> = Vec::with_capacity(topo.len());
     let mut stages = Vec::with_capacity(topo.len());
     for node in topo {
         let in_shapes: Vec<Shape3> = node
             .inputs
             .iter()
-            .map(|si| match si {
-                StageInput::Image => design.network().input_shape(),
-                StageInput::Stage(j) => shapes[*j],
-            })
+            .map(|si| *si.pick(&input_shape, &shapes))
             .collect();
         let spec = match node.core {
             Some(ci) => {
                 let core = &design.cores()[ci];
                 model_for(core.params.kind)
-                    .graph_stage(design, core, &in_shapes)
-                    .expect("graph stage nodes always map to a host stage")
+                    .stage(design, core, &in_shapes)
+                    .expect("stage nodes always map to a host stage")
             }
             None => {
                 // flatten — the only core-less stage node
@@ -556,32 +466,23 @@ pub fn host_pipeline(design: &NetworkDesign) -> Vec<HostStage> {
     stages
 }
 
-/// Reference-numerics forward pass of a *graph* design: every stage
-/// evaluated with the network layers' own forward (left-to-right
-/// summation etc.), independent of the hardware-order kernels — the
-/// tolerance baseline the conformance suite compares all three engines
-/// against. Chain designs use [`dfcnn_nn::Network::forward_trace`]
-/// instead.
+/// Reference-numerics forward pass of a design: every stage of
+/// [`NetworkDesign::stage_topo`] evaluated with the network layers' own
+/// forward (left-to-right summation etc.), independent of the
+/// hardware-order kernels — the tolerance baseline the conformance suite
+/// compares all three engines against. It ends at the values the sink
+/// collects.
 pub fn reference_forward(design: &NetworkDesign, input: &Tensor3<f32>) -> Tensor3<f32> {
-    let topo = design
-        .stage_topo()
-        .expect("reference_forward is for graph designs");
+    let topo = design.stage_topo();
     let mut outs: Vec<Tensor3<f32>> = Vec::with_capacity(topo.len());
     for node in topo {
-        let ins: Vec<&Tensor3<f32>> = node
-            .inputs
-            .iter()
-            .map(|si| match si {
-                StageInput::Image => input,
-                StageInput::Stage(j) => &outs[*j],
-            })
-            .collect();
+        let ins: Vec<&Tensor3<f32>> = node.inputs.iter().map(|si| si.pick(input, &outs)).collect();
         let out = match node.core {
             Some(ci) => {
                 let core = &design.cores()[ci];
                 model_for(core.params.kind)
                     .reference_apply(design, core, &ins)
-                    .expect("graph stage nodes have a reference map")
+                    .expect("stage nodes have a reference map")
             }
             None => {
                 let flat = Shape3::new(1, 1, ins[0].shape().len());
@@ -590,7 +491,7 @@ pub fn reference_forward(design: &NetworkDesign, input: &Tensor3<f32>) -> Tensor
         };
         outs.push(out);
     }
-    outs.pop().expect("graph design has stages")
+    outs.pop().expect("design has stages")
 }
 
 #[cfg(test)]
@@ -649,7 +550,7 @@ mod tests {
     #[test]
     fn stage_names_and_shapes_chain() {
         let design = tc1_design();
-        let stages = pipeline_stages(&design);
+        let stages: Vec<_> = host_pipeline(&design).into_iter().map(|s| s.spec).collect();
         let names: Vec<_> = stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["conv1", "pool1", "conv2", "flatten", "fc1"]);
         // flatten preserves the element count, fc ends at the classes

@@ -11,7 +11,7 @@ use dfcnn_hls::ii::pipeline_ii;
 use dfcnn_hls::latency::OpLatency;
 use dfcnn_hls::reduce::TreeAdder;
 use dfcnn_nn::layer::{Layer, Pool2d, PoolKind};
-use dfcnn_tensor::{with_numeric, Numeric, Tensor3};
+use dfcnn_tensor::{with_numeric, Numeric, Shape3, Tensor3};
 use std::fmt::Write as _;
 
 /// The pooling [`CoreModel`].
@@ -230,14 +230,13 @@ impl CoreModel for PoolModel {
 
     fn stage(
         &self,
-        name: String,
-        layer: &Layer,
-        _lp: LayerPorts,
-        config: &DesignConfig,
+        design: &NetworkDesign,
+        core: &CoreInfo,
+        _in_shapes: &[Shape3],
     ) -> Option<StageSpec> {
-        let p = pool_layer(layer).clone();
-        Some(with_numeric!(config.numeric, E => StageSpec::new(
-            name,
+        let p = pool_layer(&design.network().layers()[core.layer_index?]).clone();
+        Some(with_numeric!(design.config().numeric, E => StageSpec::new(
+            core.name.clone(),
             p.output_shape(),
             move || {
                 Box::new(PoolWorker::<E> {

@@ -22,7 +22,7 @@ use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::pipeline_ii;
 use dfcnn_nn::layer::Layer;
-use dfcnn_tensor::{with_numeric, Element, Numeric, Tensor3};
+use dfcnn_tensor::{with_numeric, Element, Numeric, Shape3, Tensor3};
 use std::fmt::Write as _;
 
 /// The scale-shift [`CoreModel`].
@@ -219,15 +219,14 @@ impl CoreModel for ScaleShiftModel {
 
     fn stage(
         &self,
-        name: String,
-        layer: &Layer,
-        _lp: LayerPorts,
-        config: &DesignConfig,
+        design: &NetworkDesign,
+        core: &CoreInfo,
+        _in_shapes: &[Shape3],
     ) -> Option<StageSpec> {
-        let l = scaleshift_of(layer);
+        let l = scaleshift_of(&design.network().layers()[core.layer_index?]);
         let (scale, shift) = (l.scale().to_vec(), l.shift().to_vec());
-        Some(with_numeric!(config.numeric, E => StageSpec::new(
-            name,
+        Some(with_numeric!(design.config().numeric, E => StageSpec::new(
+            core.name.clone(),
             l.shape(),
             move || {
                 Box::new(ScaleShiftWorker::<E> {

@@ -41,7 +41,7 @@
 //! `observed ⊆ static` on the very q8f6 designs whose collapse the
 //! `value-range` rule predicts.
 
-use crate::graph::{NetworkDesign, NodeRef, StageInput};
+use crate::graph::{NetworkDesign, NodeRef};
 use crate::model;
 use dfcnn_nn::act::Activation;
 use dfcnn_tensor::{NumericSpec, Tensor3};
@@ -593,9 +593,8 @@ fn core_entry(spec: NumericSpec, name: &str, kind: &str, t: &Transfer) -> CoreRa
 /// interval — the re-analysis entry point [`recommend_frac`] and the DSE
 /// numeric pruning use (no design rebuild needed to try another spec).
 ///
-/// Cores are visited in index order, which both the chain builder and the
-/// graph builder emit topologically — the same canonical traversal
-/// lowering uses.
+/// Cores are visited in index order, which the graph builder emits
+/// topologically — the same canonical traversal lowering uses.
 pub fn analyze_with(design: &NetworkDesign, spec: NumericSpec, input: Interval) -> RangeReport {
     let cores = design.cores();
     let mut outs: Vec<Option<Interval>> = vec![None; cores.len()];
@@ -710,14 +709,8 @@ pub fn observe_ranges(design: &NetworkDesign, images: &[Tensor3<f32>]) -> Vec<Ob
     for img in images {
         let mut outs: Vec<Tensor3<f32>> = Vec::with_capacity(stages.len());
         for (i, stage) in stages.iter().enumerate() {
-            let ins: Vec<&Tensor3<f32>> = stage
-                .inputs
-                .iter()
-                .map(|si| match si {
-                    StageInput::Image => img,
-                    StageInput::Stage(j) => &outs[*j],
-                })
-                .collect();
+            let ins: Vec<&Tensor3<f32>> =
+                stage.inputs.iter().map(|si| si.pick(img, &outs)).collect();
             let mut out = Tensor3::zeros(stage.spec.out_shape);
             workers[i].apply_multi(&ins, &mut out);
             for &v in out.as_slice() {

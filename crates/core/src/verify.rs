@@ -53,25 +53,12 @@ impl VerifyReport {
 /// Reference scores for one image at the point where the fabric hands off
 /// to the host: pre-softmax when the normalisation runs on the host,
 /// post-softmax when the design carries an on-fabric normalisation core.
-/// Fork/join designs have no linear layer chain to trace, so their
-/// reference composes the layers along the stage topology instead
+/// The reference composes the layers along the stage topology
 /// ([`crate::model::reference_forward`]).
 pub fn reference_scores(design: &NetworkDesign, image: &Tensor3<f32>) -> Vec<f32> {
-    if design.is_graph() {
-        return crate::model::reference_forward(design, image)
-            .as_slice()
-            .to_vec();
-    }
-    let trace = design.network().forward_trace(image);
-    // when normalisation stays on the host, the sink collects the
-    // activation *before* it; otherwise (on-fabric, or no normalisation
-    // layer at all) the final activation is the right comparison point
-    let idx = if design.host_normalization() {
-        trace.len() - 2
-    } else {
-        trace.len() - 1
-    };
-    trace[idx].as_slice().to_vec()
+    crate::model::reference_forward(design, image)
+        .as_slice()
+        .to_vec()
 }
 
 /// Compare accelerator outputs (one score vector per image) against the

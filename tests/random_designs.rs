@@ -158,6 +158,35 @@ proptest! {
         );
     }
 
+    /// On a chain the stage-topology reference is the network's own traced
+    /// forward at the point where the fabric hands off to the host, bit
+    /// for bit: before the host LogSoftmax, or after the fabric one.
+    #[test]
+    fn chain_reference_is_the_traced_forward_at_the_hand_off(
+        spec in random_spec(),
+        seed in 0u64..10_000,
+        fabric_normalization in proptest::bool::ANY,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let network = spec.build(&mut rng);
+        let ports = random_ports(&spec, seed ^ 0xABCD);
+        let config = DesignConfig { fabric_normalization, ..DesignConfig::default() };
+        let design = NetworkDesign::new(&network, ports, config)
+            .expect("random divisor config must validate");
+        let image = dfcnn::tensor::init::random_volume(&mut rng, spec.input, 0.0, 1.0);
+        let trace = network.forward_trace(&image);
+        let hand_off = if design.host_normalization() {
+            &trace[trace.len() - 2]
+        } else {
+            &trace[trace.len() - 1]
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(&verify::reference_scores(&design, &image)),
+            bits(hand_off.as_slice())
+        );
+    }
+
     #[test]
     fn batching_never_slows_mean_time(spec in random_spec(), seed in 0u64..10_000) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
