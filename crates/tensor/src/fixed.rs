@@ -394,9 +394,10 @@ macro_rules! narrow_fixed {
                 }
             }
 
-            /// [`crate::Numeric::tanh_hw`]'s default expression, at one raw.
+            /// [`crate::Numeric::tanh_hw`]'s default expression, at one raw:
+            /// the workspace's [`crate::tanh()`] on the value in `f32`.
             fn tanh_f32(raw: $store) -> $store {
-                <Self as Element>::from_f32(Self(raw).to_f32().tanh()).0
+                <Self as Element>::from_f32(crate::tanh(Self(raw).to_f32())).0
             }
 
             /// Evaluate [`Self::tanh_f32`] from raw 0 outward on each side
@@ -590,7 +591,7 @@ macro_rules! narrow_fixed {
             }
 
             /// A table lookup, equal on every raw value to the default
-            /// `from_f32(to_f32().tanh())` it is built from. Neither path
+            /// `from_f32(tanh(to_f32()))` it is built from. Neither path
             /// ever clamps: |tanh x| ≤ |x|, so no output raw is larger in
             /// magnitude than its input raw.
             #[inline]
@@ -1003,7 +1004,7 @@ mod tests {
                     let x = <$t>::from_raw(raw);
                     let table = x.tanh_hw();
                     let table_clamps = take_saturation_events();
-                    let expr = <$t as Element>::from_f32(x.to_f32().tanh());
+                    let expr = <$t as Element>::from_f32(crate::tanh(x.to_f32()));
                     let expr_clamps = take_saturation_events();
                     assert_eq!(table, expr, "{} raw {raw}", stringify!($t));
                     assert_eq!(table_clamps, expr_clamps, "{} raw {raw}", stringify!($t));
@@ -1018,6 +1019,8 @@ mod tests {
             check_tanh_table_exhaustively!(Fixed16<8>, i16);
             check_tanh_table_exhaustively!(Fixed16<10>, i16);
             check_tanh_table_exhaustively!(Fixed16<12>, i16);
+            check_tanh_table_exhaustively!(Fixed16<13>, i16);
+            check_tanh_table_exhaustively!(Fixed16<14>, i16);
             check_tanh_table_exhaustively!(Fixed16<15>, i16);
         }
 

@@ -23,7 +23,8 @@
 #   4. numeric dispatch — concrete fixed-point element types appear only
 #                       in kernel.rs, model/ and crates/tensor.
 #   5. numeric casts  — no value-lossy `as` cast in a numeric hot path.
-#   6. clippy         — warnings are errors, across every target.
+#   6. one tanh       — library code calls dfcnn_tensor::tanh, never libm's.
+#   7. clippy         — warnings are errors, across every target.
 #
 # Usage: scripts/lint.sh   (exits non-zero on the first failing phase)
 set -u
@@ -109,7 +110,7 @@ echo "== numeric-casts lint =="
 # `i32::from`/`i64::from`/`f64::from`, which the compiler proves lossless;
 # `as f64` from integers and usize/isize index arithmetic are exempt.
 numeric_paths="crates/tensor/src/fixed.rs crates/tensor/src/simd.rs \
-    crates/core/src/kernel.rs"
+    crates/tensor/src/tanh.rs crates/core/src/kernel.rs"
 hits=$(grep -nE ' as (i8|i16|i32|i64|u8|u16|u32|u64|f32)\b|as \$store\b' \
     $numeric_paths || true)
 if [ -n "$hits" ]; then
@@ -120,6 +121,25 @@ if [ -n "$hits" ]; then
     exit 1
 fi
 echo "numeric narrowing confined to crates/tensor/src/cast.rs"
+
+echo "== one tanh lint =="
+# Every tanh the workspace executes is dfcnn_tensor::tanh
+# (crates/tensor/src/tanh.rs): libm's tanhf differs between platforms in
+# the last place, so a call to it would pin output bits nothing
+# specifies. Only tanh.rs itself, and the test modules (everything from a
+# file's first #[cfg(test)] on), may call libm's tanh, as an f64 oracle.
+hits=$(for f in $(grep -rlE '\.tanh\(\)|\bf(32|64)::tanh\b' crates/*/src --include='*.rs' \
+        | grep -v '^crates/tensor/src/tanh\.rs$'); do
+    awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        /\.tanh\(\)|(^|[^[:alnum:]_])f(32|64)::tanh([^[:alnum:]_]|$)/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$hits" ]; then
+    echo "error: libm tanh outside crates/tensor/src/tanh.rs:" >&2
+    echo "$hits" >&2
+    echo "call dfcnn_tensor::tanh (or Numeric::tanh_hw) instead" >&2
+    exit 1
+fi
+echo "tanh confined to crates/tensor/src/tanh.rs"
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings || exit 1
