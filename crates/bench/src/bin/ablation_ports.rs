@@ -21,6 +21,7 @@ use dfcnn_core::dse::explore;
 use dfcnn_core::graph::{DesignConfig, NetworkDesign, PortConfig};
 use dfcnn_fpga::resources::CostModel;
 use dfcnn_fpga::Device;
+use dfcnn_nn::topology::GraphSpec;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -82,18 +83,22 @@ fn main() {
         ("Test Case 1", quick_test_case_1(), 8),
         ("Test Case 2", quick_test_case_2(), 6),
     ] {
+        let config = DesignConfig::default();
         let report = explore(
-            &tc.network,
-            &DesignConfig::default(),
+            &GraphSpec::from(&tc.network),
+            tc.network.layers(),
+            &config,
             &cost,
             &device,
             max_ports,
-        );
-        let feasible = report.feasible().count();
+            &[config.numeric],
+            true,
+        )
+        .expect("a chain spec matches its own layers");
         println!(
             "{label}: {} configurations evaluated, {} feasible",
-            report.points.len(),
-            feasible
+            report.points.len() + report.discards.total(),
+            report.points.len()
         );
         println!("  Pareto front (interval cycles/image vs DSP):");
         for p in report.pareto_front() {

@@ -5,9 +5,9 @@
 //!    candidate (build-failed / checker-rejected / over-budget) next to
 //!    the evaluated points, so "the sweep covered N candidates" is a
 //!    checkable statement, not an impression.
-//! 2. **The parallel sweep is a pure speedup.** The rayon-chunked and
-//!    serial explorers must return byte-identical reports; both are timed
-//!    and the ratio is committed.
+//! 2. **The parallel sweep is a pure speedup.** `explore` with
+//!    `parallel` on (rayon-chunked) and off must return byte-identical
+//!    reports; both are timed and the ratio is committed.
 //! 3. **The coupled join II is honest.** The best point is rebuilt and
 //!    simulated with the flight recorder; every residual add's measured
 //!    steady-state interval is committed next to its Eq. 4 prediction and
@@ -20,7 +20,7 @@
 //! ```
 
 use dfcnn_bench::write_json;
-use dfcnn_core::dse::{explore_graph, explore_graph_serial};
+use dfcnn_core::dse::{explore, DseReport};
 use dfcnn_core::graph::{build_graph_design, DesignConfig};
 use dfcnn_core::observe::DriftReport;
 use dfcnn_fpga::resources::CostModel;
@@ -73,13 +73,20 @@ fn main() {
         Device::xc7vx485t(),
     );
 
+    let sweep = |parallel: bool| -> DseReport {
+        let numerics = [config.numeric];
+        explore(
+            &spec, &layers, &config, &cost, &device, MAX_PORTS, &numerics, parallel,
+        )
+        .expect("layers are the spec's own traversal")
+    };
     // warm-up, then time serial and parallel sweeps over the same space
-    let _ = explore_graph(&spec, &layers, &config, &cost, &device, MAX_PORTS);
+    let _ = sweep(true);
     let t0 = std::time::Instant::now();
-    let serial = explore_graph_serial(&spec, &layers, &config, &cost, &device, MAX_PORTS);
+    let serial = sweep(false);
     let serial_wall_s = t0.elapsed().as_secs_f64();
     let t1 = std::time::Instant::now();
-    let report = explore_graph(&spec, &layers, &config, &cost, &device, MAX_PORTS);
+    let report = sweep(true);
     let parallel_wall_s = t1.elapsed().as_secs_f64();
     assert_eq!(
         serial.render(),
@@ -130,7 +137,7 @@ fn main() {
         spec: spec.name.clone(),
         max_ports: MAX_PORTS,
         candidates: report.points.len() + d.total(),
-        feasible: report.feasible().count(),
+        feasible: report.points.len(),
         discarded_build_failed: d.build_failed,
         discarded_checker_rejected: d.checker_rejected,
         discarded_over_budget: d.over_budget,

@@ -27,6 +27,7 @@ use dfcnn_bench::{quick_test_case_1, quick_test_case_2, write_json};
 use dfcnn_core::check::{check_design, RuleId, Severity};
 use dfcnn_core::dse;
 use dfcnn_core::graph::{DesignConfig, NetworkDesign};
+use dfcnn_nn::topology::GraphSpec;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -59,7 +60,8 @@ fn main() {
 
     // gate 2: the full TC1 candidate space the explorer would walk
     let tc1 = quick_test_case_1();
-    let configs = dse::enumerate_configs(&tc1.network, 6);
+    let configs = dse::enumerate_configs(&GraphSpec::from(&tc1.network), tc1.network.layers(), 6)
+        .expect("a chain spec matches its own layers");
     let total = configs.len();
     let mut dirty = 0usize;
     for ports in configs {

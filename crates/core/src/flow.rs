@@ -22,6 +22,7 @@ use crate::graph::{DesignConfig, NetworkDesign, PortConfig};
 use crate::multi::{partition, LinkConfig, MultiFpgaPlan};
 use dfcnn_fpga::device::Device;
 use dfcnn_fpga::resources::{CostModel, Resources};
+use dfcnn_nn::topology::GraphSpec;
 use dfcnn_nn::Network;
 
 /// Constraints handed to the flow.
@@ -106,12 +107,16 @@ pub fn compile(
         (p.clone(), "user pin")
     } else {
         let report = dse::explore(
-            network,
+            &GraphSpec::from(network),
+            network.layers(),
             config,
             &constraints.cost,
             &constraints.device,
             constraints.max_ports,
-        );
+            &[config.numeric],
+            true,
+        )
+        .map_err(|e| e.to_string())?;
         match report.best_point() {
             Some(best) => (best.ports.clone(), "design-space exploration"),
             None => {

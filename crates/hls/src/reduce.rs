@@ -90,36 +90,8 @@ impl TreeAdder {
         level[0]
     }
 
-    /// Tree-order sum reusing a scratch buffer (hot-loop variant: no
-    /// allocation). `scratch` must be at least `values.len()` long.
-    pub fn sum_with_scratch<T>(&self, values: &[T], scratch: &mut [T]) -> T
-    where
-        T: Copy + core::ops::Add<Output = T>,
-    {
-        assert_eq!(values.len(), self.n, "tree adder arity mismatch");
-        assert!(scratch.len() >= self.n, "scratch buffer too small");
-        if self.n == 1 {
-            return values[0];
-        }
-        scratch[..self.n].copy_from_slice(values);
-        let mut len = self.n;
-        while len > 1 {
-            let half = len / 2;
-            for i in 0..half {
-                scratch[i] = scratch[2 * i] + scratch[2 * i + 1];
-            }
-            if len % 2 == 1 {
-                scratch[half] = scratch[len - 1];
-                len = half + 1;
-            } else {
-                len = half;
-            }
-        }
-        scratch[0]
-    }
-
     /// Tree-order sum that reduces `values` in place (hot-loop variant:
-    /// no allocation *and* no copy). Destroys the buffer's contents.
+    /// no allocation, no copy). Destroys the buffer's contents.
     /// Identical rounding to [`TreeAdder::sum`]: each level writes slot
     /// `i` from slots `2i` and `2i + 1`, so reads always stay at or ahead
     /// of writes.
@@ -260,14 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_variant_matches_alloc_variant() {
-        let vals: Vec<f32> = (0..25).map(|i| (i as f32) * 0.3 - 2.0).collect();
-        let t = TreeAdder::new(25);
-        let mut scratch = vec![0.0f32; 25];
-        assert_eq!(t.sum(&vals), t.sum_with_scratch(&vals, &mut scratch));
-    }
-
-    #[test]
     fn in_place_variant_matches_alloc_variant() {
         for n in 1..40 {
             let vals: Vec<f32> = (0..n).map(|i| (i as f32) * 0.7 - 3.0).collect();
@@ -275,6 +239,12 @@ mod tests {
             let mut buf = vals.clone();
             assert_eq!(t.sum_in_place(&mut buf), t.sum(&vals), "n={n}");
         }
+        let vals: Vec<f32> = (0..25).map(|i| (i as f32) * 0.3 - 2.0).collect();
+        let mut buf = vals.clone();
+        assert_eq!(
+            TreeAdder::new(25).sum_in_place(&mut buf),
+            TreeAdder::new(25).sum(&vals)
+        );
         // and on the rounding-sensitive pattern
         let vals = [1e8f32, 1.0, -1e8, 1.0];
         let t = TreeAdder::new(4);
@@ -292,8 +262,6 @@ mod tests {
             assert_eq!(t.sum(&vals), seq, "n={n}");
             let mut buf = vals.clone();
             assert_eq!(t.sum_in_place(&mut buf), seq, "n={n}");
-            let mut scratch = vec![0i64; n];
-            assert_eq!(t.sum_with_scratch(&vals, &mut scratch), seq, "n={n}");
         }
     }
 
@@ -358,8 +326,7 @@ mod tests {
     fn single_input_is_identity() {
         let t = TreeAdder::new(1);
         assert_eq!(t.sum(&[3.5]), 3.5);
-        let mut s = [0.0f32];
-        assert_eq!(t.sum_with_scratch(&[3.5], &mut s), 3.5);
+        assert_eq!(t.sum_in_place(&mut [3.5]), 3.5);
     }
 
     #[test]
@@ -369,8 +336,8 @@ mod tests {
             let t = TreeAdder::new(n);
             let expect = (n * (n - 1) / 2) as f32;
             assert_eq!(t.sum(&vals), expect, "n={n}");
-            let mut scratch = vec![0.0f32; n];
-            assert_eq!(t.sum_with_scratch(&vals, &mut scratch), expect, "n={n}");
+            let mut buf = vals.clone();
+            assert_eq!(t.sum_in_place(&mut buf), expect, "n={n}");
         }
     }
 }

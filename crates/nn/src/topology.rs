@@ -180,6 +180,42 @@ impl LayerSpec {
     }
 }
 
+impl From<&Layer> for LayerSpec {
+    /// The spec a built layer realises — the inverse of
+    /// [`LayerSpec::build_layer`] up to the drawn parameters.
+    fn from(layer: &Layer) -> Self {
+        match layer {
+            Layer::Conv(c) => {
+                let g = c.geometry();
+                LayerSpec::Conv {
+                    kh: g.kh,
+                    kw: g.kw,
+                    out_maps: c.out_maps(),
+                    stride: g.stride,
+                    pad: g.pad,
+                    activation: c.activation(),
+                }
+            }
+            Layer::Pool(p) => {
+                let g = p.geometry();
+                LayerSpec::Pool {
+                    kh: g.kh,
+                    kw: g.kw,
+                    stride: g.stride,
+                    kind: p.kind(),
+                }
+            }
+            Layer::Flatten(_) => LayerSpec::Flatten,
+            Layer::Linear(l) => LayerSpec::Linear {
+                outputs: l.outputs(),
+                activation: l.activation(),
+            },
+            Layer::LogSoftmax(_) => LayerSpec::LogSoftmax,
+            Layer::ScaleShift(_) => LayerSpec::ScaleShift,
+        }
+    }
+}
+
 /// A full network specification: input shape plus ordered layer specs.
 ///
 /// ```
@@ -849,6 +885,27 @@ impl GraphSpec {
         let mut layers = Vec::new();
         self.visit_layers(|l, cur| layers.push(l.build_layer(cur, rng)));
         layers
+    }
+}
+
+impl From<&Network> for GraphSpec {
+    /// A built chain as the simplest graph spec: one [`GraphOp::Layer`]
+    /// per network layer, so the chain's layers are exactly the spec's
+    /// traversal (`network.layers()` is its [`GraphSpec::build_layers`]
+    /// output up to the drawn parameters).
+    ///
+    /// # Panics
+    /// If the network has no layers (it then has no input shape).
+    fn from(network: &Network) -> Self {
+        GraphSpec {
+            name: "chain".to_string(),
+            input: network.input_shape(),
+            ops: network
+                .layers()
+                .iter()
+                .map(|l| GraphOp::Layer(l.into()))
+                .collect(),
+        }
     }
 }
 

@@ -29,11 +29,21 @@ fn main() {
         "exploring port configurations of {} on {} ...\n",
         spec.name, device.name
     );
-    let report = dse::explore(&network, &config, &cost, &device, 16);
+    let report = dse::explore(
+        &GraphSpec::from(&network),
+        network.layers(),
+        &config,
+        &cost,
+        &device,
+        16,
+        &[config.numeric],
+        true,
+    )
+    .expect("a chain spec matches its own layers");
     println!(
         "{} configurations evaluated, {} fit the device",
-        report.points.len(),
-        report.feasible().count()
+        report.points.len() + report.discards.total(),
+        report.points.len()
     );
 
     println!("\nPareto front (cycles/image vs DSP slices):");

@@ -64,7 +64,7 @@ pub mod prelude {
     pub use dfcnn_fpga::power::PowerModel;
     pub use dfcnn_fpga::resources::CostModel;
     pub use dfcnn_fpga::Device;
-    pub use dfcnn_nn::topology::{LayerSpec, NetworkSpec};
+    pub use dfcnn_nn::topology::{GraphSpec, LayerSpec, NetworkSpec};
     pub use dfcnn_nn::train::{TrainConfig, Trainer};
     pub use dfcnn_nn::{Activation, Network, PoolKind};
     pub use dfcnn_tensor::{ConvGeometry, NumericSpec, Shape3, Tensor1, Tensor3, Tensor4};

@@ -161,8 +161,8 @@ proptest! {
         let tree = TreeAdder::new(f.len());
         let expect: i64 = vals.iter().map(|&v| v as i64).sum();
         prop_assert_eq!(tree.sum(&f), expect as f32);
-        let mut scratch = vec![0.0f32; f.len()];
-        prop_assert_eq!(tree.sum_with_scratch(&f, &mut scratch), expect as f32);
+        let mut buf = f.clone();
+        prop_assert_eq!(tree.sum_in_place(&mut buf), expect as f32);
     }
 
     /// Tree depth is logarithmic and adder count linear.

@@ -13,9 +13,9 @@
 //!   clean on the paper designs.
 //! - **Recommendation**: `recommend_frac` must return the maximal FRAC
 //!   whose analysis is clean — sound and maximal by re-analysis.
-//! - **DSE pruning**: `explore_graph_numerics` must tally statically
-//!   unsound numeric candidates under `numeric_rejected` instead of
-//!   reporting them as viable design points.
+//! - **DSE pruning**: `dse::explore` over a list of numeric formats must
+//!   tally statically unsound numeric candidates under `numeric_rejected`
+//!   instead of reporting them as viable design points.
 //! - **Debug counters**: on a proven-clean design the saturating cast
 //!   layer must record zero clamp events end to end; a deterministically
 //!   saturating design must record some (debug builds only).
@@ -23,7 +23,7 @@
 mod common;
 
 use common::random_dag_design;
-use dfcnn::core::dse::explore_graph_numerics;
+use dfcnn::core::dse::explore;
 use dfcnn::core::graph::{build_graph_design, GraphBuilder};
 use dfcnn::core::range::{analyze, analyze_with, observe_ranges, recommend_frac, Interval};
 use dfcnn::core::{check_design, RuleId, Severity};
@@ -364,7 +364,7 @@ fn dse_prunes_statically_unsound_numeric_candidates() {
     let gspec = GraphSpec::resnet8(Shape3::new(8, 8, 3), [2, 4, 4], 4);
     let mut rng = ChaCha8Rng::seed_from_u64(805);
     let layers = gspec.build_layers(&mut rng);
-    let report = explore_graph_numerics(
+    let report = explore(
         &gspec,
         &layers,
         &DesignConfig::default(),
@@ -372,7 +372,9 @@ fn dse_prunes_statically_unsound_numeric_candidates() {
         &dfcnn::fpga::device::Device::xc7vx485t(),
         1,
         &[NumericSpec::F32, Q8F6],
-    );
+        true,
+    )
+    .unwrap();
     assert!(
         report.discards.numeric_rejected > 0,
         "q8f6 not pruned: {}",

@@ -19,6 +19,7 @@ use common::{random_ports, random_spec, residual_design};
 use dfcnn::core::exec::ReplicationPlan;
 use dfcnn::core::observe::DriftReport;
 use dfcnn::core::{check_drift, check_replication, SimError};
+use dfcnn::nn::topology::GraphOp;
 use dfcnn::prelude::*;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -66,7 +67,8 @@ fn both_paper_designs_check_clean() {
 #[test]
 fn every_dse_candidate_checks_clean() {
     let net = tc1_network();
-    for ports in dse::enumerate_configs(&net, 6) {
+    let spec = GraphSpec::from(&net);
+    for ports in dse::enumerate_configs(&spec, net.layers(), 6).unwrap() {
         let design = NetworkDesign::new(&net, ports.clone(), DesignConfig::default())
             .expect("enumerated configs are valid");
         let report = check_design(&design);
@@ -74,8 +76,36 @@ fn every_dse_candidate_checks_clean() {
     }
 }
 
+/// The chain spec the DSE walks is the network's own spec: one layer op
+/// per declared layer, in order.
+fn assert_chain_spec_is_the_declared_spec(spec: &NetworkSpec, seed: u64) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let chain = GraphSpec::from(&spec.build(&mut rng));
+    let declared: Vec<GraphOp> = spec.layers.iter().cloned().map(GraphOp::Layer).collect();
+    assert_eq!(chain.input, spec.input, "{}", spec.name);
+    assert_eq!(chain.ops, declared, "{}", spec.name);
+}
+
+#[test]
+fn preset_chain_specs_are_the_declared_specs() {
+    for spec in [
+        NetworkSpec::test_case_1(),
+        NetworkSpec::test_case_2(),
+        NetworkSpec::lenet5(),
+        NetworkSpec::alexnet_tiny(),
+        NetworkSpec::vgg_tiny(),
+    ] {
+        assert_chain_spec_is_the_declared_spec(&spec, 5);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(50))]
+
+    #[test]
+    fn random_chain_specs_are_the_declared_specs(spec in random_spec(), seed in 0u64..10_000) {
+        assert_chain_spec_is_the_declared_spec(&spec, seed);
+    }
 
     /// Soundness over the random corpus: any design the builder accepts
     /// is proven safe by the verifier — no false alarms.
