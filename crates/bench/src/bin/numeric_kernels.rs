@@ -126,8 +126,7 @@ fn conv_case<E: Numeric>(
     let filters = dfcnn_tensor::init::conv_filters(&mut rng, out_fm, kh, kw, in_fm);
     let bias_f = dfcnn_tensor::init::random_vector(&mut rng, out_fm, -0.1, 0.1);
     let window_f = dfcnn_tensor::init::random_vector(&mut rng, kh * kw * in_fm, -1.0, 1.0);
-    let packed = PackedFilters::<E>::new(&filters);
-    let bias: Vec<E> = bias_f.as_slice().iter().map(|&v| E::from_f32(v)).collect();
+    let packed = PackedFilters::<E>::new(&filters, &bias_f);
     let window: Vec<E> = window_f
         .as_slice()
         .iter()
@@ -140,7 +139,6 @@ fn conv_case<E: Numeric>(
         &mut out_simd,
         &window,
         &packed,
-        &bias,
         Activation::Relu,
         in_ports,
         &mut scratch,
@@ -149,7 +147,6 @@ fn conv_case<E: Numeric>(
         &mut out_scalar,
         &window,
         &packed,
-        &bias,
         Activation::Relu,
         in_ports,
         &mut scratch,
@@ -161,7 +158,6 @@ fn conv_case<E: Numeric>(
             black_box(&mut out_simd),
             black_box(&window),
             &packed,
-            &bias,
             Activation::Relu,
             in_ports,
             &mut scratch,
@@ -172,7 +168,6 @@ fn conv_case<E: Numeric>(
             black_box(&mut out_scalar),
             black_box(&window),
             &packed,
-            &bias,
             Activation::Relu,
             in_ports,
             &mut scratch,

@@ -105,12 +105,12 @@ pub fn scale_shift_hw<E: Numeric>(scale: E, shift: E, x: f32) -> f32 {
 /// uses [`EXACT_LANES`] instead.
 pub const LANES: usize = 8;
 
-/// Conv filters repacked lane-major and quantised into the element type
-/// once at build time: filter `k` sits in lane `k % N` of block `k / N`,
-/// with `OUT_FM` padded up to a multiple of `N` by zero filters (computed,
-/// then discarded), so window position `pos` reads one `N`-wide row
-/// holding that weight of `N` filters. One layout per element type,
-/// chosen by [`Numeric::EXACT_SUM`]:
+/// A conv core's one store of quantised constants, for its stage and its
+/// actor: the bias, and the filters repacked lane-major. Filter `k` sits
+/// in lane `k % N` of block `k / N`, with `OUT_FM` padded up to a multiple
+/// of `N` by zero filters (computed, then discarded), so window position
+/// `pos` reads one `N`-wide row holding that weight of `N` filters. One
+/// layout per element type, chosen by [`Numeric::EXACT_SUM`]:
 ///
 /// * **exact sums** (fixed point): `[block][pos][EXACT_LANES]`, `N = 16`,
 ///   with `pos` in the input volume's native `(dy, dx, f)` order (the
@@ -127,6 +127,8 @@ pub const LANES: usize = 8;
 #[derive(Clone, Debug)]
 pub struct PackedFilters<E = f32> {
     data: Vec<E>,
+    /// One quantised bias per filter.
+    bias: Vec<E>,
     k: usize,
     /// Values per filter (`KH · KW · IN_FM`).
     stride: usize,
@@ -140,10 +142,11 @@ pub struct PackedFilters<E = f32> {
 
 impl<E: Numeric> PackedFilters<E> {
     /// Repack `filters` (native layout `(dy, dx, f)` per filter) into the
-    /// element type's layout, quantising each weight, and bound the lane
-    /// spill. Done once per layer at design/engine build time.
-    pub fn new(filters: &Tensor4<f32>) -> Self {
+    /// element type's layout, quantising each weight and each entry of
+    /// `bias`, and bound the lane spill. Done once per core or stage.
+    pub fn new(filters: &Tensor4<f32>, bias: &Tensor1<f32>) -> Self {
         let (k_count, kh, kw, in_fm) = (filters.k(), filters.kh(), filters.kw(), filters.c());
+        assert_eq!(bias.len(), k_count, "bias length mismatch");
         let stride = kh * kw * in_fm;
         let lanes = if E::EXACT_SUM { EXACT_LANES } else { LANES };
         let mut data = vec![E::zero(); k_count.next_multiple_of(lanes) * stride];
@@ -162,6 +165,7 @@ impl<E: Numeric> PackedFilters<E> {
         PackedFilters {
             spill: E::lane_spill(&data),
             data,
+            bias: bias.as_slice().iter().map(|&b| E::from_f32(b)).collect(),
             k: k_count,
             stride,
             win: kh * kw,
@@ -201,7 +205,6 @@ impl<E: Numeric> PackedFilters<E> {
 fn conv_exact_blocks<'a, E: Numeric, I>(
     out: &mut [E],
     filters: &'a PackedFilters<E>,
-    bias: &[E],
     activation: Activation,
     stride: usize,
     segments: impl Fn(&'a [[E; EXACT_LANES]]) -> I,
@@ -212,7 +215,7 @@ fn conv_exact_blocks<'a, E: Numeric, I>(
     for ((block, outs), biases) in rows
         .chunks_exact(filters.stride)
         .zip(out.chunks_mut(EXACT_LANES))
-        .zip(bias.chunks(EXACT_LANES))
+        .zip(filters.bias.chunks(EXACT_LANES))
     {
         let sums = E::mac_lanes(segments(block), stride, filters.spill);
         for ((slot, &s), &b) in outs.iter_mut().zip(&sums).zip(biases) {
@@ -300,16 +303,15 @@ pub fn conv_window_packed<E: Numeric>(
     out: &mut [E],
     window: &[E],
     filters: &PackedFilters<E>,
-    bias: &[E],
     activation: Activation,
     in_ports: usize,
     scratch: &mut [[E::Acc; LANES]],
 ) {
-    check_window_args(out, window, filters, bias, in_ports);
+    check_window_args(out, window, filters, in_ports);
     let (flen, win) = (filters.filter_len(), filters.window());
     if E::EXACT_SUM {
         let in_fm = flen / win;
-        conv_exact_blocks(out, filters, bias, activation, in_fm, |block| {
+        conv_exact_blocks(out, filters, activation, in_fm, |block| {
             window
                 .chunks_exact(win)
                 .enumerate()
@@ -329,7 +331,7 @@ pub fn conv_window_packed<E: Numeric>(
     for ((block, outs), biases) in rows
         .chunks_exact(flen)
         .zip(out.chunks_mut(LANES))
-        .zip(bias.chunks(LANES))
+        .zip(filters.bias.chunks(LANES))
     {
         let mut acc = [E::Acc::default(); LANES];
         for (a, b) in acc.iter_mut().zip(biases) {
@@ -365,19 +367,18 @@ pub fn conv_window_packed_scalar<E: Numeric>(
     out: &mut [E],
     window: &[E],
     filters: &PackedFilters<E>,
-    bias: &[E],
     activation: Activation,
     in_ports: usize,
     scratch: &mut [[E::Acc; LANES]],
 ) {
     if !E::EXACT_SUM {
-        return conv_window_packed(out, window, filters, bias, activation, in_ports, scratch);
+        return conv_window_packed(out, window, filters, activation, in_ports, scratch);
     }
-    check_window_args(out, window, filters, bias, in_ports);
+    check_window_args(out, window, filters, in_ports);
     let (flen, win) = (filters.filter_len(), filters.window());
     let in_fm = flen / win;
     let (rows, _) = filters.data.as_chunks::<EXACT_LANES>();
-    for (k, (slot, &b)) in out.iter_mut().zip(bias).enumerate() {
+    for (k, (slot, &b)) in out.iter_mut().zip(&filters.bias).enumerate() {
         let (block, lane) = (&rows[(k / EXACT_LANES) * flen..], k % EXACT_LANES);
         let mut acc = b.widen();
         // window (f, dy, dx) against rows (dy, dx, f)
@@ -395,13 +396,11 @@ fn check_window_args<E: Numeric>(
     out: &[E],
     window: &[E],
     filters: &PackedFilters<E>,
-    bias: &[E],
     in_ports: usize,
 ) {
     let flen = filters.filter_len();
     assert_eq!(out.len(), filters.k(), "output buffer length mismatch");
     assert_eq!(window.len(), flen, "window length mismatch");
-    assert_eq!(bias.len(), filters.k(), "bias length mismatch");
     assert_eq!(
         (flen / filters.window()) % in_ports,
         0,
@@ -409,25 +408,27 @@ fn check_window_args<E: Numeric>(
     );
 }
 
+/// The `1/n` a mean-pooling core scales an `n`-value window's sum by,
+/// before quantisation; the range analysis reads the same value.
+pub fn mean_reciprocal(n: usize) -> f32 {
+    1.0 / dfcnn_tensor::cast::len_to_f32(n)
+}
+
 /// Pooling of one per-channel window (`KH·KW` values in `(dy, dx)` order).
 /// Max-pooling compares sequentially (exact whatever the order);
-/// mean-pooling sums through a tree adder then scales by `1/(KH·KW)`, the
-/// hardware implementation of the mean.
-pub fn pool_window<E: Numeric>(kind: PoolKind, values: &[E]) -> E {
+/// mean-pooling sums through a tree adder then scales by `recip`, the
+/// quantised [`mean_reciprocal`] of the window size — the hardware
+/// implementation of the mean. Max-pooling ignores `recip`.
+pub fn pool_window<E: Numeric>(kind: PoolKind, values: &[E], recip: E) -> E {
     assert!(!values.is_empty(), "empty pooling window");
     match kind {
         PoolKind::Max => values.iter().copied().fold(E::min_value(), E::max_hw),
-        PoolKind::Mean => {
-            let t = TreeAdder::new(values.len());
-            t.sum(values) * E::from_f32(1.0 / dfcnn_tensor::cast::len_to_f32(values.len()))
-        }
+        PoolKind::Mean => TreeAdder::new(values.len()).sum(values) * recip,
     }
 }
 
-/// Reusable state for the FC hardware-order forward: the quantised weights
-/// and bias, the input staging buffer and, for rounding sums, the
-/// interleaved accumulator banks and their merge-tree rows. Constructed
-/// once per stage; [`fc_forward_into`] then allocates nothing.
+/// An FC core's one store of quantised constants, for its stage and its
+/// actor: the weights and the bias.
 ///
 /// The weights keep one layout per element type, chosen by
 /// [`Numeric::EXACT_SUM`]:
@@ -440,11 +441,46 @@ pub fn pool_window<E: Numeric>(kind: PoolKind, values: &[E]) -> E {
 ///   core's "all `OUT_FM` 1×1 convolutions of this input in the same
 ///   cycle".
 #[derive(Clone, Debug)]
-pub struct FcArena<E: Numeric = f32> {
+pub struct FcWeights<E = f32> {
     weights: Vec<E>,
     bias: Vec<E>,
     j_count: usize,
     inputs: usize,
+}
+
+impl<E: Numeric> FcWeights<E> {
+    /// Quantise weights and bias into the element type's layout.
+    pub fn new(weights: &Tensor4<f32>, bias: &Tensor1<f32>) -> Self {
+        let (j_count, inputs) = (weights.k(), weights.c());
+        assert_eq!(bias.len(), j_count, "bias length mismatch");
+        let j_pad = j_count.next_multiple_of(LANES);
+        let mut packed = vec![E::zero(); if E::EXACT_SUM { j_count } else { j_pad } * inputs];
+        for j in 0..j_count {
+            // output j's weights over every input, as a 1×1 filter
+            for (i, &w) in weights.filter(j).iter().enumerate() {
+                let at = if E::EXACT_SUM {
+                    j * inputs + i
+                } else {
+                    i * j_pad + j
+                };
+                packed[at] = E::from_f32(w);
+            }
+        }
+        FcWeights {
+            weights: packed,
+            bias: bias.as_slice().iter().map(|&b| E::from_f32(b)).collect(),
+            j_count,
+            inputs,
+        }
+    }
+}
+
+/// Reusable scratch for the FC hardware-order forward: the input staging
+/// buffer and, for rounding sums, the interleaved accumulator banks and
+/// their merge-tree rows. Constructed once per worker or actor;
+/// [`fc_forward_into`] then allocates nothing.
+#[derive(Clone, Debug)]
+pub struct FcArena<E: Numeric = f32> {
     /// Interleaved accumulator count `A`.
     bank_count: usize,
     /// Quantised input staging buffer.
@@ -457,49 +493,20 @@ pub struct FcArena<E: Numeric = f32> {
 }
 
 impl<E: Numeric> FcArena<E> {
-    /// Quantise weights and bias into the element type's layout, and size
-    /// the accumulator banks.
-    pub fn new(weights: &Tensor4<f32>, bias: &Tensor1<f32>, banks: usize) -> Self {
+    /// Size the staging buffer and the accumulator banks for `weights`.
+    pub fn new(weights: &FcWeights<E>, banks: usize) -> Self {
         assert!(banks >= 1, "need at least one accumulator");
-        let (j_count, inputs) = (weights.k(), weights.c());
-        assert_eq!(bias.len(), j_count, "bias length mismatch");
-        let j_pad = j_count.next_multiple_of(LANES);
-        let mut packed = vec![E::zero(); if E::EXACT_SUM { j_count } else { j_pad } * inputs];
-        for j in 0..j_count {
-            for i in 0..inputs {
-                let at = if E::EXACT_SUM {
-                    j * inputs + i
-                } else {
-                    i * j_pad + j
-                };
-                packed[at] = E::from_f32(weights.get(j, 0, 0, i));
-            }
-        }
         let (bank_rows, merge_rows) = if E::EXACT_SUM {
             (0, 0)
         } else {
-            (banks * j_pad / LANES, banks.div_ceil(2))
+            (banks * weights.j_count.div_ceil(LANES), banks.div_ceil(2))
         };
         FcArena {
-            weights: packed,
-            bias: bias.as_slice().iter().map(|&b| E::from_f32(b)).collect(),
-            j_count,
-            inputs,
             bank_count: banks,
-            xq: vec![E::zero(); inputs],
+            xq: vec![E::zero(); weights.inputs],
             banks: vec![[E::Acc::default(); LANES]; bank_rows],
             merge: vec![[E::Acc::default(); LANES]; merge_rows],
         }
-    }
-
-    /// Number of outputs (`OUT_FM`).
-    pub fn outputs(&self) -> usize {
-        self.j_count
-    }
-
-    /// Number of inputs.
-    pub fn inputs(&self) -> usize {
-        self.inputs
     }
 }
 
@@ -523,20 +530,22 @@ impl<E: Numeric> FcArena<E> {
 /// arithmetic, executed.
 pub fn fc_forward_into<E: Numeric>(
     out: &mut [f32],
+    weights: &FcWeights<E>,
     arena: &mut FcArena<E>,
     activation: Activation,
     input: &[f32],
 ) {
-    assert_eq!(input.len(), arena.inputs, "FC input length mismatch");
-    assert_eq!(out.len(), arena.j_count, "FC output length mismatch");
+    assert_eq!(input.len(), weights.inputs, "FC input length mismatch");
+    assert_eq!(out.len(), weights.j_count, "FC output length mismatch");
+    assert_eq!(arena.xq.len(), weights.inputs, "arena of another FC");
     for (q, &x) in arena.xq.iter_mut().zip(input) {
         *q = E::from_f32(x);
     }
     if E::EXACT_SUM {
         for ((o, row), &b) in out
             .iter_mut()
-            .zip(arena.weights.chunks_exact(arena.inputs))
-            .zip(&arena.bias)
+            .zip(weights.weights.chunks_exact(weights.inputs))
+            .zip(&weights.bias)
         {
             let acc = b.widen() + E::dot_acc(row, &arena.xq);
             *o = activate(activation, E::narrow(acc)).to_f32();
@@ -545,8 +554,8 @@ pub fn fc_forward_into<E: Numeric>(
     }
     // rounding accumulation: one row of products per input into bank
     // `i % A`, zeroed first as the hardware's accumulators are
-    let blocks = arena.j_count.div_ceil(LANES);
-    let (rows, _) = arena.weights.as_chunks::<LANES>();
+    let blocks = weights.j_count.div_ceil(LANES);
+    let (rows, _) = weights.weights.as_chunks::<LANES>();
     arena.banks.fill([E::Acc::default(); LANES]);
     let mut bank = 0;
     for (w, &x) in rows.chunks_exact(blocks).zip(&arena.xq) {
@@ -567,7 +576,7 @@ pub fn fc_forward_into<E: Numeric>(
     let (banks, merge) = (&arena.banks, &mut arena.merge);
     for (b, (outs, biases)) in out
         .chunks_mut(LANES)
-        .zip(arena.bias.chunks(LANES))
+        .zip(weights.bias.chunks(LANES))
         .enumerate()
     {
         let total = tree.sum_lanes(|m| banks[m * blocks + b], merge);
@@ -603,19 +612,18 @@ pub fn fc_forward(
         .collect()
 }
 
-/// Reusable scratch for the whole-image conv forward: packed (quantised)
-/// filters and bias, the quantised input volume, the window and output
-/// staging buffers, and the tree adder's lane rows
-/// ([`PackedFilters::scratch_len`]). Constructed once per stage;
-/// [`conv_forward_hw_into`] then allocates nothing per image.
+/// Reusable scratch for the whole-image conv forward: the quantised input
+/// volume, the window and output staging buffers, and the tree adder's
+/// lane rows ([`PackedFilters::scratch_len`]). The constants stay in the
+/// [`PackedFilters`] store, which the workers of a stage share.
+/// Constructed once per worker; [`conv_forward_hw_into`] then allocates
+/// nothing per image.
 ///
 /// The window buffer follows the filters' layout: `(f, dy, dx)` for
 /// rounding sums, where every window is gathered; the native `(dy, dx, f)`
 /// for exact sums, where only windows that overlap the padding are.
 #[derive(Clone, Debug)]
 pub struct ConvArena<E: Numeric = f32> {
-    packed: PackedFilters<E>,
-    bias: Vec<E>,
     /// The input volume quantised into `E`, refilled once per image.
     qin: Vec<E>,
     window: Vec<E>,
@@ -624,19 +632,11 @@ pub struct ConvArena<E: Numeric = f32> {
 }
 
 impl<E: Numeric> ConvArena<E> {
-    /// Pack and quantise the layer's filters and size every buffer.
-    pub fn new(conv: &Conv2d, in_ports: usize) -> Self {
+    /// Size every buffer for the layer, its `filters` and `in_ports`.
+    pub fn new(conv: &Conv2d, filters: &PackedFilters<E>, in_ports: usize) -> Self {
         let geo = conv.geometry();
-        let packed = PackedFilters::new(conv.filters());
         ConvArena {
-            scratch: vec![[E::Acc::default(); LANES]; packed.scratch_len(in_ports)],
-            packed,
-            bias: conv
-                .bias()
-                .as_slice()
-                .iter()
-                .map(|&b| E::from_f32(b))
-                .collect(),
+            scratch: vec![[E::Acc::default(); LANES]; filters.scratch_len(in_ports)],
             qin: vec![E::zero(); geo.input.len()],
             window: vec![E::zero(); geo.window_volume()],
             outvals: vec![E::zero(); conv.out_maps()],
@@ -662,6 +662,7 @@ impl<E: Numeric> ConvArena<E> {
 /// bit what the per-window activation gives.
 pub fn conv_forward_hw_into<E: Numeric>(
     conv: &Conv2d,
+    filters: &PackedFilters<E>,
     in_ports: usize,
     input: &Tensor3<f32>,
     out: &mut Tensor3<f32>,
@@ -677,7 +678,7 @@ pub fn conv_forward_hw_into<E: Numeric>(
     }
     if E::EXACT_SUM {
         assert_eq!(in_fm % in_ports, 0, "ports must divide channels");
-        return conv_exact_image(conv, out, arena);
+        return conv_exact_image(conv, filters, out, arena);
     }
     let src = &arena.qin;
     let (ow, k_count) = (geo.out_w(), conv.out_maps());
@@ -712,8 +713,7 @@ pub fn conv_forward_hw_into<E: Numeric>(
         conv_window_packed(
             &mut arena.outvals,
             &arena.window,
-            &arena.packed,
-            &arena.bias,
+            filters,
             Activation::Identity,
             in_ports,
             &mut arena.scratch,
@@ -729,13 +729,16 @@ pub fn conv_forward_hw_into<E: Numeric>(
 
 /// [`conv_forward_hw_into`]'s window loop for exact sums, once `qin` is
 /// filled.
-fn conv_exact_image<E: Numeric>(conv: &Conv2d, out: &mut Tensor3<f32>, arena: &mut ConvArena<E>) {
+fn conv_exact_image<E: Numeric>(
+    conv: &Conv2d,
+    filters: &PackedFilters<E>,
+    out: &mut Tensor3<f32>,
+    arena: &mut ConvArena<E>,
+) {
     let geo = *conv.geometry();
     let (kh, kw, in_fm) = (geo.kh, geo.kw, geo.input.c);
     let (h, w) = (geo.input.h, geo.input.w);
     let ConvArena {
-        packed,
-        bias,
         qin,
         window,
         outvals,
@@ -748,7 +751,7 @@ fn conv_exact_image<E: Numeric>(conv: &Conv2d, out: &mut Tensor3<f32>, arena: &m
             y0 >= 0 && x0 >= 0 && y0 + kh as isize <= h as isize && x0 + kw as isize <= w as isize;
         if inside {
             let base = (y0 as usize * w + x0 as usize) * in_fm;
-            conv_exact_blocks(outvals, packed, bias, activation, 1, |block| {
+            conv_exact_blocks(outvals, filters, activation, 1, |block| {
                 (0..kh).map(move |dy| {
                     (
                         &qin[base + dy * w * in_fm..][..run],
@@ -768,9 +771,7 @@ fn conv_exact_image<E: Numeric>(conv: &Conv2d, out: &mut Tensor3<f32>, arena: &m
                 }
             }
             let window = window.as_slice();
-            conv_exact_blocks(outvals, packed, bias, activation, 1, |block| {
-                [(window, block)]
-            });
+            conv_exact_blocks(outvals, filters, activation, 1, |block| [(window, block)]);
         }
         let (oy, ox) = (pos / ow, pos % ow);
         let dst = &mut out.as_mut_slice()[(oy * ow + ox) * k_count..(oy * ow + ox + 1) * k_count];
@@ -787,8 +788,9 @@ fn conv_exact_image<E: Numeric>(conv: &Conv2d, out: &mut Tensor3<f32>, arena: &m
 /// equivalence.
 pub fn conv_forward_hw(conv: &Conv2d, in_ports: usize, input: &Tensor3<f32>) -> Tensor3<f32> {
     let mut out = Tensor3::zeros(conv.output_shape());
-    let mut arena = ConvArena::<f32>::new(conv, in_ports);
-    conv_forward_hw_into(conv, in_ports, input, &mut out, &mut arena);
+    let filters = PackedFilters::<f32>::new(conv.filters(), conv.bias());
+    let mut arena = ConvArena::new(conv, &filters, in_ports);
+    conv_forward_hw_into(conv, &filters, in_ports, input, &mut out, &mut arena);
     out
 }
 
@@ -796,14 +798,17 @@ pub fn conv_forward_hw(conv: &Conv2d, in_ports: usize, input: &Tensor3<f32>) -> 
 #[derive(Clone, Debug)]
 pub struct PoolArena<E = f32> {
     vals: Vec<E>,
+    /// The quantised [`mean_reciprocal`] of the window size.
+    recip: E,
 }
 
 impl<E: Numeric> PoolArena<E> {
-    /// Size the per-channel window buffer.
+    /// Size the per-channel window buffer and quantise the mean's scale.
     pub fn new(pool: &Pool2d) -> Self {
-        let geo = pool.geometry();
+        let win = pool.geometry().kh * pool.geometry().kw;
         PoolArena {
-            vals: vec![E::zero(); geo.kh * geo.kw],
+            vals: vec![E::zero(); win],
+            recip: E::from_f32(mean_reciprocal(win)),
         }
     }
 }
@@ -832,7 +837,8 @@ pub fn pool_forward_hw_into<E: Numeric>(
                     i += 1;
                 }
             }
-            out.set(oy, ox, c, pool_window(pool.kind(), &arena.vals).to_f32());
+            let v = pool_window(pool.kind(), &arena.vals, arena.recip);
+            out.set(oy, ox, c, v.to_f32());
         }
     }
 }
@@ -848,6 +854,7 @@ pub fn pool_forward_hw(pool: &Pool2d, input: &Tensor3<f32>) -> Tensor3<f32> {
 /// Whole-image FC forward pass in hardware order, allocation-free.
 pub fn fc_forward_hw_into<E: Numeric>(
     linear: &Linear,
+    weights: &FcWeights<E>,
     input: &Tensor3<f32>,
     out: &mut Tensor3<f32>,
     arena: &mut FcArena<E>,
@@ -859,6 +866,7 @@ pub fn fc_forward_hw_into<E: Numeric>(
     );
     fc_forward_into(
         out.as_mut_slice(),
+        weights,
         arena,
         linear.activation(),
         input.as_slice(),
@@ -994,8 +1002,12 @@ mod tests {
 
     #[test]
     fn pool_window_max_and_mean() {
-        assert_eq!(pool_window(PoolKind::Max, &[1.0f32, 5.0, -2.0, 3.0]), 5.0);
-        assert!((pool_window(PoolKind::Mean, &[1.0f32, 2.0, 3.0, 6.0]) - 3.0).abs() < 1e-7);
+        let recip = mean_reciprocal(4);
+        assert_eq!(
+            pool_window(PoolKind::Max, &[1.0f32, 5.0, -2.0, 3.0], recip),
+            5.0
+        );
+        assert!((pool_window(PoolKind::Mean, &[1.0f32, 2.0, 3.0, 6.0], recip) - 3.0).abs() < 1e-7);
     }
 
     #[test]
@@ -1064,7 +1076,7 @@ mod tests {
             for (kh, kw) in [(1usize, 1usize), (3, 3), (5, 5), (1, 3), (5, 3)] {
                 let filters = dfcnn_tensor::init::conv_filters(&mut rng, k, kh, kw, in_fm);
                 let bias = dfcnn_tensor::init::random_vector(&mut rng, k, -0.1, 0.1);
-                let packed = PackedFilters::<f32>::new(&filters);
+                let packed = PackedFilters::<f32>::new(&filters, &bias);
                 let len = kh * kw * in_fm;
                 let uniform = dfcnn_tensor::init::random_vector(&mut rng, len, -1.0, 1.0);
                 let inputs = [
@@ -1081,7 +1093,6 @@ mod tests {
                             &mut out_packed,
                             window,
                             &packed,
-                            bias.as_slice(),
                             *act,
                             in_ports,
                             &mut scratch,
@@ -1127,8 +1138,7 @@ mod tests {
         x: &Tensor3<f32>,
     ) -> Tensor3<f32> {
         let geo = *conv.geometry();
-        let packed = PackedFilters::<E>::new(conv.filters());
-        let bias = q::<E>(conv.bias().as_slice());
+        let packed = PackedFilters::<E>::new(conv.filters(), conv.bias());
         let mut window = vec![E::zero(); geo.window_volume()];
         let mut scratch = vec![[E::Acc::default(); LANES]; packed.scratch_len(in_ports)];
         let mut outvals = vec![E::zero(); conv.out_maps()];
@@ -1147,7 +1157,6 @@ mod tests {
                 &mut outvals,
                 &window,
                 &packed,
-                &bias,
                 Activation::Identity,
                 in_ports,
                 &mut scratch,
@@ -1168,10 +1177,11 @@ mod tests {
         x: &Tensor3<f32>,
     ) {
         let reference = conv_tanh_per_window_reference::<E>(conv, in_ports, x);
-        let mut arena = ConvArena::<E>::new(conv, in_ports);
+        let packed = PackedFilters::<E>::new(conv.filters(), conv.bias());
+        let mut arena = ConvArena::new(conv, &packed, in_ports);
         for _ in 0..2 {
             let mut got = Tensor3::zeros(conv.output_shape());
-            conv_forward_hw_into(conv, in_ports, x, &mut got, &mut arena);
+            conv_forward_hw_into(conv, &packed, in_ports, x, &mut got, &mut arena);
             assert_eq!(
                 got,
                 reference,
@@ -1254,7 +1264,7 @@ mod tests {
     /// image.
     fn assert_f32_conv_matches_per_window(conv: &Conv2d, in_ports: usize, x: &Tensor3<f32>) {
         let geo = *conv.geometry();
-        let packed = PackedFilters::<f32>::new(conv.filters());
+        let packed = PackedFilters::<f32>::new(conv.filters(), conv.bias());
         let mut scratch = vec![[0.0f32; LANES]; packed.scratch_len(in_ports)];
         let mut window = vec![0.0f32; geo.window_volume()];
         let mut outvals = vec![0.0f32; conv.out_maps()];
@@ -1279,12 +1289,10 @@ mod tests {
                 act,
                 in_ports,
             );
-            let bias = conv.bias().as_slice();
             conv_window_packed(
                 &mut packed_vals,
                 &window,
                 &packed,
-                bias,
                 act,
                 in_ports,
                 &mut scratch,
@@ -1295,10 +1303,10 @@ mod tests {
                 reference.set(pos / ow, pos % ow, kk, v);
             }
         }
-        let mut arena = ConvArena::<f32>::new(conv, in_ports);
+        let mut arena = ConvArena::new(conv, &packed, in_ports);
         for _ in 0..2 {
             let mut got = Tensor3::zeros(conv.output_shape());
-            conv_forward_hw_into(conv, in_ports, x, &mut got, &mut arena);
+            conv_forward_hw_into(conv, &packed, in_ports, x, &mut got, &mut arena);
             assert_eq!(
                 got,
                 reference,
@@ -1339,16 +1347,17 @@ mod tests {
                 (uniform.as_slice().to_vec(), Activation::Tanh),
                 (mixed_magnitudes(&mut rng, inputs), Activation::Identity),
             ];
+            let weights = FcWeights::<f32>::new(&w, &b);
             for banks in [1usize, 4, 11, 16] {
-                let mut arena = FcArena::<f32>::new(&w, &b, banks);
+                let mut arena = FcArena::new(&weights, banks);
                 for (x, act) in &xs {
                     let reference = fc_forward(&w, &b, *act, x, banks);
                     let mut out = vec![0.0f32; j];
-                    fc_forward_into(&mut out, &mut arena, *act, x);
+                    fc_forward_into(&mut out, &weights, &mut arena, *act, x);
                     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&out), bits(&reference), "j = {j}, banks = {banks}");
                     // arena reuse: second call must reset cleanly
-                    fc_forward_into(&mut out, &mut arena, *act, x);
+                    fc_forward_into(&mut out, &weights, &mut arena, *act, x);
                     assert_eq!(bits(&out), bits(&reference));
                     if *act == Activation::Identity {
                         reorder_visible |= (0..j).any(|jj| {
@@ -1429,19 +1438,18 @@ mod tests {
     /// `(f, dy, dx)` window, the form the simulator's conv core calls.
     fn assert_packed_lanes_equal_scalar<E: Numeric>(
         filters: &Tensor4<f32>,
-        bias: &[f32],
+        bias: &Tensor1<f32>,
         window: &[f32],
         in_ports: usize,
     ) -> PackedFilters<E> {
-        let packed = PackedFilters::<E>::new(filters);
-        let (bias, window) = (q::<E>(bias), q::<E>(window));
+        let packed = PackedFilters::<E>::new(filters, bias);
+        let window = q::<E>(window);
         let mut out_lanes = vec![E::zero(); filters.k()];
         let mut out_scalar = vec![E::zero(); filters.k()];
         conv_window_packed(
             &mut out_lanes,
             &window,
             &packed,
-            &bias,
             Activation::Tanh,
             in_ports,
             &mut [],
@@ -1450,7 +1458,6 @@ mod tests {
             &mut out_scalar,
             &window,
             &packed,
-            &bias,
             Activation::Tanh,
             in_ports,
             &mut [],
@@ -1478,15 +1485,15 @@ mod tests {
                 for in_ports in [1usize, 2, 3, 6] {
                     let window =
                         dfcnn_tensor::init::random_vector(&mut rng, kh * kw * in_fm, -1.0, 1.0);
-                    let (b, w) = (bias.as_slice(), window.as_slice());
-                    assert_packed_lanes_equal_scalar::<Q>(&filters, b, w, in_ports);
-                    assert_packed_lanes_equal_scalar::<Fixed8<4>>(&filters, b, w, in_ports);
+                    let w = window.as_slice();
+                    assert_packed_lanes_equal_scalar::<Q>(&filters, &bias, w, in_ports);
+                    assert_packed_lanes_equal_scalar::<Fixed8<4>>(&filters, &bias, w, in_ports);
                 }
             }
         }
         // storage extremes: an undersized lane spill overflows an i32 lane,
         // which panics under overflow checks
-        let bias = vec![0.0f32; 17];
+        let bias = Tensor1::zeros(17);
         for (kh, kw) in WINDOWS {
             let len = kh * kw * in_fm;
             let window = vec![Q::MIN.to_f32(); len];
@@ -1515,9 +1522,10 @@ mod tests {
         let (conv, x) = random_conv(15, 6, 3, 5);
         let mut outs = Vec::new();
         for in_ports in [1usize, 2, 3, 6] {
-            let mut arena = ConvArena::<Q>::new(&conv, in_ports);
+            let packed = PackedFilters::<Q>::new(conv.filters(), conv.bias());
+            let mut arena = ConvArena::new(&conv, &packed, in_ports);
             let mut out = Tensor3::zeros(conv.output_shape());
-            conv_forward_hw_into(&conv, in_ports, &x, &mut out, &mut arena);
+            conv_forward_hw_into(&conv, &packed, in_ports, &x, &mut out, &mut arena);
             outs.push(out);
         }
         for o in &outs[1..] {
@@ -1529,9 +1537,10 @@ mod tests {
     fn conv_fixed_close_to_f32_reference() {
         let (conv, x) = random_conv(16, 4, 3, 6);
         let f32_out = conv_forward_hw(&conv, 2, &x);
-        let mut arena = ConvArena::<Q>::new(&conv, 2);
+        let packed = PackedFilters::<Q>::new(conv.filters(), conv.bias());
+        let mut arena = ConvArena::new(&conv, &packed, 2);
         let mut out = Tensor3::zeros(conv.output_shape());
-        conv_forward_hw_into(&conv, 2, &x, &mut out, &mut arena);
+        conv_forward_hw_into(&conv, &packed, 2, &x, &mut out, &mut arena);
         // tanh conv over unit inputs: quantisation error stays small
         assert!(
             out.max_abs_diff(&f32_out) < 0.05,
@@ -1549,10 +1558,17 @@ mod tests {
         let b = dfcnn_tensor::init::random_vector(&mut rng, 7, -0.1, 0.1);
         let x = dfcnn_tensor::init::random_volume(&mut rng, Shape3::new(1, 1, 90), -1.0, 1.0);
         let mut outs = Vec::new();
+        let weights = FcWeights::<Q>::new(&w, &b);
         for banks in [1usize, 4, 11] {
-            let mut arena = FcArena::<Q>::new(&w, &b, banks);
+            let mut arena = FcArena::new(&weights, banks);
             let mut out = vec![0.0f32; 7];
-            fc_forward_into(&mut out, &mut arena, Activation::Tanh, x.as_slice());
+            fc_forward_into(
+                &mut out,
+                &weights,
+                &mut arena,
+                Activation::Tanh,
+                x.as_slice(),
+            );
             outs.push(out);
         }
         assert_eq!(outs[0], outs[1]);
@@ -1567,9 +1583,10 @@ mod tests {
         let fc = Linear::new(w, b, Activation::Identity);
         let x = dfcnn_tensor::init::random_volume(&mut rng, Shape3::new(1, 1, 64), -1.0, 1.0);
         let f32_out = fc_forward_hw(&fc, 11, &x);
-        let mut arena = FcArena::<Q>::new(fc.weights(), fc.bias(), 11);
+        let weights = FcWeights::<Q>::new(fc.weights(), fc.bias());
+        let mut arena = FcArena::new(&weights, 11);
         let mut out = Tensor3::zeros(Shape3::new(1, 1, 10));
-        fc_forward_hw_into(&fc, &x, &mut out, &mut arena);
+        fc_forward_hw_into(&fc, &weights, &x, &mut out, &mut arena);
         assert!(
             out.max_abs_diff(&f32_out) < 0.1,
             "diff = {}",
@@ -1580,8 +1597,9 @@ mod tests {
     #[test]
     fn pool_fixed_max_is_exact_and_mean_is_close() {
         let vals = q::<Q>(&[1.0, 5.0, -2.0, 3.0]);
-        assert_eq!(pool_window(PoolKind::Max, &vals).to_f32(), 5.0);
-        let mean = pool_window(PoolKind::Mean, &q::<Q>(&[1.0, 2.0, 3.0, 6.0])).to_f32();
+        let recip = Q::from_f32(mean_reciprocal(4));
+        assert_eq!(pool_window(PoolKind::Max, &vals, recip).to_f32(), 5.0);
+        let mean = pool_window(PoolKind::Mean, &q::<Q>(&[1.0, 2.0, 3.0, 6.0]), recip).to_f32();
         assert!((mean - 3.0).abs() < 2.0 * dfcnn_tensor::cast::f64_to_f32(Q::epsilon()) + 1e-6);
     }
 
@@ -1610,5 +1628,166 @@ mod tests {
         let prob_sum: f32 = out.iter().map(|v| v.exp()).sum();
         // scores are quantised to Q's LSB, so the probability sum loosens
         assert!((prob_sum - 1.0).abs() < 0.05, "sum = {prob_sum}");
+    }
+
+    // ---- the range proof reads these stores' bits ----------------------
+
+    /// The raw integer of a stored value; f32 has none.
+    trait Raw: Numeric {
+        fn raw_i64(self) -> Option<i64>;
+    }
+
+    impl Raw for f32 {
+        fn raw_i64(self) -> Option<i64> {
+            None
+        }
+    }
+
+    impl<const F: u32> Raw for Fixed16<F> {
+        fn raw_i64(self) -> Option<i64> {
+            Some(self.raw().into())
+        }
+    }
+
+    impl<const F: u32> Raw for Fixed8<F> {
+        fn raw_i64(self) -> Option<i64> {
+            Some(self.raw().into())
+        }
+    }
+
+    /// What [`crate::range::mac_transfer`] must report for one output
+    /// channel, folded straight from the quantised weights and bias a
+    /// store holds: the widened `[pos·lo + neg·hi + b, pos·hi + neg·lo + b]`
+    /// and `Σ|w_raw|·max|x_raw| + |b_raw|·2^FRAC`.
+    fn brute_fold<E: Raw>(
+        spec: dfcnn_tensor::NumericSpec,
+        input: crate::range::Interval,
+        ws: impl Iterator<Item = E>,
+        b: E,
+    ) -> (crate::range::Interval, Option<u128>) {
+        let ws: Vec<E> = ws.collect();
+        let q_in = crate::range::quantize_interval(spec, input);
+        let (mut pos, mut neg) = (0.0f64, 0.0f64);
+        for &w in &ws {
+            let v = f64::from(w.to_f32());
+            if v >= 0.0 {
+                pos += v;
+            } else {
+                neg += v;
+            }
+        }
+        let b_val = f64::from(b.to_f32());
+        let pre = crate::range::Interval::new(
+            pos * q_in.lo + neg * q_in.hi + b_val,
+            pos * q_in.hi + neg * q_in.lo + b_val,
+        );
+        let raw = |v: E| v.raw_i64().map(|r| u128::from(r.unsigned_abs()));
+        let acc = raw(b).map(|b_raw| {
+            let ends = [input.lo, input.hi]
+                .map(|v| raw(E::from_f32(dfcnn_tensor::cast::f64_to_f32(v))).unwrap());
+            let w_raw: u128 = ws.iter().filter_map(|&w| raw(w)).sum();
+            w_raw * ends[0].max(ends[1]) + (b_raw << spec.frac().unwrap())
+        });
+        (pre.widen(crate::range::spec_slack(spec, pre)), acc)
+    }
+
+    /// Weights and biases at the quantisers' edges: rounding ties
+    /// `(k + ½)·ε` of every supported FRAC, values beyond every container,
+    /// subnormals and −0.
+    fn edge_constants(n: usize) -> Vec<f32> {
+        let mut pool = vec![-0.0f32, 0.0, 300.0, -1e6, 2.0, -2.0];
+        pool.extend([
+            f32::from_bits(1),
+            -f32::from_bits(3),
+            f32::MIN_POSITIVE / 4.0,
+        ]);
+        for frac in [4, 6, 8, 10, 12] {
+            let eps = 0.5f32.powi(frac);
+            for k in [0.0f32, 1.0, 2.0, 7.0, 100.0] {
+                pool.extend([(k + 0.5) * eps, -(k + 0.5) * eps]);
+            }
+        }
+        pool.iter().cycle().take(n).copied().collect()
+    }
+
+    /// Channel by channel, [`crate::range::mac_transfer`] over a layer's
+    /// f32 weights equals [`brute_fold`] over the conv and FC stores'
+    /// values (padding lanes are never read), for one element type.
+    fn assert_range_proof_folds_store_values<E: Raw>(spec: dfcnn_tensor::NumericSpec) {
+        use crate::range::{mac_transfer, Interval, Quantiser};
+        let q = Quantiser::new(spec).unwrap();
+        // ends that are ties at FRAC 4
+        let input = Interval::new(-0.53125, 0.75);
+        // 17 filters: partial blocks in both lane widths
+        let (k, kh, kw, c) = (17, 2, 2, 3);
+        let filters = Tensor4::from_vec(k, kh, kw, c, edge_constants(k * kh * kw * c));
+        let bias = Tensor1::from_vec(edge_constants(k + 5)[5..].to_vec());
+        let packed = PackedFilters::<E>::new(&filters, &bias);
+        for kk in 0..k {
+            let channel = (filters.filter(kk), bias.get(kk));
+            let t = mac_transfer(q, input, [channel], Activation::Identity);
+            let lanes = if E::EXACT_SUM { EXACT_LANES } else { LANES };
+            let at = |n: usize| {
+                // the layouts of `PackedFilters::new`
+                let pos = if E::EXACT_SUM {
+                    n
+                } else {
+                    (n % c) * kh * kw + n / c
+                };
+                ((kk / lanes) * packed.stride + pos) * lanes + kk % lanes
+            };
+            let ws = (0..packed.stride).map(|n| packed.data[at(n)]);
+            let (pre, acc) = brute_fold(spec, input, ws, packed.bias[kk]);
+            assert_eq!(t.pre, Some(pre), "conv filter {kk} under {}", spec.label());
+            assert_eq!(t.acc_abs, acc, "conv filter {kk} under {}", spec.label());
+        }
+        let (j, inputs) = (10, 29);
+        let weights = Tensor4::from_vec(
+            j,
+            1,
+            1,
+            inputs,
+            edge_constants(j * inputs + 3)[3..].to_vec(),
+        );
+        let bias = Tensor1::from_vec(edge_constants(j + 1)[1..].to_vec());
+        let store = FcWeights::<E>::new(&weights, &bias);
+        for jj in 0..j {
+            let channel = (weights.filter(jj), bias.get(jj));
+            let t = mac_transfer(q, input, [channel], Activation::Identity);
+            // the layouts of `FcWeights::new`
+            let at = |i: usize| {
+                if E::EXACT_SUM {
+                    jj * inputs + i
+                } else {
+                    i * j.next_multiple_of(LANES) + jj
+                }
+            };
+            let ws = (0..inputs).map(|i| store.weights[at(i)]);
+            let (pre, acc) = brute_fold(spec, input, ws, store.bias[jj]);
+            assert_eq!(t.pre, Some(pre), "fc output {jj} under {}", spec.label());
+            assert_eq!(t.acc_abs, acc, "fc output {jj} under {}", spec.label());
+        }
+    }
+
+    #[test]
+    fn range_proof_folds_the_stores_quantised_constants() {
+        use dfcnn_tensor::NumericSpec;
+        let checked = [
+            NumericSpec::F32,
+            NumericSpec::Fixed16 { frac: 6 },
+            NumericSpec::Fixed16 { frac: 8 },
+            NumericSpec::Fixed16 { frac: 10 },
+            NumericSpec::Fixed16 { frac: 12 },
+            NumericSpec::Fixed8 { frac: 4 },
+            NumericSpec::Fixed8 { frac: 6 },
+        ];
+        assert_eq!(checked.to_vec(), NumericSpec::supported());
+        assert_range_proof_folds_store_values::<f32>(checked[0]);
+        assert_range_proof_folds_store_values::<Fixed16<6>>(checked[1]);
+        assert_range_proof_folds_store_values::<Fixed16<8>>(checked[2]);
+        assert_range_proof_folds_store_values::<Fixed16<10>>(checked[3]);
+        assert_range_proof_folds_store_values::<Fixed16<12>>(checked[4]);
+        assert_range_proof_folds_store_values::<Fixed8<4>>(checked[5]);
+        assert_range_proof_folds_store_values::<Fixed8<6>>(checked[6]);
     }
 }

@@ -135,17 +135,6 @@ impl CoreModel for DemuxModel {
         adapter_interval(core)
     }
 
-    fn range_transfer(
-        &self,
-        _design: &NetworkDesign,
-        _core: &CoreInfo,
-        _spec: dfcnn_tensor::NumericSpec,
-        inputs: &[crate::range::Interval],
-    ) -> crate::range::Transfer {
-        // pure port plumbing: values are re-ordered, never transformed
-        crate::range::Transfer::identity(inputs)
-    }
-
     fn block_label(&self, core: &CoreInfo) -> String {
         adapter_block_label(core)
     }
@@ -189,17 +178,6 @@ impl CoreModel for WidenModel {
 
     fn estimate_interval(&self, core: &CoreInfo, _config: &DesignConfig) -> u64 {
         adapter_interval(core)
-    }
-
-    fn range_transfer(
-        &self,
-        _design: &NetworkDesign,
-        _core: &CoreInfo,
-        _spec: dfcnn_tensor::NumericSpec,
-        inputs: &[crate::range::Interval],
-    ) -> crate::range::Transfer {
-        // pure port plumbing: values are re-ordered, never transformed
-        crate::range::Transfer::identity(inputs)
     }
 
     fn block_label(&self, core: &CoreInfo) -> String {

@@ -256,19 +256,6 @@ impl CoreModel for ConcatJoinModel {
         core.positions * core.params.ii as u64
     }
 
-    fn range_transfer(
-        &self,
-        _design: &NetworkDesign,
-        _core: &CoreInfo,
-        _spec: dfcnn_tensor::NumericSpec,
-        inputs: &[crate::range::Interval],
-    ) -> crate::range::Transfer {
-        // the join routes operand values verbatim (no arithmetic, no
-        // re-quantisation), so its stream's interval is the exact union of
-        // the operand intervals
-        crate::range::Transfer::identity(inputs)
-    }
-
     fn static_profile(&self, _design: &NetworkDesign, core: &CoreInfo) -> StaticProfile {
         let p = &core.params;
         StaticProfile {

@@ -14,6 +14,7 @@ use dfcnn_nn::act::Activation;
 use dfcnn_nn::layer::{Conv2d, Layer};
 use dfcnn_tensor::{with_numeric, Numeric, Shape3, Tensor3};
 use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 
 /// The conv [`CoreModel`].
 pub struct ConvModel;
@@ -27,10 +28,10 @@ fn conv_layer(layer: &Layer) -> &Conv2d {
 
 /// The conv compute body (Algorithm 1): all `OUT_FM` outputs of one
 /// window in hardware order. Filters and bias are quantised once at
-/// build time; outputs are dequantised for the `f32` stream transport.
+/// build time ([`PackedFilters`]); outputs are dequantised for the `f32`
+/// stream transport.
 pub struct ConvBody<E: Numeric> {
     filters: PackedFilters<E>,
-    bias: Vec<E>,
     activation: Activation,
     in_ports: usize,
     out: Vec<E>,
@@ -43,7 +44,6 @@ impl<E: Numeric> WindowBody<E> for ConvBody<E> {
             &mut self.out,
             window,
             &self.filters,
-            &self.bias,
             self.activation,
             self.in_ports,
             &mut self.scratch,
@@ -74,16 +74,10 @@ impl<E: Numeric> ConvCore<E> {
         let in_ports = in_chs.len();
         let group_len = in_ports * geo.kh * geo.kw;
         let depth = LoopNest::conv_body_depth(group_len, ops) as u64;
-        let filters = PackedFilters::new(conv.filters());
+        let filters = PackedFilters::new(conv.filters(), conv.bias());
         let body = ConvBody {
             scratch: vec![[E::Acc::default(); LANES]; filters.scratch_len(in_ports)],
             filters,
-            bias: conv
-                .bias()
-                .as_slice()
-                .iter()
-                .map(|&b| E::from_f32(b))
-                .collect(),
             activation: conv.activation(),
             in_ports,
             out: vec![E::zero(); conv.out_maps()],
@@ -94,13 +88,21 @@ impl<E: Numeric> ConvCore<E> {
 
 struct ConvWorker<E: Numeric> {
     layer: Conv2d,
+    filters: Arc<PackedFilters<E>>,
     in_ports: usize,
     arena: Box<ConvArena<E>>,
 }
 
 impl<E: Numeric> StageWorker for ConvWorker<E> {
     fn apply_into(&mut self, input: &Tensor3<f32>, out: &mut Tensor3<f32>) {
-        conv_forward_hw_into(&self.layer, self.in_ports, input, out, &mut self.arena);
+        conv_forward_hw_into(
+            &self.layer,
+            &self.filters,
+            self.in_ports,
+            input,
+            out,
+            &mut self.arena,
+        );
     }
 }
 
@@ -149,7 +151,7 @@ impl CoreModel for ConvModel {
         &self,
         design: &NetworkDesign,
         core: &CoreInfo,
-        spec: dfcnn_tensor::NumericSpec,
+        quantiser: crate::range::Quantiser,
         inputs: &[crate::range::Interval],
     ) -> crate::range::Transfer {
         let idx = core.layer_index.expect("conv core has a layer");
@@ -161,14 +163,9 @@ impl CoreModel for ConvModel {
         }
         let f = c.filters();
         let bias = c.bias().as_slice();
-        let channels = (0..f.k()).map(|k| {
-            let weights = (0..f.kh()).flat_map(move |dy| {
-                (0..f.kw())
-                    .flat_map(move |dx| (0..f.c()).map(move |ch| f64::from(f.get(k, dy, dx, ch))))
-            });
-            (weights, f64::from(bias[k]))
-        });
-        crate::range::mac_transfer(spec, input, channels, c.activation())
+        // per channel in the native (dy, dx, ch) order: the f32 fold rounds
+        let channels = (0..f.k()).map(|k| (f.filter(k), bias[k]));
+        crate::range::mac_transfer(quantiser, input, channels, c.activation())
     }
 
     fn static_profile(&self, design: &NetworkDesign, core: &CoreInfo) -> StaticProfile {
@@ -298,17 +295,20 @@ impl CoreModel for ConvModel {
     ) -> Option<StageSpec> {
         let c = conv_layer(&design.network().layers()[core.layer_index?]).clone();
         let in_ports = core.params.in_ports;
-        Some(with_numeric!(design.config().numeric, E => StageSpec::new(
-            core.name.clone(),
-            c.output_shape(),
-            move || {
-                Box::new(ConvWorker::<E> {
-                    arena: Box::new(ConvArena::new(&c, in_ports)),
+        Some(with_numeric!(design.config().numeric, E => {
+            // quantised by the stage's first worker, shared with the rest
+            let filters = OnceLock::new();
+            StageSpec::new(core.name.clone(), c.output_shape(), move || {
+                let filters: &Arc<PackedFilters<E>> =
+                    filters.get_or_init(|| Arc::new(PackedFilters::new(c.filters(), c.bias())));
+                Box::new(ConvWorker {
+                    arena: Box::new(ConvArena::new(&c, filters, in_ports)),
+                    filters: Arc::clone(filters),
                     layer: c.clone(),
                     in_ports,
                 })
-            },
-        )))
+            })
+        }))
     }
 }
 
@@ -418,8 +418,9 @@ mod tests {
         ) {
             let (got, _) = run_core::<E>(conv, in_ports, out_ports, ii, img);
             let mut expect = Tensor3::zeros(conv.output_shape());
-            let mut arena = ConvArena::<E>::new(conv, in_ports);
-            conv_forward_hw_into(conv, in_ports, img, &mut expect, &mut arena);
+            let filters = PackedFilters::<E>::new(conv.filters(), conv.bias());
+            let mut arena = ConvArena::new(conv, &filters, in_ports);
+            conv_forward_hw_into(conv, &filters, in_ports, img, &mut expect, &mut arena);
             assert_same_bits::<E>(&got, &expect);
         }
         one::<f32>(conv, in_ports, out_ports, ii, img);

@@ -209,7 +209,7 @@ impl CoreModel for EltwiseAddModel {
         &self,
         _design: &NetworkDesign,
         _core: &CoreInfo,
-        spec: dfcnn_tensor::NumericSpec,
+        quantiser: crate::range::Quantiser,
         inputs: &[crate::range::Interval],
     ) -> crate::range::Transfer {
         let a = inputs
@@ -217,7 +217,7 @@ impl CoreModel for EltwiseAddModel {
             .copied()
             .unwrap_or(crate::range::Interval::point(0.0));
         let b = inputs.get(1).copied().unwrap_or(a);
-        crate::range::eltwise_transfer(spec, a, b)
+        crate::range::eltwise_transfer(quantiser.spec(), a, b)
     }
 
     fn static_profile(&self, _design: &NetworkDesign, core: &CoreInfo) -> StaticProfile {

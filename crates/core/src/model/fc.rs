@@ -16,7 +16,7 @@
 
 use super::{validate_ports, CoreModel, CorePlan, StageSpec, StageWorker, StaticProfile};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
-use crate::kernel::{fc_forward_hw_into, fc_forward_into, FcArena};
+use crate::kernel::{fc_forward_hw_into, fc_forward_into, FcArena, FcWeights};
 use crate::sim::{Actor, Quiescence, Wiring};
 use crate::stream::{ChannelId, ChannelSet};
 use crate::trace::{EventKind, Stall, Trace};
@@ -29,6 +29,7 @@ use dfcnn_nn::act::Activation;
 use dfcnn_nn::layer::{Layer, Linear};
 use dfcnn_tensor::{with_numeric, Numeric, Shape3, Tensor3};
 use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 
 /// The FC [`CoreModel`].
 pub struct FcModel;
@@ -42,12 +43,13 @@ fn fc_layer(layer: &Layer) -> &Linear {
 
 struct FcWorker<E: Numeric> {
     layer: Linear,
+    weights: Arc<FcWeights<E>>,
     arena: Box<FcArena<E>>,
 }
 
 impl<E: Numeric> StageWorker for FcWorker<E> {
     fn apply_into(&mut self, input: &Tensor3<f32>, out: &mut Tensor3<f32>) {
-        fc_forward_hw_into(&self.layer, input, out, &mut self.arena);
+        fc_forward_hw_into(&self.layer, &self.weights, input, out, &mut self.arena);
     }
 }
 
@@ -59,13 +61,14 @@ enum Phase {
 }
 
 /// The FC compute core. Generic over the executed element type: the
-/// arena holds the quantised weights and bias; input values are quantised
-/// and outputs dequantised inside [`fc_forward_into`] (identities for
-/// `E = f32`, which is bit-identical to before).
+/// [`FcWeights`] store holds the quantised weights and bias; input values
+/// are quantised and outputs dequantised inside [`fc_forward_into`]
+/// (identities for `E = f32`).
 pub struct FcCore<E: Numeric = f32> {
     name: String,
     in_ch: ChannelId,
     out_ch: ChannelId,
+    weights: FcWeights<E>,
     arena: FcArena<E>,
     activation: Activation,
     /// Input-loop initiation interval: `ceil(add_latency / banks)`.
@@ -102,11 +105,13 @@ impl<E: Numeric> FcCore<E> {
             + TreeAdder::new(banks).latency(ops) as u64
             + ops.add as u64 // bias add
             + ops.activation as u64;
+        let weights = FcWeights::new(linear.weights(), linear.bias());
         FcCore {
             name: name.into(),
             in_ch,
             out_ch,
-            arena: FcArena::new(linear.weights(), linear.bias(), banks),
+            arena: FcArena::new(&weights, banks),
+            weights,
             activation: linear.activation(),
             in_ii,
             drain,
@@ -153,6 +158,7 @@ impl<E: Numeric> Actor for FcCore<E> {
                     if count + 1 == self.inputs {
                         fc_forward_into(
                             &mut self.results,
+                            &self.weights,
                             &mut self.arena,
                             self.activation,
                             &self.buffer,
@@ -309,19 +315,16 @@ impl CoreModel for FcModel {
         &self,
         design: &NetworkDesign,
         core: &CoreInfo,
-        spec: dfcnn_tensor::NumericSpec,
+        quantiser: crate::range::Quantiser,
         inputs: &[crate::range::Interval],
     ) -> crate::range::Transfer {
         let idx = core.layer_index.expect("fc core has a layer");
         let f = fc_layer(&design.network().layers()[idx]);
         let w = f.weights();
         let bias = f.bias().as_slice();
-        let channels = (0..f.outputs()).map(|j| {
-            let row = (0..f.inputs()).map(move |i| f64::from(w.get(j, 0, 0, i)));
-            (row, f64::from(bias[j]))
-        });
+        let channels = (0..f.outputs()).map(|j| (w.filter(j), bias[j]));
         crate::range::mac_transfer(
-            spec,
+            quantiser,
             crate::range::Interval::union_all(inputs),
             channels,
             f.activation(),
@@ -424,16 +427,19 @@ impl CoreModel for FcModel {
         let f = fc_layer(&design.network().layers()[core.layer_index?]).clone();
         let banks = design.config().fc_banks;
         let out_shape = Shape3::new(1, 1, f.outputs());
-        Some(with_numeric!(design.config().numeric, E => StageSpec::new(
-            core.name.clone(),
-            out_shape,
-            move || {
-                Box::new(FcWorker::<E> {
-                    arena: Box::new(FcArena::new(f.weights(), f.bias(), banks)),
+        Some(with_numeric!(design.config().numeric, E => {
+            // quantised by the stage's first worker, shared with the rest
+            let weights = OnceLock::new();
+            StageSpec::new(core.name.clone(), out_shape, move || {
+                let weights: &Arc<FcWeights<E>> =
+                    weights.get_or_init(|| Arc::new(FcWeights::new(f.weights(), f.bias())));
+                Box::new(FcWorker {
+                    arena: Box::new(FcArena::new(weights, banks)),
+                    weights: Arc::clone(weights),
                     layer: f.clone(),
                 })
-            },
-        )))
+            })
+        }))
     }
 }
 

@@ -185,17 +185,6 @@ impl CoreModel for ForkModel {
         core.in_values_per_image / core.params.in_ports as u64
     }
 
-    fn range_transfer(
-        &self,
-        _design: &NetworkDesign,
-        _core: &CoreInfo,
-        _spec: dfcnn_tensor::NumericSpec,
-        inputs: &[crate::range::Interval],
-    ) -> crate::range::Transfer {
-        // every branch carries a verbatim copy of the input stream
-        crate::range::Transfer::identity(inputs)
-    }
-
     fn static_profile(&self, design: &NetworkDesign, core: &CoreInfo) -> super::StaticProfile {
         // each branch re-emits the full input volume
         let idx = design

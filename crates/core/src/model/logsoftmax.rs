@@ -263,11 +263,11 @@ impl CoreModel for LogSoftmaxModel {
         &self,
         _design: &NetworkDesign,
         core: &CoreInfo,
-        spec: dfcnn_tensor::NumericSpec,
+        quantiser: crate::range::Quantiser,
         inputs: &[crate::range::Interval],
     ) -> crate::range::Transfer {
         crate::range::logsoftmax_transfer(
-            spec,
+            quantiser.spec(),
             crate::range::Interval::union_all(inputs),
             core.params.in_fm,
         )

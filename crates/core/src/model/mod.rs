@@ -37,14 +37,14 @@ pub mod scaleshift;
 pub mod windowed;
 
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign, StageInput};
-use crate::range::{Interval, Transfer};
+use crate::range::{Interval, Quantiser, Transfer};
 use crate::sim::Actor;
 use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::divisor_port_options;
 use dfcnn_nn::layer::Layer;
 use dfcnn_nn::Network;
-use dfcnn_tensor::{NumericSpec, Shape3, Tensor3};
+use dfcnn_tensor::{Shape3, Tensor3};
 
 /// Line-buffer facts of a windowed core, for the static checker's buffer
 /// sufficiency rule: the capacity the design will instantiate per port and
@@ -212,15 +212,15 @@ pub trait CoreModel: Sync {
     /// analyzer ([`crate::range`]): given sound interval bounds on each of
     /// this core's input streams (in design edge order), return sound
     /// bounds on its output stream, its widest pre-saturation intermediate
-    /// and its worst-case accumulator magnitude under `spec`'s
-    /// quantisation. The default is the routing identity (output = union
-    /// of inputs), correct for any kind that forwards values verbatim;
-    /// every value-transforming kind must override.
+    /// and its worst-case accumulator magnitude, its constants quantised by
+    /// `quantiser` (the engines' own). The default is the routing identity
+    /// (output = union of inputs), right for kinds that forward values
+    /// verbatim (ports, fork, concat); every other kind must override.
     fn range_transfer(
         &self,
         _design: &NetworkDesign,
         _core: &CoreInfo,
-        _spec: NumericSpec,
+        _quantiser: Quantiser,
         inputs: &[Interval],
     ) -> Transfer {
         Transfer::identity(inputs)

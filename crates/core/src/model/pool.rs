@@ -3,7 +3,7 @@
 use super::windowed::{windowed_interval, windowed_profile, WindowBody, WindowedCore};
 use super::{CoreModel, CorePlan, StageSpec, StageWorker, StaticProfile};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
-use crate::kernel::{pool_forward_hw_into, pool_window, PoolArena};
+use crate::kernel::{mean_reciprocal, pool_forward_hw_into, pool_window, PoolArena};
 use crate::sim::Actor;
 use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
@@ -45,16 +45,18 @@ impl<E: Numeric> StageWorker for PoolWorker<E> {
 /// convolutional layers without occupying too much area (perfect
 /// pipelining and no multiple windows/convolutions)." One body models the
 /// whole bank of parallel pooling cores of a layer.
-pub struct PoolBody {
+pub struct PoolBody<E> {
     kind: PoolKind,
     /// Values per channel slice, `KH·KW`.
     win: usize,
+    /// The quantised [`mean_reciprocal`] of `win`.
+    recip: E,
 }
 
-impl<E: Numeric> WindowBody<E> for PoolBody {
+impl<E: Numeric> WindowBody<E> for PoolBody<E> {
     fn initiate(&mut self, window: &[E], out: &mut [f32]) {
         for (o, chan) in out.iter_mut().zip(window.chunks_exact(self.win)) {
-            *o = pool_window(self.kind, chan).to_f32();
+            *o = pool_window(self.kind, chan, self.recip).to_f32();
         }
     }
 }
@@ -62,7 +64,7 @@ impl<E: Numeric> WindowBody<E> for PoolBody {
 /// The pooling core bank as a cycle actor: the pool body in the shared
 /// SST shell. Results leave on the same number of ports (the usual
 /// configuration) or re-interleaved over a different port count.
-pub type PoolCore<E = f32> = WindowedCore<E, PoolBody>;
+pub type PoolCore<E = f32> = WindowedCore<E, PoolBody<E>>;
 
 impl<E: Numeric> PoolCore<E> {
     /// Build the pooling bank from the reference layer and port config.
@@ -87,6 +89,7 @@ impl<E: Numeric> PoolCore<E> {
         let body = PoolBody {
             kind: pool.kind(),
             win,
+            recip: E::from_f32(mean_reciprocal(win)),
         };
         WindowedCore::from_body(name, geo, in_chs, out_chs, geo.input.c, ii, depth, body)
     }
@@ -137,7 +140,7 @@ impl CoreModel for PoolModel {
         &self,
         design: &NetworkDesign,
         core: &CoreInfo,
-        spec: dfcnn_tensor::NumericSpec,
+        quantiser: crate::range::Quantiser,
         inputs: &[crate::range::Interval],
     ) -> crate::range::Transfer {
         let idx = core.layer_index.expect("pool core has a layer");
@@ -148,8 +151,8 @@ impl CoreModel for PoolModel {
             input = input.include_zero();
         }
         match p.kind() {
-            PoolKind::Max => crate::range::pool_max_transfer(spec, input),
-            PoolKind::Mean => crate::range::pool_mean_transfer(spec, input, g.kh * g.kw),
+            PoolKind::Max => crate::range::pool_max_transfer(quantiser.spec(), input),
+            PoolKind::Mean => crate::range::pool_mean_transfer(quantiser, input, g.kh * g.kw),
         }
     }
 

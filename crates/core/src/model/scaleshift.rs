@@ -22,8 +22,9 @@ use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::pipeline_ii;
 use dfcnn_nn::layer::Layer;
-use dfcnn_tensor::{with_numeric, Element, Numeric, Shape3, Tensor3};
+use dfcnn_tensor::{with_numeric, Numeric, Shape3, Tensor3};
 use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 
 /// The scale-shift [`CoreModel`].
 pub struct ScaleShiftModel;
@@ -35,13 +36,27 @@ fn scaleshift_of(layer: &Layer) -> &dfcnn_nn::layer::ScaleShift {
     }
 }
 
-/// The per-FM affine map of the scale-shift core. Generic over the
-/// executed element type: the coefficient ROMs are quantised once at
-/// build time; each value is quantised, transformed with the element's
-/// multiply/add and dequantised (the identity chain for `f32`).
+/// The per-FM affine map of the scale-shift core, and the one store of
+/// its quantised constants that the host stage and the actor build.
+/// Generic over the executed element type: the coefficient ROMs are
+/// quantised once at build time; each value is quantised, transformed
+/// with the element's multiply/add and dequantised (the identity chain
+/// for `f32`).
 pub struct ScaleShiftMap<E> {
     scale: Vec<E>,
     shift: Vec<E>,
+}
+
+impl<E: Numeric> ScaleShiftMap<E> {
+    /// Quantise the coefficient vectors, one entry per FM.
+    pub fn new(scale: &[f32], shift: &[f32]) -> Self {
+        assert_eq!(scale.len(), shift.len(), "one (scale, shift) pair per FM");
+        let quantise = |c: &[f32]| c.iter().map(|&v| E::from_f32(v)).collect();
+        ScaleShiftMap {
+            scale: quantise(scale),
+            shift: quantise(shift),
+        }
+    }
 }
 
 impl<E: Numeric> FmMap for ScaleShiftMap<E> {
@@ -65,22 +80,13 @@ impl<E: Numeric> ScaleShiftCore<E> {
         scale: &[f32],
         shift: &[f32],
     ) -> Self {
-        assert_eq!(scale.len(), shift.len(), "one (scale, shift) pair per FM");
-        let quantise = |c: &[f32]| c.iter().map(|&v| E::from_f32(v)).collect();
-        let map = ScaleShiftMap {
-            scale: quantise(scale),
-            shift: quantise(shift),
-        };
+        let map = ScaleShiftMap::new(scale, shift);
         PortAdapter::with_map(name, in_chs, out_chs, scale.len(), map)
     }
 }
 
-struct ScaleShiftWorker<E: Numeric> {
-    scale: Vec<E>,
-    shift: Vec<E>,
-}
-
-impl<E: Numeric> StageWorker for ScaleShiftWorker<E> {
+/// The host stage's worker: the stage's one map, shared by every worker.
+impl<E: Numeric> StageWorker for Arc<ScaleShiftMap<E>> {
     fn apply_into(&mut self, input: &Tensor3<f32>, out: &mut Tensor3<f32>) {
         let c = self.scale.len();
         for (i, (o, &x)) in out
@@ -89,7 +95,7 @@ impl<E: Numeric> StageWorker for ScaleShiftWorker<E> {
             .zip(input.as_slice())
             .enumerate()
         {
-            *o = crate::kernel::scale_shift_hw::<E>(self.scale[i % c], self.shift[i % c], x);
+            *o = self.map(i % c, x);
         }
     }
 }
@@ -138,18 +144,14 @@ impl CoreModel for ScaleShiftModel {
         &self,
         design: &NetworkDesign,
         core: &CoreInfo,
-        spec: dfcnn_tensor::NumericSpec,
+        quantiser: crate::range::Quantiser,
         inputs: &[crate::range::Interval],
     ) -> crate::range::Transfer {
         let idx = core.layer_index.expect("scale-shift core has a layer");
         let l = scaleshift_of(&design.network().layers()[idx]);
-        let channels = l
-            .scale()
-            .iter()
-            .zip(l.shift())
-            .map(|(&s, &sh)| (f64::from(s), f64::from(sh)));
+        let channels = l.scale().iter().copied().zip(l.shift().iter().copied());
         crate::range::scale_shift_transfer(
-            spec,
+            quantiser,
             crate::range::Interval::union_all(inputs),
             channels,
         )
@@ -223,18 +225,16 @@ impl CoreModel for ScaleShiftModel {
         core: &CoreInfo,
         _in_shapes: &[Shape3],
     ) -> Option<StageSpec> {
-        let l = scaleshift_of(&design.network().layers()[core.layer_index?]);
-        let (scale, shift) = (l.scale().to_vec(), l.shift().to_vec());
-        Some(with_numeric!(design.config().numeric, E => StageSpec::new(
-            core.name.clone(),
-            l.shape(),
-            move || {
-                Box::new(ScaleShiftWorker::<E> {
-                    scale: scale.iter().map(|&v| E::from_f32(v)).collect(),
-                    shift: shift.iter().map(|&v| E::from_f32(v)).collect(),
-                })
-            },
-        )))
+        let l = scaleshift_of(&design.network().layers()[core.layer_index?]).clone();
+        Some(with_numeric!(design.config().numeric, E => {
+            // quantised by the stage's first worker, shared with the rest
+            let map = OnceLock::new();
+            StageSpec::new(core.name.clone(), l.shape(), move || {
+                let map: &Arc<ScaleShiftMap<E>> =
+                    map.get_or_init(|| Arc::new(ScaleShiftMap::new(l.scale(), l.shift())));
+                Box::new(Arc::clone(map))
+            })
+        }))
     }
 }
 
@@ -292,10 +292,7 @@ mod tests {
         let x = Tensor3::from_fn(shape, |y, xx, c| ((y * 3 + xx) as f32) * 0.37 + c as f32);
         let expect = l.forward(&x);
 
-        let mut worker = ScaleShiftWorker {
-            scale: l.scale().to_vec(),
-            shift: l.shift().to_vec(),
-        };
+        let mut worker = Arc::new(ScaleShiftMap::<f32>::new(l.scale(), l.shift()));
         let mut out = Tensor3::zeros(shape);
         worker.apply_into(&x, &mut out);
         assert_eq!(out.as_slice(), expect.as_slice());

@@ -22,11 +22,15 @@
 //! Each transfer over-approximates the corresponding kernel:
 //!
 //! - **Quantise on ingest** (`E::from_f32`): round-to-nearest (error
-//!   ≤ ε/2) then clamp to the container — [`quantize_interval`].
-//! - **Conv/FC MAC**: weights are quantised once at build time; the
-//!   per-output-channel sums of positive and negative quantised weights
-//!   give exact interval corners `pos·hi + neg·lo + b` (products and sums
-//!   are exact integers in the `i64` accumulator). [`mac_transfer`].
+//!   ≤ ε/2) then clamp to the container — [`quantize_interval`], which
+//!   bounds the input streams.
+//! - **Constants** (weights, biases, scale/shift, the mean-pool
+//!   reciprocal) go through the engines' own `E::from_f32` ([`Quantiser`]):
+//!   the proof covers the exact bits the kernels multiply.
+//! - **Conv/FC MAC**: the per-output-channel sums of positive and
+//!   negative quantised weights give exact interval corners
+//!   `pos·hi + neg·lo + b`; products and sums are exact integers in the
+//!   `i64` accumulator, whose bound sums the raw integers. [`mac_transfer`].
 //! - **Narrow** (`acc >> FRAC` then saturate): truncation toward −∞ loses
 //!   up to ε on the low side, then clamps to the container.
 //! - **Activation**: ReLU is the exact `max(0, ·)`; tanh is monotone so
@@ -46,7 +50,7 @@ use crate::graph::{NetworkDesign, NodeRef};
 use crate::model;
 use dfcnn_nn::act::Activation;
 use dfcnn_tensor::cast::f64_to_f32;
-use dfcnn_tensor::{NumericSpec, Tensor3};
+use dfcnn_tensor::{with_numeric, Element, NumericSpec, Tensor3};
 use serde::{Deserialize, Serialize};
 
 /// Schema version stamped on [`RangeReport`] (the PR 9 report convention):
@@ -59,7 +63,7 @@ pub const SCHEMA_VERSION: u32 = 1;
 const F32_REL_SLACK: f64 = 1e-4;
 const F32_ABS_SLACK: f64 = 1e-6;
 /// Fixed-point transfers are integer-exact; this covers only the f64
-/// rounding of the weight-magnitude folds.
+/// rounding of the interval products.
 const FIXED_ABS_SLACK: f64 = 1e-9;
 
 /// A closed interval of real values a stream is proven to lie in.
@@ -126,42 +130,106 @@ impl Interval {
     }
 }
 
-/// Raw-integer storage bounds of a fixed container (`None` for f32).
-fn raw_bounds(spec: NumericSpec) -> Option<(i64, i64)> {
-    match spec.storage_bits() {
-        16 if spec.is_fixed() => Some((i64::from(i16::MIN), i64::from(i16::MAX))),
-        8 => Some((i64::from(i8::MIN), i64::from(i8::MAX))),
-        _ => None,
-    }
-}
-
 /// The representable value range of the spec's container, or `None` for
 /// f32 (unbounded for this analysis' purposes).
 pub fn container(spec: NumericSpec) -> Option<Interval> {
-    let (lo, hi) = raw_bounds(spec)?;
+    let (lo, hi) = match spec.storage_bits() {
+        16 if spec.is_fixed() => (f64::from(i16::MIN), f64::from(i16::MAX)),
+        8 => (f64::from(i8::MIN), f64::from(i8::MAX)),
+        _ => return None,
+    };
     let scale = spec.epsilon(); // 1 / 2^FRAC
-    Some(Interval::new(lo as f64 * scale, hi as f64 * scale))
+    Some(Interval::new(lo * scale, hi * scale))
 }
 
-/// The value `E::from_f32`/`from_f64` produces for `v`: round to the
-/// nearest multiple of ε, saturating at the container (identity for f32).
-pub fn quantize_value(spec: NumericSpec, v: f64) -> f64 {
-    let Some((lo, hi)) = raw_bounds(spec) else {
-        return v;
-    };
-    let eps = spec.epsilon();
-    let raw = (v / eps).round().clamp(lo as f64, hi as f64);
-    raw * eps
+/// Why the analyzer could not run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RangeError {
+    /// No kernel is compiled for the spec ([`NumericSpec::is_supported`]).
+    Unsupported(NumericSpec),
 }
 
-/// Worst-case |raw bit pattern| of a value (0 for f32) — the integer the
-/// accumulator bound multiplies.
-fn raw_abs(spec: NumericSpec, v: f64) -> u128 {
-    let Some((lo, hi)) = raw_bounds(spec) else {
-        return 0;
-    };
-    let raw = (v / spec.epsilon()).round().clamp(lo as f64, hi as f64);
-    raw.abs() as u128
+impl std::fmt::Display for RangeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let RangeError::Unsupported(spec) = self;
+        write!(f, "no kernel monomorphization for {}", spec.label())
+    }
+}
+
+impl std::error::Error for RangeError {}
+
+/// The engines' quantiser under one numeric spec: `E::from_f32` itself,
+/// read back as the exact value the kernels then multiply. Every constant
+/// a transfer folds (weights, biases, scale/shift coefficients, the
+/// mean-pool reciprocal) goes through it.
+#[derive(Clone, Copy, Debug)]
+pub struct Quantiser {
+    spec: NumericSpec,
+    value: fn(f32) -> f64,
+    /// One channel's weights as `(Σ max(q(w), 0), Σ min(q(w), 0))`.
+    fold: fn(&[f32]) -> (f64, f64),
+    /// `2^FRAC`; 0 for f32, which has no raw integers.
+    scale: f64,
+}
+
+/// `E::from_f32(v)` as an `f64`. Exact: a fixed-point value has at most
+/// 16 significant bits, so its `f32` form loses nothing.
+fn engine_value<E: Element>(v: f32) -> f64 {
+    f64::from(E::from_f32(v).to_f32())
+}
+
+/// [`Quantiser`]'s fold under `E`, in weight order as f32 sums round.
+/// Adding 0.0 leaves either sum's bits alone (neither is ever −0), so
+/// both adds run unconditionally, without a branch.
+fn engine_fold<E: Element>(weights: &[f32]) -> (f64, f64) {
+    let (mut pos, mut neg) = (0.0, 0.0);
+    for &w in weights {
+        let v = engine_value::<E>(w);
+        let (p, n) = if v >= 0.0 { (v, 0.0) } else { (0.0, v) };
+        pos += p;
+        neg += n;
+    }
+    (pos, neg)
+}
+
+/// `|v| · scale`, truncated: with `scale = 2^FRAC`, a quantised value's
+/// raw magnitude, exactly; for an end of [`quantize_interval`] (half a step
+/// past the bound it widens), the largest raw an input quantises to.
+fn raw_magnitude(v: f64, scale: f64) -> u64 {
+    (v.abs() * scale) as u64
+}
+
+impl Quantiser {
+    /// The quantiser of `spec`, or [`RangeError::Unsupported`] when no
+    /// kernel is compiled for it.
+    pub fn new(spec: NumericSpec) -> Result<Self, RangeError> {
+        if !spec.is_supported() {
+            return Err(RangeError::Unsupported(spec));
+        }
+        let scale = spec.frac().map_or(0.0, |frac| (1u64 << frac) as f64);
+        Ok(with_numeric!(spec, E => Quantiser {
+            spec,
+            value: engine_value::<E>,
+            fold: engine_fold::<E>,
+            scale,
+        }))
+    }
+
+    /// The numeric spec whose quantiser this is.
+    pub fn spec(self) -> NumericSpec {
+        self.spec
+    }
+
+    /// The value `E::from_f32(v)` holds.
+    pub fn value(self, v: f32) -> f64 {
+        (self.value)(v)
+    }
+}
+
+/// `iv` clamped into the spec's container, as the saturating kernels clamp
+/// (identity for f32).
+fn saturate(spec: NumericSpec, iv: Interval) -> Interval {
+    container(spec).map_or(iv, |c| iv.clamp_to(c))
 }
 
 /// Sound bounds on `E::from_f32(x)` for `x ∈ iv`: widen by the rounding
@@ -175,7 +243,7 @@ pub fn quantize_interval(spec: NumericSpec, iv: Interval) -> Interval {
 
 /// The per-transfer widening covering float rounding (f32 designs) or the
 /// analyzer's own f64 arithmetic (fixed designs).
-fn spec_slack(spec: NumericSpec, iv: Interval) -> f64 {
+pub(crate) fn spec_slack(spec: NumericSpec, iv: Interval) -> f64 {
     if spec.is_fixed() {
         FIXED_ABS_SLACK
     } else {
@@ -199,12 +267,8 @@ pub fn apply_activation(spec: NumericSpec, iv: Interval, act: Activation) -> Int
             quantize_interval(spec, Interval::new(tanh(iv.lo), tanh(iv.hi)))
         }
     };
-    let out = mapped.widen(spec_slack(spec, mapped));
-    match container(spec) {
-        // widening must not escape the container for fixed specs
-        Some(c) => out.clamp_to(c),
-        None => out,
-    }
+    // widening must not escape the container for fixed specs
+    saturate(spec, mapped.widen(spec_slack(spec, mapped)))
 }
 
 /// What one core's transfer function proves about its stream.
@@ -235,53 +299,37 @@ impl Transfer {
 }
 
 /// Transfer of a MAC kind (conv window / FC row): per-output-channel
-/// folds of the *actual quantised weight magnitudes*.
+/// folds of the weights and bias as the engines quantise them.
 ///
 /// For output channel `k` with quantised weights `w_i` and bias `b`:
 /// `pre_k = [pos·lo + neg·hi + b, pos·hi + neg·lo + b]` where
 /// `pos = Σ max(w_i, 0)`, `neg = Σ min(w_i, 0)` and `[lo, hi]` is the
 /// quantised input interval. The i64 accumulator bound is the exact
 /// integer `Σ|w_raw|·max|x_raw| + |b_raw|·2^FRAC`.
-pub fn mac_transfer<I, W>(
-    spec: NumericSpec,
+pub fn mac_transfer<'a>(
+    q: Quantiser,
     input: Interval,
-    channels: I,
+    channels: impl IntoIterator<Item = (&'a [f32], f32)>,
     activation: Activation,
-) -> Transfer
-where
-    I: IntoIterator<Item = (W, f64)>,
-    W: IntoIterator<Item = f64>,
-{
+) -> Transfer {
+    let spec = q.spec();
     let q_in = quantize_interval(spec, input);
-    // round+clamp of the *original* bounds is exactly the largest raw
-    // pattern quantisation can produce for any x in the interval
-    let x_raw = raw_abs(spec, input.lo).max(raw_abs(spec, input.hi));
+    let x_raw = u128::from(raw_magnitude(q_in.max_abs(), q.scale));
     let frac = spec.frac().unwrap_or(0);
     let mut pre: Option<Interval> = None;
     let mut acc_max: u128 = 0;
     for (weights, bias) in channels {
-        let mut pos = 0.0f64;
-        let mut neg = 0.0f64;
-        let mut w_raw_sum: u128 = 0;
-        for w in weights {
-            let qw = quantize_value(spec, w);
-            if qw >= 0.0 {
-                pos += qw;
-            } else {
-                neg += qw;
-            }
-            w_raw_sum += raw_abs(spec, qw);
-        }
-        let qb = quantize_value(spec, bias);
+        let (pos, neg) = (q.fold)(weights);
+        // Σ|w_raw|: the value sums are exact multiples of ε for fixed point
+        let w_raw = u128::from(raw_magnitude(pos - neg, q.scale));
+        let qb = q.value(bias);
         let ch = Interval::new(
             pos * q_in.lo + neg * q_in.hi + qb,
             pos * q_in.hi + neg * q_in.lo + qb,
         );
-        pre = Some(match pre {
-            Some(p) => p.union(ch),
-            None => ch,
-        });
-        let acc = w_raw_sum * x_raw + (raw_abs(spec, bias_clamped(spec, bias)) << frac);
+        pre = Some(pre.map_or(ch, |p| p.union(ch)));
+        let b_raw = u128::from(raw_magnitude(qb, q.scale));
+        let acc = w_raw * x_raw + (b_raw << frac);
         acc_max = acc_max.max(acc);
     }
     let pre = pre.unwrap_or(Interval::point(0.0));
@@ -294,19 +342,11 @@ where
     }
 }
 
-/// The bias at the value scale, clamped the way quantisation would.
-fn bias_clamped(spec: NumericSpec, b: f64) -> f64 {
-    quantize_value(spec, b)
-}
-
 /// Sound bounds on `E::narrow(acc)` for an accumulator whose rescaled
 /// value lies in `pre`: the arithmetic shift truncates toward −∞ (up to ε
 /// below), then saturates into the container. Identity for f32.
 pub fn narrow_interval(spec: NumericSpec, pre: Interval) -> Interval {
-    match container(spec) {
-        None => pre,
-        Some(c) => Interval::new(pre.lo - spec.epsilon(), pre.hi).clamp_to(c),
-    }
+    saturate(spec, Interval::new(pre.lo - spec.epsilon(), pre.hi))
 }
 
 /// Max-pooling transfer: the maximum of quantised window values — exact
@@ -324,16 +364,14 @@ pub fn pool_max_transfer(spec: NumericSpec, input: Interval) -> Transfer {
 /// partial sums all lie in `[n·min(lo,0), n·max(hi,0)]` (saturating adds
 /// clamp into the container), then the sum is scaled by the quantised
 /// reciprocal `1/n` (saturating multiply truncates toward −∞).
-pub fn pool_mean_transfer(spec: NumericSpec, input: Interval, n: usize) -> Transfer {
+pub fn pool_mean_transfer(quant: Quantiser, input: Interval, n: usize) -> Transfer {
+    let spec = quant.spec();
     let q = quantize_interval(spec, input);
     let nf = n as f64;
     let pre = Interval::new(nf * q.lo.min(0.0), nf * q.hi.max(0.0));
     let pre = pre.widen(spec_slack(spec, pre));
-    let summed = match container(spec) {
-        Some(c) => pre.clamp_to(c),
-        None => pre,
-    };
-    let r = quantize_value(spec, f64::from(1.0f32 / n as f32));
+    let summed = saturate(spec, pre);
+    let r = quant.value(crate::kernel::mean_reciprocal(n));
     let scaled = Interval::new(summed.lo * r - spec.epsilon(), summed.hi * r);
     let out = apply_activation(spec, scaled, Activation::Identity);
     Transfer {
@@ -350,10 +388,7 @@ pub fn eltwise_transfer(spec: NumericSpec, a: Interval, b: Interval) -> Transfer
     let qb = quantize_interval(spec, b);
     let pre = Interval::new(qa.lo + qb.lo, qa.hi + qb.hi);
     let pre = pre.widen(spec_slack(spec, pre));
-    let out = match container(spec) {
-        Some(c) => pre.clamp_to(c),
-        None => pre,
-    };
+    let out = saturate(spec, pre);
     Transfer {
         out,
         pre: Some(pre),
@@ -364,45 +399,31 @@ pub fn eltwise_transfer(spec: NumericSpec, a: Interval, b: Interval) -> Transfer
 /// Scale-shift (frozen batchnorm) transfer: per channel,
 /// `s_q · x_q` (saturating multiply, truncation toward −∞) then `+ sh_q`
 /// (saturating add); the union over channels of both intermediates.
-pub fn scale_shift_transfer<I>(spec: NumericSpec, input: Interval, channels: I) -> Transfer
+pub fn scale_shift_transfer<I>(quant: Quantiser, input: Interval, channels: I) -> Transfer
 where
-    I: IntoIterator<Item = (f64, f64)>,
+    I: IntoIterator<Item = (f32, f32)>,
 {
+    let spec = quant.spec();
     let q = quantize_interval(spec, input);
     let mut pre: Option<Interval> = None;
     let mut out: Option<Interval> = None;
     for (scale, shift) in channels {
-        let s = quantize_value(spec, scale);
-        let sh = quantize_value(spec, shift);
+        let s = quant.value(scale);
+        let sh = quant.value(shift);
         let (a, b) = (s * q.lo, s * q.hi);
         let prod = Interval::new(a.min(b) - spec.epsilon(), a.max(b));
-        let prod_sat = match container(spec) {
-            Some(c) => prod.clamp_to(c),
-            None => prod,
-        };
+        let prod_sat = saturate(spec, prod);
         let sum = Interval::new(prod_sat.lo + sh, prod_sat.hi + sh);
         let ch_pre = prod.union(sum);
-        pre = Some(match pre {
-            Some(p) => p.union(ch_pre),
-            None => ch_pre,
-        });
-        let ch_out = match container(spec) {
-            Some(c) => sum.clamp_to(c),
-            None => sum,
-        };
-        out = Some(match out {
-            Some(o) => o.union(ch_out),
-            None => ch_out,
-        });
+        pre = Some(pre.map_or(ch_pre, |p| p.union(ch_pre)));
+        let ch_out = saturate(spec, sum);
+        out = Some(out.map_or(ch_out, |o| o.union(ch_out)));
     }
     let pre = pre.unwrap_or(Interval::point(0.0));
     let pre = pre.widen(spec_slack(spec, pre));
     let out = out.unwrap_or(Interval::point(0.0));
     let out = out.widen(spec_slack(spec, out));
-    let out = match container(spec) {
-        Some(c) => out.clamp_to(c),
-        None => out,
-    };
+    let out = saturate(spec, out);
     Transfer {
         out,
         pre: Some(pre),
@@ -603,7 +624,15 @@ fn core_entry(spec: NumericSpec, name: &str, kind: &str, t: &Transfer) -> CoreRa
 ///
 /// Cores are visited in index order, which the graph builder emits
 /// topologically — the same canonical traversal lowering uses.
-pub fn analyze_with(design: &NetworkDesign, spec: NumericSpec, input: Interval) -> RangeReport {
+///
+/// # Errors
+/// [`RangeError::Unsupported`] when no kernel is compiled for `spec`.
+pub fn analyze_with(
+    design: &NetworkDesign,
+    spec: NumericSpec,
+    input: Interval,
+) -> Result<RangeReport, RangeError> {
+    let quantiser = Quantiser::new(spec)?;
     let cores = design.cores();
     let mut outs: Vec<Option<Interval>> = vec![None; cores.len()];
     let mut entries = Vec::with_capacity(cores.len());
@@ -619,7 +648,7 @@ pub fn analyze_with(design: &NetworkDesign, spec: NumericSpec, input: Interval) 
             }
         }
         let m = model::model_for(core.params.kind);
-        let t = m.range_transfer(design, core, spec, &ins);
+        let t = m.range_transfer(design, core, quantiser, &ins);
         outs[i] = Some(t.out);
         entries.push(core_entry(spec, &core.name, m.label(), &t));
     }
@@ -641,7 +670,7 @@ pub fn analyze_with(design: &NetworkDesign, spec: NumericSpec, input: Interval) 
         })
         .collect();
     let cont = container(spec);
-    RangeReport {
+    Ok(RangeReport {
         schema_version: SCHEMA_VERSION,
         numeric: spec.label(),
         input_lo: input.lo,
@@ -650,7 +679,7 @@ pub fn analyze_with(design: &NetworkDesign, spec: NumericSpec, input: Interval) 
         container_hi: cont.map(|c| c.hi),
         cores: entries,
         edges,
-    }
+    })
 }
 
 /// Run the analyzer on a design as configured: its own
@@ -663,6 +692,7 @@ pub fn analyze(design: &NetworkDesign) -> RangeReport {
         design.config().numeric,
         Interval::new(f64::from(lo), f64::from(hi)),
     )
+    .expect("NetworkDesign::new accepts only specs with kernels")
 }
 
 /// The maximal FRAC (most precision) of the given storage width whose
@@ -683,10 +713,7 @@ pub fn recommend_frac(design: &NetworkDesign, storage_bits: u32) -> Option<u32> 
         } else {
             NumericSpec::Fixed8 { frac }
         };
-        if !spec.is_supported() {
-            continue;
-        }
-        if analyze_with(design, spec, input).is_clean() {
+        if analyze_with(design, spec, input).is_ok_and(|r| r.is_clean()) {
             return Some(frac);
         }
     }
@@ -760,25 +787,26 @@ mod tests {
     #[test]
     fn fixed8_boundary_values_quantise_to_the_rails() {
         // i8::MIN / i8::MAX raw values are the saturation rails
-        assert_eq!(quantize_value(Q8F4, -100.0), f64::from(i8::MIN) / 16.0);
-        assert_eq!(quantize_value(Q8F4, 100.0), f64::from(i8::MAX) / 16.0);
+        let q = Quantiser::new(Q8F4).unwrap();
+        assert_eq!(q.value(-100.0), f64::from(i8::MIN) / 16.0);
+        assert_eq!(q.value(100.0), f64::from(i8::MAX) / 16.0);
         // quantising a wild interval clamps it into the container exactly
-        let q = quantize_interval(Q8F4, Interval::new(-1e6, 1e6));
         let c = container(Q8F4).unwrap();
-        assert_eq!(q, c);
+        assert_eq!(quantize_interval(Q8F4, Interval::new(-1e6, 1e6)), c);
         // the rails themselves survive a quantise round-trip
-        assert_eq!(quantize_value(Q8F4, c.lo), c.lo);
-        assert_eq!(quantize_value(Q8F4, c.hi), c.hi);
+        assert_eq!(q.value(c.lo as f32), c.lo);
+        assert_eq!(q.value(c.hi as f32), c.hi);
     }
 
     #[test]
     fn negative_weights_flip_interval_corners() {
         // one output channel, weights [-2], bias 0, input [0, 1]:
         // pre = [-2, 0] (a positive-only fold would wrongly give [0, 2])
+        let f32_q = Quantiser::new(NumericSpec::F32).unwrap();
         let t = mac_transfer(
-            NumericSpec::F32,
+            f32_q,
             Interval::new(0.0, 1.0),
-            [(vec![-2.0f64], 0.0f64)],
+            [(&[-2.0f32][..], 0.0f32)],
             Activation::Identity,
         );
         let pre = t.pre.unwrap();
@@ -786,9 +814,9 @@ mod tests {
         assert!(pre.hi >= 0.0 && pre.hi < 0.1, "pre.hi = {}", pre.hi);
         // mixed signs: w = [1, -1], input [-1, 1] → pre = [-2, 2]
         let t = mac_transfer(
-            NumericSpec::F32,
+            f32_q,
             Interval::new(-1.0, 1.0),
-            [(vec![1.0f64, -1.0], 0.0f64)],
+            [(&[1.0f32, -1.0][..], 0.0f32)],
             Activation::Identity,
         );
         let pre = t.pre.unwrap();
@@ -825,7 +853,8 @@ mod tests {
 
     #[test]
     fn mean_pool_scales_by_the_quantised_reciprocal() {
-        let t = pool_mean_transfer(Q16F8, Interval::new(0.0, 4.0), 4);
+        let q = Quantiser::new(Q16F8).unwrap();
+        let t = pool_mean_transfer(q, Interval::new(0.0, 4.0), 4);
         // sum ∈ [0, 16], × ~0.25 → out ≈ [0, 4]
         assert!(t.out.hi >= 4.0 - 0.1 && t.out.hi <= 4.1, "{:?}", t.out);
         assert!(t.pre.unwrap().hi >= 16.0);
@@ -844,12 +873,34 @@ mod tests {
         // q16f8: one weight of value 2.0 (raw 512), input [0, 1] (raw ≤ 256),
         // bias 1.0 (raw 256 << 8)
         let t = mac_transfer(
-            Q16F8,
+            Quantiser::new(Q16F8).unwrap(),
             Interval::new(0.0, 1.0),
-            [(vec![2.0f64], 1.0f64)],
+            [(&[2.0f32][..], 1.0f32)],
             Activation::Identity,
         );
         assert_eq!(t.acc_abs, Some(512u128 * 256 + (256u128 << 8)));
+    }
+
+    #[test]
+    fn specs_without_kernels_are_a_typed_error() {
+        let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(5);
+        let net = dfcnn_nn::topology::NetworkSpec::test_case_1().build(&mut rng);
+        let design = NetworkDesign::new(
+            &net,
+            crate::graph::PortConfig::paper_test_case_1(),
+            crate::graph::DesignConfig::default(),
+        )
+        .unwrap();
+        let input = Interval::new(0.0, 1.0);
+        for spec in [
+            NumericSpec::Fixed16 { frac: 7 },
+            NumericSpec::Fixed8 { frac: 5 },
+        ] {
+            let err = analyze_with(&design, spec, input).unwrap_err();
+            assert_eq!(err, RangeError::Unsupported(spec));
+            assert!(err.to_string().contains(&spec.label()), "{err}");
+        }
+        assert!(analyze_with(&design, Q16F8, input).is_ok());
     }
 
     #[test]

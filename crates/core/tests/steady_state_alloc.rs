@@ -7,7 +7,8 @@
 //! counter cannot distinguish concurrent tests.
 
 use dfcnn_core::kernel::{
-    conv_forward_hw_into, fc_forward_hw_into, pool_forward_hw_into, ConvArena, FcArena, PoolArena,
+    conv_forward_hw_into, fc_forward_hw_into, pool_forward_hw_into, ConvArena, FcArena, FcWeights,
+    PackedFilters, PoolArena,
 };
 use dfcnn_nn::act::Activation;
 use dfcnn_nn::layer::{Conv2d, Linear, Pool2d, PoolKind};
@@ -55,7 +56,8 @@ fn conv_pool_fc_steady_state_is_allocation_free() {
     let conv = Conv2d::new(conv_geo, filters, cbias, Activation::Tanh);
     let conv_in = dfcnn_tensor::init::random_volume(&mut rng, conv_geo.input, -1.0, 1.0);
     let mut conv_out = Tensor3::zeros(conv.output_shape());
-    let mut conv_arena = ConvArena::new(&conv, 2);
+    let packed = PackedFilters::new(conv.filters(), conv.bias());
+    let mut conv_arena = ConvArena::new(&conv, &packed, 2);
 
     // pool
     let pool_geo = ConvGeometry::new(conv.output_shape(), 2, 2, 2, 0);
@@ -70,7 +72,8 @@ fn conv_pool_fc_steady_state_is_allocation_free() {
     let fc = Linear::new(w, fbias, Activation::Identity);
     let mut fc_in = Tensor3::zeros(Shape3::new(1, 1, fc_inputs));
     let mut fc_out = Tensor3::zeros(Shape3::new(1, 1, 10));
-    let mut fc_arena = FcArena::new(fc.weights(), fc.bias(), 11);
+    let fc_weights = FcWeights::new(fc.weights(), fc.bias());
+    let mut fc_arena = FcArena::new(&fc_weights, 11);
 
     let run_image = |conv_arena: &mut ConvArena,
                      pool_arena: &mut PoolArena,
@@ -79,10 +82,10 @@ fn conv_pool_fc_steady_state_is_allocation_free() {
                      pool_out: &mut Tensor3<f32>,
                      fc_in: &mut Tensor3<f32>,
                      fc_out: &mut Tensor3<f32>| {
-        conv_forward_hw_into(&conv, 2, &conv_in, conv_out, conv_arena);
+        conv_forward_hw_into(&conv, &packed, 2, &conv_in, conv_out, conv_arena);
         pool_forward_hw_into(&pool, conv_out, pool_out, pool_arena);
         fc_in.as_mut_slice().copy_from_slice(pool_out.as_slice());
-        fc_forward_hw_into(&fc, fc_in, fc_out, fc_arena);
+        fc_forward_hw_into(&fc, &fc_weights, fc_in, fc_out, fc_arena);
     };
 
     // warmup: lets any lazy one-time allocation happen

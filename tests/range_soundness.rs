@@ -249,7 +249,9 @@ fn recommend_frac_is_sound_and_maximal() {
     let input = Interval::new(f64::from(lo), f64::from(hi));
     let frac = recommend_frac(&design, 16).expect("16-bit TC1 has a sound FRAC");
     assert!(
-        analyze_with(&design, NumericSpec::Fixed16 { frac }, input).is_clean(),
+        analyze_with(&design, NumericSpec::Fixed16 { frac }, input)
+            .expect("a recommended spec has kernels")
+            .is_clean(),
         "recommended frac={frac} is not clean"
     );
     for finer in (frac + 1)..=12 {
@@ -258,7 +260,9 @@ fn recommend_frac_is_sound_and_maximal() {
             continue;
         }
         assert!(
-            !analyze_with(&design, spec, input).is_clean(),
+            !analyze_with(&design, spec, input)
+                .expect("a supported spec has kernels")
+                .is_clean(),
             "frac={finer} is clean but recommend_frac picked {frac}"
         );
     }
