@@ -11,7 +11,7 @@
 //! 3. **The coupled join II is honest.** The best point is rebuilt and
 //!    simulated with the flight recorder; every residual add's measured
 //!    steady-state interval is committed next to its Eq. 4 prediction and
-//!    the [`DriftReport`] bound is asserted.
+//!    [`check_drift`] must find nothing in the [`RunReport`].
 //!
 //! Writes the committed `results/dse_sweep.json` provenance record.
 //!
@@ -20,9 +20,10 @@
 //! ```
 
 use dfcnn_bench::write_json;
+use dfcnn_core::check_drift;
 use dfcnn_core::dse::{explore, DseReport};
 use dfcnn_core::graph::{build_graph_design, DesignConfig};
-use dfcnn_core::observe::DriftReport;
+use dfcnn_core::observe::RunReport;
 use dfcnn_fpga::resources::CostModel;
 use dfcnn_fpga::Device;
 use dfcnn_nn::topology::GraphSpec;
@@ -107,19 +108,23 @@ fn main() {
         .map(|_| dfcnn_tensor::init::random_volume(&mut rng, spec.input, 0.0, 1.0))
         .collect();
     let (res, trace) = design.instantiate(&images).with_trace().run();
-    let drift = DriftReport::new(&design, &res, &trace);
-    if let Err(e) = drift.check() {
-        panic!("best-point drift check failed: {e}");
+    let run = RunReport::from_sim(&design, &res, &trace);
+    let diags = check_drift(&design, &run);
+    for d in &diags {
+        eprintln!("{d}");
     }
-    let joins: Vec<JoinRow> = drift
-        .cores
+    assert!(diags.is_empty(), "best-point drift check failed");
+    let joins: Vec<JoinRow> = run
+        .stages
         .iter()
-        .filter(|c| c.name.starts_with("add"))
-        .map(|c| JoinRow {
-            name: c.name.clone(),
-            predicted_stage_interval: c.predicted_stage_interval,
-            measured_interval: c.measured_interval,
-            within: c.within,
+        .filter(|s| s.name.starts_with("add"))
+        .filter_map(|s| {
+            Some(JoinRow {
+                name: s.name.clone(),
+                predicted_stage_interval: s.predicted_stage_interval?,
+                measured_interval: s.measured_interval?,
+                within: s.within?,
+            })
         })
         .collect();
     assert_eq!(joins.len(), 3, "three residual joins on resnet8");

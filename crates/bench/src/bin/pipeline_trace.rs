@@ -7,11 +7,11 @@
 //! state, all the different layers of the network will be concurrently
 //! active and computing."
 //!
-//! It then reads the full flight recording: the stall-taxonomy
-//! [`RunReport`] (written to `results/run_report.json`) and the
-//! [`DriftReport`] checking measured behaviour against the Eq. 4 model —
-//! both asserted, so CI catches a simulator that drifts from the paper's
-//! analysis. The run is sampled live (`observe::live`), producing the
+//! It then reads the full flight recording: the [`RunReport`] (written to
+//! `results/run_report.json`) with each stage's stall taxonomy beside its
+//! measured interval and line-buffer high-water mark, checked against the
+//! Eq. 4 model by [`check_drift`] — asserted, so CI catches a simulator
+//! that drifts from the paper's analysis. The run is sampled live (`observe::live`), producing the
 //! streaming artifacts `results/pipeline_trace.metrics.jsonl` and
 //! `results/pipeline_trace.prometheus.txt`. With `--chrome-trace [path]`
 //! the stall tracks plus live counter tracks are also exported as
@@ -23,8 +23,9 @@
 //! ```
 
 use dfcnn_bench::{quick_test_case_1, write_json};
+use dfcnn_core::check_drift;
 use dfcnn_core::observe::live::{snapshots_to_jsonl, Sampler};
-use dfcnn_core::observe::{DriftReport, RunReport};
+use dfcnn_core::observe::RunReport;
 use dfcnn_core::trace::EventKind;
 use serde::Serialize;
 use std::cell::RefCell;
@@ -154,18 +155,18 @@ fn main() {
 
     // the flight recording proper: where every actor's cycles went, and
     // whether the measurement agrees with the analytical model
-    let report = RunReport::from_sim(&result, tc.design.config().clock_hz);
+    let report = RunReport::from_sim(&tc.design, &result, &trace);
     println!("\n{}", report.render());
     write_json("run_report", &report);
     let round_trip: RunReport =
         serde_json::from_str(&serde_json::to_string(&report).unwrap()).unwrap();
     assert_eq!(round_trip.stages.len(), report.stages.len());
 
-    let drift = DriftReport::new(&tc.design, &result, &trace);
-    println!("{}", drift.render());
-    if let Err(e) = drift.check() {
-        panic!("drift check failed: {e}");
+    let diags = check_drift(&tc.design, &report);
+    for d in &diags {
+        eprintln!("{d}");
     }
+    assert!(diags.is_empty(), "drift check failed");
     println!("drift check: measured IIs and occupancy HWMs within model bounds");
 
     // the live-telemetry artifacts alongside the post-hoc reports: the

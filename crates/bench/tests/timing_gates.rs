@@ -11,10 +11,11 @@
 //! `observe.live_overhead_frac`); these tests only keep the CI bounds.
 
 use dfcnn_bench::{quick_test_case_1, quick_test_case_2, TestCase};
+use dfcnn_core::check_drift;
 use dfcnn_core::exec::{ReplicationPlan, ThreadedEngine};
 use dfcnn_core::graph::{DesignConfig, NetworkDesign};
 use dfcnn_core::observe::live::Sampler;
-use dfcnn_core::observe::DriftReport;
+use dfcnn_core::observe::RunReport;
 use dfcnn_core::sim::Simulator;
 use dfcnn_fpga::dma::DmaConfig;
 use dfcnn_tensor::Tensor3;
@@ -238,9 +239,11 @@ fn trace_overhead_is_under_half() {
             plain.cycles, traced.cycles,
             "{name}: tracing changed timing"
         );
-        if let Err(e) = DriftReport::new(&tc.design, &traced, &trace).check() {
-            panic!("{name}: drift check failed: {e}");
-        }
+        let diags = check_drift(
+            &tc.design,
+            &RunReport::from_sim(&tc.design, &traced, &trace),
+        );
+        assert!(diags.is_empty(), "{name}: drift check failed: {diags:?}");
         let (off_s, on_s) = median_runs_s(
             || tc.design.instantiate(&images),
             || tc.design.instantiate(&images).with_trace(),

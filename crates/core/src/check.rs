@@ -26,8 +26,8 @@
 //! 3. **II consistency** (`ii-consistency`): every core's recorded Eq. 4
 //!    initiation interval is recomputed from geometry via
 //!    [`crate::model::CoreModel::static_profile`] and must match;
-//!    [`check_drift`] extends the same cross-check to what a measured
-//!    [`DriftReport`] observed at run time.
+//!    [`check_drift`] extends the same cross-check to the drift columns
+//!    of a measured [`RunReport`].
 //! 4. **Replication soundness** (`replication-soundness`):
 //!    [`ReplicationPlan`]s for the threaded engine are checked against the
 //!    j-mod-r dealing protocol — order preservation needs one factor per
@@ -58,7 +58,7 @@
 use crate::exec::ReplicationPlan;
 use crate::graph::{DesignConfig, NetworkDesign, PortConfig};
 use crate::model;
-use crate::observe::DriftReport;
+use crate::observe::RunReport;
 use dfcnn_nn::Network;
 use std::fmt;
 
@@ -526,12 +526,18 @@ fn value_ranges(design: &NetworkDesign, out: &mut Vec<DesignDiagnostic>) {
     }
     let report = crate::range::analyze(design);
     let (clo, chi) = (report.container_lo, report.container_hi);
+    // the hint is one per design; search for it at the first saturating core
+    let mut frac_hint: Option<String> = None;
     for c in &report.cores {
         if c.saturation_possible {
-            let frac_hint = match crate::range::recommend_frac(design, spec.storage_bits()) {
-                Some(f) => format!("use frac={f} at this width"),
-                None => "widen the storage (16-bit) or rescale the weights".to_string(),
-            };
+            let frac_hint = frac_hint
+                .get_or_insert_with(|| {
+                    match crate::range::recommend_frac(design, spec.storage_bits()) {
+                        Some(f) => format!("use frac={f} at this width"),
+                        None => "widen the storage (16-bit) or rescale the weights".to_string(),
+                    }
+                })
+                .clone();
             out.push(diag(
                 Severity::Error,
                 RuleId::ValueRange,
@@ -675,51 +681,56 @@ pub fn check_replication(plan: &ReplicationPlan, stage_count: usize) -> Vec<Desi
 }
 
 /// Close the static-vs-dynamic loop: cross-check a measured
-/// [`DriftReport`] against the same analytical model the verifier proves
+/// [`RunReport`] against the same analytical model the verifier proves
 /// from. The predicted bottleneck and pipeline interval must agree, and
 /// every measurement the report flagged as out of bounds becomes a typed
-/// diagnostic.
-pub fn check_drift(design: &NetworkDesign, report: &DriftReport) -> Vec<DesignDiagnostic> {
+/// diagnostic. This is the one place drift violations are worded.
+pub fn check_drift(design: &NetworkDesign, report: &RunReport) -> Vec<DesignDiagnostic> {
     let mut out = Vec::new();
     let (name, predicted) = design.estimated_bottleneck();
-    if report.bottleneck_name != name || report.predicted_pipeline_interval != predicted {
+    let predicted_pipeline = report.predicted_pipeline_interval.unwrap_or(0);
+    let fill = report.bottleneck_fill.unwrap_or(0);
+    if report.bottleneck_name.as_deref() != Some(name.as_str())
+        || report.predicted_pipeline_interval != Some(predicted)
+    {
         out.push(diag(
             Severity::Error,
             RuleId::IiConsistency,
             "pipeline",
             format!(
-                "the drift report predicts bottleneck {} at {} cycles/image but \
+                "the run report predicts bottleneck {} at {} cycles/image but \
                  the design derives {} at {}",
-                report.bottleneck_name, report.predicted_pipeline_interval, name, predicted
+                report.bottleneck_name.as_deref().unwrap_or("none"),
+                predicted_pipeline,
+                name,
+                predicted
             ),
-            "rebuild the drift report from this design",
+            "rebuild the run report from this design",
         ));
     }
-    for c in &report.cores {
-        if !c.within {
+    for s in &report.stages {
+        if let (Some(false), Some(measured)) = (s.within, s.measured_interval) {
             out.push(diag(
                 Severity::Error,
                 RuleId::IiConsistency,
-                c.name.clone(),
+                s.name.clone(),
                 format!(
-                    "measured steady-state interval {:.1} cycles/image exceeds the \
-                     Eq. 4 pipeline interval {} + fill {}",
-                    c.measured_interval, report.predicted_pipeline_interval, report.bottleneck_fill
+                    "measured steady-state interval {measured:.1} cycles/image exceeds \
+                     the Eq. 4 pipeline interval {predicted_pipeline} + fill {fill}"
                 ),
                 "the core runs slower than its geometry predicts; re-derive its II",
             ));
         }
-    }
-    for b in &report.buffers {
-        if !b.within {
+        if let (Some(false), Some(hwm), Some(bound)) =
+            (s.buffer_within, s.buffer_hwm, s.buffer_bound)
+        {
             out.push(diag(
                 Severity::Error,
                 RuleId::BufferSufficiency,
-                b.name.clone(),
+                s.name.clone(),
                 format!(
-                    "line-buffer high-water mark {} exceeds the full-buffering \
-                     bound {}",
-                    b.hwm, b.bound
+                    "line-buffer high-water mark {hwm} exceeds the full-buffering \
+                     bound {bound}"
                 ),
                 "the SST bound no longer covers this geometry; re-derive it",
             ));

@@ -47,7 +47,7 @@
 //! A fork/join [`NetworkDesign`] still runs as a *linear* thread
 //! pipeline: stages execute in topological order and each message
 //! carries a **bundle** — the set of still-live stage outputs — instead
-//! of a single volume. A [`StagePlan`] precomputed per stage says which
+//! of a single volume. A `StagePlan` precomputed per stage says which
 //! bundle slots feed the stage ([`StageWorker::apply_multi`]) and which
 //! survive downstream (e.g. the skip operand of a residual block rides
 //! the bundle past the branch stages until the eltwise-add consumes it).
@@ -467,7 +467,7 @@ impl ThreadedEngine {
     /// effect; LogSoftMax stays on the host unless
     /// [`crate::graph::DesignConfig::fabric_normalization`] is set).
     /// Fork/join designs yield the same linear stage list in topological
-    /// order, with multi-input stages wired through [`bundle_plans`].
+    /// order, with multi-input stages wired through `bundle_plans`.
     pub fn new(design: &NetworkDesign) -> Self {
         let stages = model::host_pipeline(design);
         let plans = bundle_plans(&stages);

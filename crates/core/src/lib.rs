@@ -75,6 +75,6 @@ pub use model::{host_pipeline, reference_forward, HostStage};
 pub use observe::live::{
     CellCounters, LiveMetrics, MetricCell, MetricUnit, MetricsSnapshot, Sampler, StageDelta,
 };
-pub use observe::{DriftReport, RunReport, SCHEMA_VERSION};
+pub use observe::{RunReport, SCHEMA_VERSION};
 pub use range::{analyze, analyze_with, observe_ranges, recommend_frac, Interval, RangeReport};
 pub use sim::{DeadlockReport, SimError, SimResult, Simulator};

@@ -1,22 +1,25 @@
-//! Flight-recorder analysis: drift reports and unified run reports.
+//! Flight-recorder analysis: one run report per run.
 //!
 //! The cycle simulator's stall taxonomy ([`crate::trace::ActorStallStats`])
 //! and the threaded engine's wait timing ([`crate::exec::PipelineProfile`])
 //! answer the same operational question — *where does the time of a
 //! pipelined run go?* — in different units. This module folds both into
-//! one serialisable [`RunReport`], and checks a traced simulation against
-//! the paper's analytical model with a [`DriftReport`]:
+//! one serialisable [`RunReport`] with one [`StageRow`] per core. A
+//! simulated run's rows also set the measurement beside the paper's
+//! analytical model:
 //!
 //! - every core's **measured** steady-state interval (from the trace's
 //!   initiation timestamps) must not exceed the Eq. 4 **predicted**
 //!   pipeline interval — "the pipeline interval is its slowest stage time"
 //!   (§IV-C) — plus the bottleneck's per-image SST fill allowance;
-//! - every FIFO's occupancy high-water mark must respect its capacity;
 //! - every window engine's line-buffer high-water mark must respect the
-//!   SST full-buffering bound.
+//!   SST full-buffering bound;
+//! - every FIFO's occupancy high-water mark ([`FifoRow`]) must respect its
+//!   capacity.
 //!
-//! [`DriftReport::check`] turns any violation into an error message, which
-//! CI runs on the paper designs.
+//! Each comparison sets a `within` flag here; [`crate::check::check_drift`]
+//! turns the flags into typed diagnostics, which CI runs on the paper
+//! designs.
 
 use crate::exec::PipelineProfile;
 use crate::graph::NetworkDesign;
@@ -53,26 +56,46 @@ fn quartile_interval(cycles: &[u64]) -> Option<f64> {
     Some((cycles[hi] - cycles[lo]) as f64 / (hi - lo) as f64)
 }
 
-/// One core's measured-vs-predicted throughput comparison.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CoreDrift {
-    /// Core name.
+/// One core's row: where its time went and, for a simulated run, how its
+/// measurements compare with the analytical model. The drift columns are
+/// `None` where nothing was measured: every one of them on a host-engine
+/// report, the interval columns on endpoints, adapters and cores with too
+/// few initiations, and the buffer columns on cores without a line buffer.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+pub struct StageRow {
+    /// Stage / actor name.
     pub name: String,
+    /// Time spent doing work (compute cycles, or worker busy time), ns.
+    pub service_ns: f64,
+    /// Time blocked waiting for input, ns.
+    pub starved_ns: f64,
+    /// Time blocked pushing output downstream, ns.
+    pub backpressured_ns: f64,
+    /// Time with nothing to do (pipeline fill/drain tails), ns. The
+    /// threaded engine cannot distinguish idle from starved, so it reports
+    /// 0 here and folds the tails into `starved_ns`.
+    pub idle_ns: f64,
     /// Eq. 4 analytical stage interval (cycles per image).
-    pub predicted_stage_interval: u64,
+    pub predicted_stage_interval: Option<u64>,
     /// Measured steady-state interval (cycles per image): quartile-span
     /// initiation gap times initiations per image.
-    pub measured_interval: f64,
+    pub measured_interval: Option<f64>,
     /// Total initiations observed.
-    pub initiations: u64,
-    /// Whether the measurement stays within tolerance of the predicted
-    /// pipeline interval.
-    pub within: bool,
+    pub initiations: Option<u64>,
+    /// Whether the measured interval stays within tolerance of the
+    /// predicted pipeline interval plus the bottleneck fill.
+    pub within: Option<bool>,
+    /// Peak per-port line-buffer occupancy.
+    pub buffer_hwm: Option<usize>,
+    /// The SST full-buffering bound on that occupancy.
+    pub buffer_bound: Option<usize>,
+    /// `buffer_hwm <= buffer_bound`.
+    pub buffer_within: Option<bool>,
 }
 
 /// One FIFO's occupancy high-water mark against its capacity.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FifoDrift {
+pub struct FifoRow {
     /// Channel index in allocation order.
     pub channel: usize,
     /// Committed-occupancy high-water mark.
@@ -83,50 +106,44 @@ pub struct FifoDrift {
     pub within: bool,
 }
 
-/// One window engine's line-buffer high-water mark against the SST
-/// full-buffering bound (both per input port).
+/// The common observability record both engines emit: where each stage's
+/// time went over one batch and, for a simulated run, how that compares
+/// with the Eq. 4 model. Cycle counts are converted to nanoseconds so the
+/// simulator's and the threaded engine's reports are comparable.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct BufferDrift {
-    /// Core name.
-    pub name: String,
-    /// Peak per-port line-buffer occupancy.
-    pub hwm: usize,
-    /// The full-buffering capacity bound.
-    pub bound: usize,
-    /// `hwm <= bound`.
-    pub within: bool,
-}
-
-/// Measured run behaviour compared against the analytical model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct DriftReport {
+pub struct RunReport {
     /// Serialisation schema version ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
+    /// Which engine produced the report (`cycle-sim` or `threaded-host`).
+    pub engine: String,
+    /// Batch size.
+    pub batch: usize,
+    /// Total run time in nanoseconds.
+    pub total_ns: f64,
     /// Predicted bottleneck stage name (Eq. 4 / DMA rate).
-    pub bottleneck_name: String,
+    pub bottleneck_name: Option<String>,
     /// Predicted steady-state pipeline interval in cycles per image.
-    pub predicted_pipeline_interval: u64,
+    pub predicted_pipeline_interval: Option<u64>,
     /// Per-image fill allowance: the bottleneck's SST line buffer refills
     /// at every image boundary (its full-buffering bound, §IV-A), dead
     /// time Eq. 4's steady-streaming interval does not count.
-    pub bottleneck_fill: u64,
-    /// Batch size of the measured run.
-    pub batch: usize,
-    /// Per-core throughput drift (cores with enough initiations for a
-    /// steady-state estimate).
-    pub cores: Vec<CoreDrift>,
-    /// Per-FIFO occupancy bounds.
-    pub fifos: Vec<FifoDrift>,
-    /// Per-window-engine line-buffer bounds.
-    pub buffers: Vec<BufferDrift>,
+    pub bottleneck_fill: Option<u64>,
+    /// Per-stage rows, in pipeline (actor) order.
+    pub stages: Vec<StageRow>,
+    /// Per-FIFO occupancy bounds (empty on a host-engine report).
+    pub fifos: Vec<FifoRow>,
 }
 
-impl DriftReport {
-    /// Compare a traced simulation against the design's analytical model.
-    pub fn new(design: &NetworkDesign, res: &SimResult, trace: &Trace) -> Self {
+impl RunReport {
+    /// Build from a simulation at the design's core clock. The time
+    /// columns come from the run's stall taxonomy (zero when the run
+    /// recorded none); the measured intervals come from `trace`'s
+    /// initiation timestamps, so they need a traced run.
+    pub fn from_sim(design: &NetworkDesign, res: &SimResult, trace: &Trace) -> Self {
+        let ns_per_cycle = 1e9 / design.config().clock_hz as f64;
         let (bottleneck_name, predicted) = design.estimated_bottleneck();
         let stage_intervals = design.estimate_stage_intervals();
-        let batch = res.completions.len().max(1);
+        let batch = res.completions.len();
         // The realized per-image period is the Eq. 4 bottleneck interval
         // plus the bottleneck's SST fill at each image boundary (the line
         // buffer drains after an image's last window and must refill to
@@ -142,48 +159,50 @@ impl DriftReport {
         let limit =
             (predicted + bottleneck_fill) as f64 * (1.0 + DRIFT_TOLERANCE) + DRIFT_SLACK_CYCLES;
 
-        let mut cores = Vec::new();
-        for stats in &res.actor_stats {
-            let inits = trace.initiation_cycles(&stats.name);
-            let gap = match quartile_interval(&inits) {
-                Some(g) => g,
+        let stages = res
+            .actor_stats
+            .iter()
+            .enumerate()
+            .map(|(i, stats)| {
+                let predicted_stage = stage_intervals
+                    .iter()
+                    .find(|(n, _)| n == &stats.name)
+                    .map(|&(_, cyc)| cyc);
                 // Move-only cores (forks, joins, scale-shifts) record one
                 // `Emit` per value instead of compute initiations; for
                 // those the emit stream is the steady-state signal. Only
                 // design cores qualify — endpoints and port adapters also
                 // emit but have no Eq. 4 stage interval to drift from.
-                None => {
-                    let is_core = stage_intervals.iter().any(|(n, _)| n == &stats.name);
-                    match is_core
-                        .then(|| quartile_interval(&trace.emit_cycles(&stats.name)))
-                        .flatten()
-                    {
-                        Some(g) => g,
-                        None => continue, // endpoints, adapters, cold cores
-                    }
+                let measured = quartile_interval(&trace.initiation_cycles(&stats.name))
+                    .or_else(|| {
+                        predicted_stage
+                            .and_then(|_| quartile_interval(&trace.emit_cycles(&stats.name)))
+                    })
+                    .map(|gap| gap * (stats.initiations as f64 / batch.max(1) as f64));
+                let time = res.stalls.get(i).cloned().unwrap_or_default();
+                let (buffer_hwm, buffer_bound) = stats.buffer_hwm.unzip();
+                StageRow {
+                    name: stats.name.clone(),
+                    service_ns: time.computing as f64 * ns_per_cycle,
+                    starved_ns: time.starved_total() as f64 * ns_per_cycle,
+                    backpressured_ns: time.backpressured_total() as f64 * ns_per_cycle,
+                    idle_ns: time.idle as f64 * ns_per_cycle,
+                    predicted_stage_interval: measured.map(|_| predicted_stage.unwrap_or(0)),
+                    measured_interval: measured,
+                    initiations: measured.map(|_| stats.initiations),
+                    within: measured.map(|m| m <= limit),
+                    buffer_hwm,
+                    buffer_bound,
+                    buffer_within: stats.buffer_hwm.map(|(hwm, bound)| hwm <= bound),
                 }
-            };
-            let per_image = stats.initiations as f64 / batch as f64;
-            let measured_interval = gap * per_image;
-            let predicted_stage_interval = stage_intervals
-                .iter()
-                .find(|(n, _)| n == &stats.name)
-                .map(|&(_, cyc)| cyc)
-                .unwrap_or(0);
-            cores.push(CoreDrift {
-                name: stats.name.clone(),
-                predicted_stage_interval,
-                measured_interval,
-                initiations: stats.initiations,
-                within: measured_interval <= limit,
-            });
-        }
+            })
+            .collect();
 
         let fifos = res
             .fifo_stats
             .iter()
             .enumerate()
-            .map(|(channel, f)| FifoDrift {
+            .map(|(channel, f)| FifoRow {
                 channel,
                 hwm: f.max_occupancy,
                 capacity: f.capacity,
@@ -191,204 +210,102 @@ impl DriftReport {
             })
             .collect();
 
-        let buffers = res
-            .actor_stats
-            .iter()
-            .filter_map(|s| {
-                s.buffer_hwm.map(|(hwm, bound)| BufferDrift {
-                    name: s.name.clone(),
-                    hwm,
-                    bound,
-                    within: hwm <= bound,
-                })
-            })
-            .collect();
-
-        DriftReport {
-            schema_version: SCHEMA_VERSION,
-            bottleneck_name,
-            predicted_pipeline_interval: predicted,
-            bottleneck_fill,
-            batch,
-            cores,
-            fifos,
-            buffers,
-        }
-    }
-
-    /// `Ok(())` when every measurement respects its model bound; otherwise
-    /// one message naming every violation.
-    pub fn check(&self) -> Result<(), String> {
-        let mut problems = Vec::new();
-        for c in &self.cores {
-            if !c.within {
-                problems.push(format!(
-                    "core {}: measured interval {:.1} exceeds predicted pipeline \
-                     interval {} + fill {} (bottleneck {})",
-                    c.name,
-                    c.measured_interval,
-                    self.predicted_pipeline_interval,
-                    self.bottleneck_fill,
-                    self.bottleneck_name
-                ));
-            }
-        }
-        for f in &self.fifos {
-            if !f.within {
-                problems.push(format!(
-                    "fifo {}: occupancy HWM {} exceeds capacity {}",
-                    f.channel, f.hwm, f.capacity
-                ));
-            }
-        }
-        for b in &self.buffers {
-            if !b.within {
-                problems.push(format!(
-                    "core {}: line-buffer HWM {} exceeds the full-buffering \
-                     bound {}",
-                    b.name, b.hwm, b.bound
-                ));
-            }
-        }
-        if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(problems.join("; "))
-        }
-    }
-
-    /// Fixed-width text table for console output.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "predicted bottleneck: {} at {} cycles/image + {} fill (batch {})\n\
-             core       predicted  measured   init     ok\n",
-            self.bottleneck_name,
-            self.predicted_pipeline_interval,
-            self.bottleneck_fill,
-            self.batch
-        );
-        for c in &self.cores {
-            out.push_str(&format!(
-                "{:<10} {:>9} {:>9.1} {:>7} {:>5}\n",
-                c.name,
-                c.predicted_stage_interval,
-                c.measured_interval,
-                c.initiations,
-                if c.within { "yes" } else { "NO" }
-            ));
-        }
-        for b in &self.buffers {
-            out.push_str(&format!(
-                "buffer {:<10} hwm {:>5} / bound {:>5} {}\n",
-                b.name,
-                b.hwm,
-                b.bound,
-                if b.within { "ok" } else { "VIOLATION" }
-            ));
-        }
-        out
-    }
-}
-
-/// One pipeline stage's time breakdown, in nanoseconds.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct StageReport {
-    /// Stage / actor name.
-    pub name: String,
-    /// Time spent doing work (compute cycles, or worker busy time).
-    pub service_ns: f64,
-    /// Time blocked waiting for input.
-    pub starved_ns: f64,
-    /// Time blocked pushing output downstream.
-    pub backpressured_ns: f64,
-    /// Time with nothing to do (pipeline fill/drain tails). The threaded
-    /// engine cannot distinguish idle from starved, so it reports 0 here
-    /// and folds the tails into `starved_ns`.
-    pub idle_ns: f64,
-}
-
-/// The common observability record both engines emit: where each stage's
-/// time went over one batch. Cycle counts are converted to nanoseconds so
-/// the simulator's and the threaded engine's reports are comparable.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RunReport {
-    /// Serialisation schema version ([`SCHEMA_VERSION`]).
-    pub schema_version: u32,
-    /// Which engine produced the report (`cycle-sim` or `threaded-host`).
-    pub engine: String,
-    /// Batch size.
-    pub batch: usize,
-    /// Total run time in nanoseconds.
-    pub total_ns: f64,
-    /// Per-stage breakdown, in pipeline order.
-    pub stages: Vec<StageReport>,
-}
-
-impl RunReport {
-    /// Build from a traced simulation at the given core clock.
-    pub fn from_sim(res: &SimResult, clock_hz: u64) -> Self {
-        let ns_per_cycle = 1e9 / clock_hz as f64;
         RunReport {
             schema_version: SCHEMA_VERSION,
             engine: "cycle-sim".to_string(),
-            batch: res.completions.len(),
+            batch,
             total_ns: res.cycles as f64 * ns_per_cycle,
-            stages: res
-                .stalls
-                .iter()
-                .map(|s| StageReport {
-                    name: s.name.clone(),
-                    service_ns: s.computing as f64 * ns_per_cycle,
-                    starved_ns: s.starved_total() as f64 * ns_per_cycle,
-                    backpressured_ns: s.backpressured_total() as f64 * ns_per_cycle,
-                    idle_ns: s.idle as f64 * ns_per_cycle,
-                })
-                .collect(),
+            bottleneck_name: Some(bottleneck_name),
+            predicted_pipeline_interval: Some(predicted),
+            bottleneck_fill: Some(bottleneck_fill),
+            stages,
+            fifos,
         }
     }
 
-    /// Build from a threaded-engine profile. Uses the profile's exact
-    /// per-stage totals (not mean × images, which loses the integer
-    /// division's remainder), so the report reconciles bit-exactly with
-    /// the live telemetry cells.
+    /// Build from a threaded-engine profile, with the drift columns empty.
+    /// Uses the profile's exact per-stage totals (not mean × images, which
+    /// loses the integer division's remainder), so the report reconciles
+    /// bit-exactly with the live telemetry cells.
     pub fn from_profile(profile: &PipelineProfile) -> Self {
         RunReport {
             schema_version: SCHEMA_VERSION,
             engine: "threaded-host".to_string(),
             batch: profile.batch,
             total_ns: profile.total_ns as f64,
+            bottleneck_name: None,
+            predicted_pipeline_interval: None,
+            bottleneck_fill: None,
             stages: profile
                 .stages
                 .iter()
-                .map(|s| StageReport {
+                .map(|s| StageRow {
                     name: s.name.clone(),
                     service_ns: s.service_total_ns as f64,
                     starved_ns: s.queue_wait_total_ns as f64,
                     backpressured_ns: s.send_wait_total_ns as f64,
                     idle_ns: 0.0,
+                    ..StageRow::default()
                 })
                 .collect(),
+            fifos: Vec::new(),
         }
     }
 
-    /// Fixed-width text table for console output.
+    /// Fixed-width text table for console output: the time columns of
+    /// every stage, the drift columns where they were measured, and one
+    /// line per line buffer.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "engine {} batch {} total {:.1} us\n\
-             stage        service_us  starved_us  blocked_us  idle_us\n",
+            "engine {} batch {} total {:.1} us\n",
             self.engine,
             self.batch,
             self.total_ns / 1e3
         );
+        if let (Some(name), Some(predicted), Some(fill)) = (
+            &self.bottleneck_name,
+            self.predicted_pipeline_interval,
+            self.bottleneck_fill,
+        ) {
+            out.push_str(&format!(
+                "predicted bottleneck: {name} at {predicted} cycles/image + {fill} fill\n"
+            ));
+        }
+        out.push_str(
+            "stage        service_us  starved_us  blocked_us  idle_us  predicted  measured    init  ok\n",
+        );
         for s in &self.stages {
             out.push_str(&format!(
-                "{:<12} {:>10.1} {:>11.1} {:>11.1} {:>8.1}\n",
+                "{:<12} {:>10.1} {:>11.1} {:>11.1} {:>8.1}",
                 s.name,
                 s.service_ns / 1e3,
                 s.starved_ns / 1e3,
                 s.backpressured_ns / 1e3,
                 s.idle_ns / 1e3,
             ));
+            if let (Some(p), Some(m), Some(n), Some(ok)) = (
+                s.predicted_stage_interval,
+                s.measured_interval,
+                s.initiations,
+                s.within,
+            ) {
+                out.push_str(&format!(
+                    " {p:>10} {m:>9.1} {n:>7} {:>3}",
+                    if ok { "yes" } else { "NO" }
+                ));
+            }
+            out.push('\n');
+        }
+        for s in &self.stages {
+            if let (Some(hwm), Some(bound), Some(ok)) =
+                (s.buffer_hwm, s.buffer_bound, s.buffer_within)
+            {
+                out.push_str(&format!(
+                    "buffer {:<10} hwm {hwm:>5} / bound {bound:>5} {}\n",
+                    s.name,
+                    if ok { "ok" } else { "VIOLATION" }
+                ));
+            }
         }
         out
     }
@@ -442,6 +359,8 @@ mod tests {
         assert_eq!(report.stages[0].service_ns, 403.0);
         assert_eq!(report.stages[0].starved_ns, 81.0);
         assert_eq!(report.stages[0].backpressured_ns, 22.0);
+        assert!(report.stages[0].measured_interval.is_none());
+        assert!(report.bottleneck_name.is_none() && report.fifos.is_empty());
         let json = serde_json::to_string(&report).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.stages[0].name, "conv1");

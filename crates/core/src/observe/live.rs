@@ -1,12 +1,11 @@
 //! Live telemetry: lock-free in-flight metrics, sampled snapshots and
 //! streaming exporters.
 //!
-//! PR 4's flight recorder answers *where did the time go* only after a
+//! The flight recorder answers *where did the time go* only after a
 //! run completes. This module makes the same counters observable **while
 //! the run executes**: every engine (dense sim, event sim, threaded host)
 //! can be handed a [`LiveMetrics`] handle — one lock-free [`MetricCell`]
-//! per stage/actor — and bumps it from the hot path with relaxed atomic
-//! adds. A [`Sampler`] turns the monotone cumulative counters into
+//! per stage/actor — and bumps it with relaxed atomic adds. A [`Sampler`] turns the monotone cumulative counters into
 //! periodic [`MetricsSnapshot`] *deltas* on a configurable tick, and two
 //! exporters stream them out: Prometheus-style text exposition
 //! ([`LiveMetrics::render_prometheus`]) and a JSONL time-series
@@ -16,16 +15,19 @@
 //! # The reconciliation invariant
 //!
 //! Telemetry is only trustworthy if it cannot drift from the post-hoc
-//! truth, so the cells are written with the *same* values the flight
-//! recorder accumulates — the simulator mirrors every
-//! [`crate::trace::Stall`] classification cycle-for-cycle, and the
-//! threaded engine's workers record the identical measured `u64` into
-//! both the cell and their [`IntervalStats`]. Consequently, for any run:
+//! truth, so the cells are derived from the *same* values the flight
+//! recorder accumulates. In the simulator the recorder's
+//! [`crate::trace::ActorStallStats`] are the one store of the stall
+//! counters: it adds to the cells what they gained since its last
+//! publish, at every sampler tick and when the run ends (initiations and
+//! their intervals go into the cells as they happen). The threaded
+//! engine's workers record the identical measured `u64` into both the
+//! cell and their [`IntervalStats`]. Consequently, for any run:
 //!
 //! * summing all snapshot deltas per stage reproduces the final
-//!   [`crate::trace::ActorStallStats`] counters (and therefore the
-//!   [`crate::observe::RunReport`]) **exactly** — no rounding, no
-//!   sampling loss;
+//!   [`crate::trace::ActorStallStats`] counters (and therefore the time
+//!   columns of the [`crate::observe::RunReport`]) **exactly** — no
+//!   rounding, no sampling loss;
 //! * cumulative cell totals equal the threaded engine's
 //!   [`crate::exec::StageProfile`] totals exactly.
 //!
@@ -46,16 +48,16 @@
 //! read after the run's threads have joined — a happens-before edge that
 //! makes the final totals precise without any fences in the hot path.
 
-use crate::trace::{bucket_of, IntervalStats, Stall};
+use crate::trace::{bucket_of, IntervalStats};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Schema version stamped into every serialised observability record
-/// ([`MetricsSnapshot`], [`crate::observe::RunReport`],
-/// [`crate::observe::DriftReport`]), so exporter consumers can evolve
-/// safely.
-pub const SCHEMA_VERSION: u32 = 1;
+/// ([`MetricsSnapshot`], [`crate::observe::RunReport`]), so exporter
+/// consumers can evolve safely. Version 2: the run report carries the
+/// drift columns in its stage rows.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// The time unit a telemetry source counts in: the cycle-accurate
 /// simulator bills simulated **cycles**, the threaded host engine bills
@@ -180,19 +182,6 @@ impl MetricCell {
     #[inline]
     pub fn add_idle(&self, n: u64) {
         self.idle.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Bill `n` units of the simulator's stall taxonomy — the mapping the
-    /// flight recorder mirrors: `Computing → service`,
-    /// `Starved → queue_wait`, `Backpressured → send_wait`, `Idle → idle`.
-    #[inline]
-    pub fn add_stall(&self, class: Stall, n: u64) {
-        match class {
-            Stall::Computing => self.add_service(n),
-            Stall::Starved(_) => self.add_queue_wait(n),
-            Stall::Backpressured(_) => self.add_send_wait(n),
-            Stall::Idle => self.add_idle(n),
-        }
     }
 
     /// Record one measured interval (inter-initiation gap in cycles, or
@@ -507,10 +496,10 @@ mod tests {
     #[test]
     fn cells_accumulate_the_stall_taxonomy() {
         let live = plane();
-        live.cell(0).add_stall(Stall::Computing, 5);
-        live.cell(0).add_stall(Stall::Starved(2), 3);
-        live.cell(0).add_stall(Stall::Backpressured(0), 2);
-        live.cell(0).add_stall(Stall::Idle, 7);
+        live.cell(0).add_service(5);
+        live.cell(0).add_queue_wait(3);
+        live.cell(0).add_send_wait(2);
+        live.cell(0).add_idle(7);
         live.cell(0).add_items(4);
         let c = live.cell(0).counters();
         assert_eq!(

@@ -350,11 +350,11 @@ pub fn narrow_interval(spec: NumericSpec, pre: Interval) -> Interval {
 }
 
 /// Max-pooling transfer: the maximum of quantised window values — exact
-/// interval semantics, no intermediate to saturate.
+/// interval semantics, no intermediate to saturate. A max returns one of
+/// its inputs, so the output is quantised once, on the way in.
 pub fn pool_max_transfer(spec: NumericSpec, input: Interval) -> Transfer {
-    let q = quantize_interval(spec, input);
     Transfer {
-        out: apply_activation(spec, q, Activation::Identity),
+        out: quantize_interval(spec, input),
         pre: None,
         acc_abs: None,
     }
@@ -796,6 +796,25 @@ mod tests {
         // the rails themselves survive a quantise round-trip
         assert_eq!(q.value(c.lo as f32), c.lo);
         assert_eq!(q.value(c.hi as f32), c.hi);
+    }
+
+    #[test]
+    fn max_pool_quantises_its_input_once() {
+        for spec in NumericSpec::supported() {
+            let eps = spec.epsilon();
+            let mut inputs = vec![Interval::new(-1e6, 1e6), Interval::new(0.25, 0.75)];
+            if let Some(c) = container(spec) {
+                // bounds half a step off the grid (rounding ties), the
+                // rails themselves, and bounds beyond the container
+                inputs.push(Interval::new(-1.0 - eps / 2.0, 1.0 + eps / 2.0));
+                inputs.push(c);
+                inputs.push(Interval::new(c.lo - 3.0 * eps, c.hi + 3.0 * eps));
+            }
+            for input in inputs {
+                let out = pool_max_transfer(spec, input).out;
+                assert_eq!(out, quantize_interval(spec, input), "{spec:?} {input:?}");
+            }
+        }
     }
 
     #[test]

@@ -165,7 +165,7 @@ pub struct DeadlockReport {
 /// same cycle; the message is stable and pinned by tests.
 #[derive(Clone, Debug)]
 pub enum SimError {
-    /// No channel activity for [`STALL_LIMIT`] cycles with images still
+    /// No channel activity for `STALL_LIMIT` cycles with images still
     /// outstanding.
     Deadlock(DeadlockReport),
 }
@@ -234,7 +234,7 @@ pub struct Simulator {
     sink_state: std::rc::Rc<std::cell::RefCell<crate::endpoints::SinkState>>,
     trace: Trace,
     config: SimConfig,
-    /// Live telemetry cells mirrored during the run (one per actor).
+    /// Live telemetry cells fed during the run (one per actor).
     live: Option<std::sync::Arc<LiveMetrics>>,
     sampler: Option<SamplerHook>,
 }
@@ -266,12 +266,6 @@ impl Simulator {
         self
     }
 
-    /// Replace the engine configuration.
-    pub fn with_config(mut self, config: SimConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Select the dense reference sweep (the conformance oracle).
     pub fn reference_mode(mut self) -> Self {
         self.config.reference_mode = true;
@@ -288,11 +282,12 @@ impl Simulator {
         )
     }
 
-    /// Mirror the flight recorder's per-cycle classifications, initiation
-    /// counts and inter-initiation intervals into `live` while the run
-    /// executes. The cells must have been built for this simulator's
-    /// actor list (see [`Simulator::live_metrics`]). Works with tracing
-    /// on or off; the simulated behaviour is bit-identical either way.
+    /// Feed `live` while the run executes: initiation counts and
+    /// inter-initiation intervals as they happen, the flight recorder's
+    /// stall counters at every sampler tick and at the end of the run.
+    /// The cells must have been built for this simulator's actor list (see
+    /// [`Simulator::live_metrics`]). Works with tracing on or off; the
+    /// simulated behaviour is bit-identical either way.
     pub fn with_live(mut self, live: std::sync::Arc<LiveMetrics>) -> Self {
         assert_eq!(
             live.len(),
@@ -359,7 +354,9 @@ impl Simulator {
             .filter(|a| a.busy())
             .map(|a| a.name().to_string())
             .collect();
-        let stalls = recorder.map(|r| r.finish(cycle).0).unwrap_or_default();
+        let stalls = recorder
+            .map(|r| r.finish(cycle, self.live.as_deref()).0)
+            .unwrap_or_default();
         Self::flush_sampler(&self.sampler, cycle);
         SimError::Deadlock(DeadlockReport {
             cycle,
@@ -372,27 +369,28 @@ impl Simulator {
 
     /// A stall recorder when tracing or live telemetry is on; `None`
     /// keeps the flight recorder strictly zero-cost on unobserved runs.
-    /// Live runs attach their cells so every classification is mirrored
-    /// as it is recorded.
     fn make_recorder(&self) -> Option<StallRecorder> {
-        (self.trace.is_enabled() || self.live.is_some()).then(|| {
-            let mut rec =
-                StallRecorder::new(self.actors.iter().map(|a| a.name().to_string()).collect());
-            if let Some(live) = &self.live {
-                rec.attach_live(live.clone());
-            }
-            rec
-        })
+        (self.trace.is_enabled() || self.live.is_some())
+            .then(|| StallRecorder::new(self.actors.iter().map(|a| a.name().to_string()).collect()))
     }
 
     /// Take the boundary sample when the run clock reaches the hook's
-    /// next tick. Called with the post-commit cycle from both schedulers;
-    /// the event engine's cycle-skip may land past several boundaries, in
-    /// which case one (delta-complete) sample covers them.
-    fn maybe_sample(sampler: &mut Option<SamplerHook>, cycle: u64) {
+    /// next tick, after the recorder publishes its stall counters to the
+    /// sampled cells. Called with the post-commit cycle from both
+    /// schedulers; the event engine's cycle-skip may land past several
+    /// boundaries, in which case one (delta-complete) sample covers them.
+    fn maybe_sample(
+        sampler: &mut Option<SamplerHook>,
+        recorder: Option<&mut StallRecorder>,
+        cycle: u64,
+    ) {
         if let Some(hook) = sampler.as_mut() {
             if cycle >= hook.next {
-                hook.sampler.borrow_mut().sample(cycle);
+                let mut s = hook.sampler.borrow_mut();
+                if let Some(rec) = recorder {
+                    rec.publish(s.live());
+                }
+                s.sample(cycle);
                 hook.next = (cycle / hook.every + 1) * hook.every;
             }
         }
@@ -409,7 +407,7 @@ impl Simulator {
     fn finish(mut self, cycles: u64, recorder: Option<StallRecorder>) -> (SimResult, Trace) {
         let (stalls, tracks) = match recorder {
             Some(r) => {
-                let (stats, tracks) = r.finish(cycles);
+                let (stats, tracks) = r.finish(cycles, self.live.as_deref());
                 let named = self
                     .actors
                     .iter()
@@ -448,42 +446,21 @@ impl Simulator {
     /// The dense sweep: every actor, every cycle, in actor order.
     fn run_reference(mut self) -> Result<(SimResult, Trace), SimError> {
         let mut recorder = self.make_recorder();
-        let mut prev_init: Vec<Option<u64>> = vec![None; self.actors.len()];
         let mut cycle: u64 = 0;
         let mut last_activity_cycle: u64 = 0;
         let mut last_activity = 0u64;
         loop {
             for (i, a) in self.actors.iter_mut().enumerate() {
                 if let Some(rec) = recorder.as_mut() {
-                    let before_act = self.channels.activity();
-                    let before_inits = a.initiations();
-                    a.tick(cycle, &mut self.channels, &mut self.trace);
-                    let worked =
-                        self.channels.activity() != before_act || a.initiations() != before_inits;
-                    let class = if worked {
-                        Stall::Computing
-                    } else {
-                        a.stall(&self.channels)
-                    };
-                    rec.note(i, cycle, class);
-                    if let Some(live) = &self.live {
-                        let delta = a.initiations() - before_inits;
-                        if delta > 0 {
-                            let cell = live.cell(i);
-                            cell.add_items(delta);
-                            if let Some(p) = prev_init[i] {
-                                cell.record_interval(cycle - p);
-                            }
-                            prev_init[i] = Some(cycle);
-                        }
-                    }
+                    let (actor, live) = (&mut **a, self.live.as_deref());
+                    rec.tick(i, cycle, actor, &mut self.channels, &mut self.trace, live);
                 } else {
                     a.tick(cycle, &mut self.channels, &mut self.trace);
                 }
             }
             self.channels.commit_all();
             cycle += 1;
-            Self::maybe_sample(&mut self.sampler, cycle);
+            Self::maybe_sample(&mut self.sampler, recorder.as_mut(), cycle);
 
             if self.done() {
                 break;
@@ -519,7 +496,6 @@ impl Simulator {
     /// `cycles × actors`) to stderr after the run.
     fn run_event(mut self) -> Result<(SimResult, Trace), SimError> {
         let mut recorder = self.make_recorder();
-        let mut prev_init: Vec<Option<u64>> = vec![None; self.actors.len()];
         let n = self.actors.len();
         for (i, a) in self.actors.iter().enumerate() {
             let w = a.wiring();
@@ -577,29 +553,8 @@ impl Simulator {
                     ticks += 1;
                     self.channels.begin_tick(i);
                     if let Some(rec) = recorder.as_mut() {
-                        let before_act = self.channels.activity();
-                        let before_inits = self.actors[i].initiations();
-                        self.actors[i].tick(cycle, &mut self.channels, &mut self.trace);
-                        // the post-tick classification both labels this
-                        // tick (when it did no observable work) and is
-                        // captured as the class skipped cycles will be
-                        // billed to if the actor now sleeps
-                        let st = self.actors[i].stall(&self.channels);
-                        let worked = self.channels.activity() != before_act
-                            || self.actors[i].initiations() != before_inits;
-                        rec.note(i, cycle, if worked { Stall::Computing } else { st });
-                        rec.set_sleep(i, st);
-                        if let Some(live) = &self.live {
-                            let delta = self.actors[i].initiations() - before_inits;
-                            if delta > 0 {
-                                let cell = live.cell(i);
-                                cell.add_items(delta);
-                                if let Some(p) = prev_init[i] {
-                                    cell.record_interval(cycle - p);
-                                }
-                                prev_init[i] = Some(cycle);
-                            }
-                        }
+                        let (actor, live) = (&mut *self.actors[i], self.live.as_deref());
+                        rec.tick(i, cycle, actor, &mut self.channels, &mut self.trace, live);
                     } else {
                         self.actors[i].tick(cycle, &mut self.channels, &mut self.trace);
                     }
@@ -621,7 +576,7 @@ impl Simulator {
 
             self.channels.commit_dirty();
             let post = cycle + 1;
-            Self::maybe_sample(&mut self.sampler, post);
+            Self::maybe_sample(&mut self.sampler, recorder.as_mut(), post);
 
             if self.done() {
                 cycle = post;

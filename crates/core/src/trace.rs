@@ -13,6 +13,9 @@
 //! hot path appends a small fixed-size record per event and the disabled
 //! path costs one branch.
 
+use crate::observe::live::LiveMetrics;
+use crate::sim::Actor;
+use crate::stream::ChannelSet;
 use serde::{Deserialize, Serialize};
 
 /// What happened.
@@ -142,14 +145,20 @@ impl ActorStallStats {
 
 /// Accumulates the per-actor, per-cycle stall taxonomy during a run.
 ///
-/// The dense reference sweep calls [`StallRecorder::note`] for every actor
-/// on every cycle; the event-driven fast path calls it only on cycles an
-/// actor actually ticks, and the recorder synthesizes the skipped span
-/// from the classification captured when the actor went to sleep
-/// ([`StallRecorder::set_sleep`]). Because a sleeping actor's wired
-/// channels are frozen until a change wakes it by the next cycle, the
-/// synthesized span is exactly what the dense sweep would have recorded —
-/// the engine-conformance tests pin this cycle for cycle.
+/// Both schedulers tick an observed actor through [`StallRecorder::tick`].
+/// The dense reference sweep does so for every actor on every cycle; the
+/// event-driven fast path only on cycles an actor actually ticks, and the
+/// recorder synthesizes the skipped span from the classification captured
+/// when the actor went to sleep ([`StallRecorder::set_sleep`]). Because a
+/// sleeping actor's wired channels are frozen until a change wakes it by
+/// the next cycle, the synthesized span is exactly what the dense sweep
+/// would have recorded — the engine-conformance tests pin this cycle for
+/// cycle.
+///
+/// The [`ActorStallStats`] are the one store of the stall counters. The
+/// live telemetry cells ([`crate::observe::live`]) are derived from them:
+/// [`StallRecorder::publish`] adds what the stats gained since its last
+/// call, at every sampler tick and when the run ends.
 #[derive(Clone, Debug)]
 pub(crate) struct StallRecorder {
     /// Next cycle not yet classified, per actor.
@@ -158,11 +167,12 @@ pub(crate) struct StallRecorder {
     sleep_class: Vec<Stall>,
     stats: Vec<ActorStallStats>,
     tracks: Vec<Vec<StallSpan>>,
-    /// Live telemetry cells mirrored by every classification, so the
-    /// counters are observable *while the run executes* (see
-    /// [`crate::observe::live`]). `None` keeps the recorder free of
-    /// atomic traffic when nobody is watching.
-    live: Option<std::sync::Arc<crate::observe::live::LiveMetrics>>,
+    /// Cycle of each actor's previous initiation, for the live interval
+    /// histogram.
+    prev_init: Vec<Option<u64>>,
+    /// Per actor, the `[computing, starved, backpressured, idle]` totals
+    /// as last published to the live cells.
+    published: Vec<[u64; 4]>,
 }
 
 impl StallRecorder {
@@ -179,19 +189,64 @@ impl StallRecorder {
                 })
                 .collect(),
             tracks: vec![Vec::new(); n],
-            live: None,
+            prev_init: vec![None; n],
+            published: vec![[0; 4]; n],
         }
     }
 
-    /// Mirror every classification into `live`'s per-actor cells. The
-    /// cell layout must match the recorder's actor order.
-    pub(crate) fn attach_live(&mut self, live: std::sync::Arc<crate::observe::live::LiveMetrics>) {
-        assert_eq!(
-            live.len(),
-            self.stats.len(),
-            "live metrics must have one cell per recorded actor"
-        );
-        self.live = Some(live);
+    /// Tick actor `i` at `cycle` and record it. The post-tick
+    /// [`Actor::stall`] classification both labels the tick when it did no
+    /// observable work (moved no value, initiated nothing) and is captured
+    /// as the class skipped cycles will be billed to if the actor now
+    /// sleeps; the dense sweep never skips a cycle, so only the
+    /// event-driven scheduler bills it. With `live`, the actor's new
+    /// initiations and the gap since its previous one go into its cell as
+    /// they happen.
+    pub(crate) fn tick(
+        &mut self,
+        i: usize,
+        cycle: u64,
+        actor: &mut dyn Actor,
+        chans: &mut ChannelSet,
+        trace: &mut Trace,
+        live: Option<&LiveMetrics>,
+    ) {
+        let before_act = chans.activity();
+        let before_inits = actor.initiations();
+        actor.tick(cycle, chans, trace);
+        let inits = actor.initiations() - before_inits;
+        let st = actor.stall(chans);
+        let worked = chans.activity() != before_act || inits > 0;
+        self.note(i, cycle, if worked { Stall::Computing } else { st });
+        self.set_sleep(i, st);
+        if let Some(live) = live.filter(|_| inits > 0) {
+            let cell = live.cell(i);
+            cell.add_items(inits);
+            if let Some(p) = self.prev_init[i] {
+                cell.record_interval(cycle - p);
+            }
+            self.prev_init[i] = Some(cycle);
+        }
+    }
+
+    /// Add to `live`'s cells what each actor's stall counters gained since
+    /// the last publish. The cell layout must match the recorder's actor
+    /// order.
+    pub(crate) fn publish(&mut self, live: &LiveMetrics) {
+        for (i, s) in self.stats.iter().enumerate() {
+            let now = [
+                s.computing,
+                s.starved_total(),
+                s.backpressured_total(),
+                s.idle,
+            ];
+            let last = std::mem::replace(&mut self.published[i], now);
+            let cell = live.cell(i);
+            cell.add_service(now[0] - last[0]);
+            cell.add_queue_wait(now[1] - last[1]);
+            cell.add_send_wait(now[2] - last[2]);
+            cell.add_idle(now[3] - last[3]);
+        }
     }
 
     /// Add `n` cycles of `class` for actor `i`, merging consecutive
@@ -203,9 +258,6 @@ impl StallRecorder {
             return;
         }
         self.stats[i].add(class, n);
-        if let Some(live) = &self.live {
-            live.cell(i).add_stall(class, n);
-        }
         let start = self.counted_to[i];
         let track = &mut self.tracks[i];
         match track.last_mut() {
@@ -235,13 +287,21 @@ impl StallRecorder {
         self.sleep_class[i] = class;
     }
 
-    /// Close out the run at `cycles`, back-filling trailing sleep.
-    pub(crate) fn finish(mut self, cycles: u64) -> (Vec<ActorStallStats>, Vec<Vec<StallSpan>>) {
+    /// Close out the run at `cycles`, back-filling trailing sleep, and
+    /// publish the final counters to `live`.
+    pub(crate) fn finish(
+        mut self,
+        cycles: u64,
+        live: Option<&LiveMetrics>,
+    ) -> (Vec<ActorStallStats>, Vec<Vec<StallSpan>>) {
         for i in 0..self.counted_to.len() {
             if cycles > self.counted_to[i] {
                 let gap = cycles - self.counted_to[i];
                 self.add(i, self.sleep_class[i], gap);
             }
+        }
+        if let Some(live) = live {
+            self.publish(live);
         }
         (self.stats, self.tracks)
     }
@@ -586,11 +646,6 @@ impl IntervalStats {
         self.total_ns.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Mean interval in fractional milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        self.mean_ns() as f64 / 1e6
-    }
-
     /// Smallest single interval in nanoseconds (0 when empty).
     pub fn min_ns(&self) -> u64 {
         self.min_ns
@@ -789,14 +844,14 @@ mod tests {
             dense.note(0, c, Stall::Starved(0));
         }
         dense.note(0, 4, Stall::Computing);
-        let (ds, dt) = dense.finish(5);
+        let (ds, dt) = dense.finish(5, None);
 
         // event-driven: tick, sleep through the stall, tick again
         let mut ev = StallRecorder::new(vec!["a".to_string()]);
         ev.note(0, 0, Stall::Computing);
         ev.set_sleep(0, Stall::Starved(0));
         ev.note(0, 4, Stall::Computing);
-        let (es, et) = ev.finish(5);
+        let (es, et) = ev.finish(5, None);
 
         assert_eq!(ds, es);
         assert_eq!(dt, et);
@@ -830,11 +885,40 @@ mod tests {
         let mut r = StallRecorder::new(vec!["a".to_string()]);
         r.note(0, 0, Stall::Computing);
         r.set_sleep(0, Stall::Idle);
-        let (s, t) = r.finish(10);
+        let (s, t) = r.finish(10, None);
         assert_eq!(s[0].computing, 1);
         assert_eq!(s[0].idle, 9);
         assert_eq!(s[0].total(), 10);
         assert_eq!(t[0].len(), 2);
+    }
+
+    #[test]
+    fn publish_adds_what_the_stats_gained() {
+        use crate::observe::live::MetricUnit;
+        let live = LiveMetrics::new(MetricUnit::Cycles, vec!["a".to_string()]);
+        let mut r = StallRecorder::new(vec!["a".to_string()]);
+        r.note(0, 0, Stall::Computing);
+        r.note(0, 1, Stall::Starved(1));
+        r.publish(&live);
+        r.publish(&live); // nothing gained since: adds nothing
+        r.note(0, 2, Stall::Backpressured(0));
+        // cycle 3 is back-filled with the default sleep class, idle
+        let (s, _) = r.finish(4, Some(&live));
+        let c = live.cell(0).counters();
+        let cells = (c.service, c.queue_wait, c.send_wait, c.idle);
+        let stats = (
+            s[0].computing,
+            s[0].starved_total(),
+            s[0].backpressured_total(),
+            s[0].idle,
+        );
+        assert_eq!(cells, stats);
+        assert_eq!(cells, (1, 1, 1, 1));
+        // a second run on the same plane accumulates
+        let mut again = StallRecorder::new(vec!["a".to_string()]);
+        again.note(0, 0, Stall::Computing);
+        again.finish(1, Some(&live));
+        assert_eq!(live.cell(0).counters().service, 2);
     }
 
     #[test]

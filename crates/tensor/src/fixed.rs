@@ -548,7 +548,7 @@ macro_rules! narrow_fixed {
             /// `i16·i16 → i32` (or `i8·i8`) products added into 16 `i32`
             /// lanes, which spill into the `i64` result every `spill` input
             /// values and once at the end. Exact, and so equal to any other
-            /// summation order, whenever `spill` ≤ [`Self::lane_spill`] of
+            /// summation order, whenever `spill` ≤ [`crate::Numeric::lane_spill`] of
             /// the weights in `rows`.
             #[inline]
             fn mac_lanes<'a>(

@@ -295,7 +295,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Acceptable size arguments for [`vec`].
+    /// Acceptable size arguments for [`vec()`].
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,

@@ -1,13 +1,13 @@
 //! Flight-recorder acceptance tests on the paper's two test cases.
 //!
-//! The stall taxonomy, the drift report and the Perfetto export are only
-//! useful if they stay trustworthy, so this file pins their contracts on
-//! the designs the paper actually measured:
+//! The stall taxonomy, the run report's drift columns and the Perfetto
+//! export are only useful if they stay trustworthy, so this file pins
+//! their contracts on the designs the paper actually measured:
 //!
 //! * **accounting identity** — every cycle of every actor is classified
 //!   exactly once (`computing + idle + Σstarved + Σbackpressured ==
 //!   total cycles`), so a stall report can never silently lose time;
-//! * **model agreement** — [`DriftReport::check`] passes: every core's
+//! * **model agreement** — [`check_drift`] finds nothing: every core's
 //!   measured steady-state interval stays within tolerance of the Eq. 4
 //!   pipeline interval, every FIFO high-water mark respects its capacity,
 //!   and every line-buffer high-water mark respects the SST
@@ -18,9 +18,10 @@
 //!   named track per actor and well-formed complete events, so the file
 //!   actually loads in `ui.perfetto.dev`.
 
+use dfcnn::core::check_drift;
 use dfcnn::core::graph::{DesignConfig, NetworkDesign, PortConfig};
 use dfcnn::core::observe::live::Sampler;
-use dfcnn::core::observe::{DriftReport, RunReport, SCHEMA_VERSION};
+use dfcnn::core::observe::{RunReport, SCHEMA_VERSION};
 use dfcnn::core::trace::Stall;
 use dfcnn::prelude::*;
 use rand::SeedableRng;
@@ -92,23 +93,26 @@ fn assert_flight_recording_sound(design: &NetworkDesign, images: &[Tensor3<f32>]
 
     // 3. model agreement: measured IIs within Eq. 4, occupancy HWMs
     //    within their bounds
-    let drift = DriftReport::new(design, &res, &trace);
+    let report = RunReport::from_sim(design, &res, &trace);
+    let measured: Vec<_> = report
+        .stages
+        .iter()
+        .filter(|s| s.measured_interval.is_some())
+        .collect();
     assert!(
-        !drift.cores.is_empty(),
-        "drift report found no cores with steady-state estimates"
+        !measured.is_empty(),
+        "run report found no cores with steady-state estimates"
     );
     for name in design.cores().iter().map(|c| c.name.as_str()) {
         assert!(
-            drift.cores.iter().any(|c| c.name == name),
-            "core {name} missing from the drift report"
+            measured.iter().any(|s| s.name == name),
+            "core {name} missing from the run report's measured rows"
         );
     }
-    drift
-        .check()
-        .unwrap_or_else(|e| panic!("drift check failed: {e}"));
+    let diags = check_drift(design, &report);
+    assert!(diags.is_empty(), "drift check failed: {diags:?}");
 
     // 4. the unified run report round-trips through JSON
-    let report = RunReport::from_sim(&res, design.config().clock_hz);
     assert_eq!(report.engine, "cycle-sim");
     assert_eq!(report.batch, images.len());
     let json = serde_json::to_string(&report).unwrap();
@@ -206,19 +210,12 @@ fn reports_carry_the_schema_version() {
     let (design, images) = tc1();
     let (res, trace) = design.instantiate(&images).with_trace().run();
 
-    let report = RunReport::from_sim(&res, design.config().clock_hz);
+    let report = RunReport::from_sim(&design, &res, &trace);
     assert_eq!(report.schema_version, SCHEMA_VERSION);
     let json = serde_json::to_string(&report).unwrap();
     assert!(json.contains("\"schema_version\""));
     let back: RunReport = serde_json::from_str(&json).unwrap();
     assert_eq!(back.schema_version, SCHEMA_VERSION);
-
-    let drift = DriftReport::new(&design, &res, &trace);
-    assert_eq!(drift.schema_version, SCHEMA_VERSION);
-    let djson = serde_json::to_string(&drift).unwrap();
-    assert!(djson.contains("\"schema_version\""));
-    let dback: DriftReport = serde_json::from_str(&djson).unwrap();
-    assert_eq!(dback.schema_version, SCHEMA_VERSION);
 }
 
 /// The live counter tracks exported alongside the stall spans: one `C`

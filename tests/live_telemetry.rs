@@ -160,8 +160,8 @@ fn live_totals_match_the_run_report() {
     let (design, images) = tc1();
     let sim = design.instantiate(&images).with_trace();
     let live = sim.live_metrics();
-    let (res, _) = sim.with_live(live.clone()).run();
-    let report = RunReport::from_sim(&res, design.config().clock_hz);
+    let (res, trace) = sim.with_live(live.clone()).run();
+    let report = RunReport::from_sim(&design, &res, &trace);
     let ns_per_cycle = 1e9 / design.config().clock_hz as f64;
     assert_eq!(report.stages.len(), live.len());
     for (i, stage) in report.stages.iter().enumerate() {

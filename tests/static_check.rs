@@ -9,15 +9,16 @@
 //!   the rejection is independently confirmed by the corresponding
 //!   engine actually deadlocking or refusing the run. The checker's
 //!   verdict and the dynamic outcome must agree in both directions.
-//! - **Static/dynamic agreement**: a drift report measured from a clean
+//! - **Static/dynamic agreement**: a run report measured from a clean
 //!   traced run must cross-check against the analytical model with no
-//!   diagnostics.
+//!   diagnostics, and each out-of-bounds row of a report must come back
+//!   as one diagnostic naming that row.
 
 mod common;
 
 use common::{random_ports, random_spec, residual_design};
 use dfcnn::core::exec::ReplicationPlan;
-use dfcnn::core::observe::DriftReport;
+use dfcnn::core::observe::RunReport;
 use dfcnn::core::{check_drift, check_replication, SimError};
 use dfcnn::nn::topology::GraphOp;
 use dfcnn::prelude::*;
@@ -307,10 +308,8 @@ fn bad_replication_plans_are_rejected_and_confirmed_by_the_engine() {
     assert_eq!(res.outputs.len(), 2);
 }
 
-/// Static/dynamic agreement: a drift report measured from a clean run
-/// cross-checks against the analytical model with zero diagnostics.
-#[test]
-fn measured_drift_report_cross_checks_clean() {
+/// A run report measured from a traced TC1 batch.
+fn measured_tc1_report() -> (NetworkDesign, RunReport) {
     let design = NetworkDesign::new(
         &tc1_network(),
         PortConfig::paper_test_case_1(),
@@ -322,7 +321,55 @@ fn measured_drift_report_cross_checks_clean() {
     // estimator needs enough images for the fill transient to amortise
     let images = batch(&design, 8, 24);
     let (res, trace) = design.instantiate(&images).with_trace().run();
-    let drift = DriftReport::new(&design, &res, &trace);
-    let diags = check_drift(&design, &drift);
+    let report = RunReport::from_sim(&design, &res, &trace);
+    (design, report)
+}
+
+/// Static/dynamic agreement: a run report measured from a clean run
+/// cross-checks against the analytical model with zero diagnostics.
+#[test]
+fn measured_drift_report_cross_checks_clean() {
+    let (design, report) = measured_tc1_report();
+    let diags = check_drift(&design, &report);
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+/// The drift judge's failure paths: every row the report flags out of
+/// bounds, and a report built for another bottleneck, comes back as one
+/// error naming the row and the rule.
+#[test]
+fn out_of_bounds_rows_become_one_diagnostic_each() {
+    let (design, mut report) = measured_tc1_report();
+    let core = report
+        .stages
+        .iter()
+        .rposition(|s| s.measured_interval.is_some())
+        .expect("a measured core row");
+    report.stages[core].within = Some(false);
+    let buffer = report
+        .stages
+        .iter()
+        .position(|s| s.buffer_hwm.is_some())
+        .expect("a line-buffer row");
+    report.stages[buffer].buffer_within = Some(false);
+    report.fifos[1].within = false;
+    report.bottleneck_name = Some("not-the-bottleneck".to_string());
+
+    let diags = check_drift(&design, &report);
+    let found: Vec<(RuleId, &str)> = diags.iter().map(|d| (d.rule, d.core.as_str())).collect();
+    let fifo = format!("fifo {}", report.fifos[1].channel);
+    let mut expected = vec![
+        (RuleId::IiConsistency, "pipeline"),
+        (RuleId::IiConsistency, report.stages[core].name.as_str()),
+        (
+            RuleId::BufferSufficiency,
+            report.stages[buffer].name.as_str(),
+        ),
+        (RuleId::BufferSufficiency, fifo.as_str()),
+    ];
+    let mut sorted = found.clone();
+    sorted.sort_by_key(|&(r, c)| (r.id(), c));
+    expected.sort_by_key(|&(r, c)| (r.id(), c));
+    assert_eq!(sorted, expected, "{diags:?}");
+    assert!(diags.iter().all(|d| d.severity == Severity::Error));
 }
