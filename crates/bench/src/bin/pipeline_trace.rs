@@ -11,8 +11,9 @@
 //! `results/run_report.json`) with each stage's stall taxonomy beside its
 //! measured interval and line-buffer high-water mark, checked against the
 //! Eq. 4 model by [`check_drift`] — asserted, so CI catches a simulator
-//! that drifts from the paper's analysis. The run is sampled live (`observe::live`), producing the
-//! streaming artifacts `results/pipeline_trace.metrics.jsonl` and
+//! that drifts from the paper's analysis. The run is sampled live
+//! (`observe::live`), producing the streaming artifacts
+//! `results/pipeline_trace.metrics.jsonl` and
 //! `results/pipeline_trace.prometheus.txt`. With `--chrome-trace [path]`
 //! the stall tracks plus live counter tracks are also exported as
 //! Perfetto/Chrome-trace JSON (default
