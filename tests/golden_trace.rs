@@ -41,6 +41,16 @@ const RESNET8_GOLDEN_PATH: &str = concat!(
     "/tests/golden/resnet8_trace.csv"
 );
 
+const INCEPTION_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/inception_trace.csv"
+);
+
+const ADAPTER_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/adapter_trace.csv"
+);
+
 const OUTPUT_DIGEST_GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/output_digests.txt"
@@ -275,19 +285,44 @@ fn resnet8_chrome_export_names_join_actors() {
     }
 }
 
-/// The Inception-cell Perfetto/Chrome export names the concat actors: the
-/// pairwise-folded concat joins appear as tracks next to the branch convs.
-#[test]
-fn inception_chrome_export_names_concat_actors() {
+/// The Inception-cell preset on an `input`-shaped image: one deterministic
+/// image through the stem conv, the four-branch fork, the pairwise-folded
+/// concat joins, the pool and the FC.
+fn inception_fixture(input: Shape3) -> (NetworkDesign, Vec<Tensor3<f32>>) {
     use dfcnn::core::graph::build_graph_design;
     use dfcnn::nn::topology::GraphSpec;
-    let spec = GraphSpec::inception_cell();
+    let spec = GraphSpec {
+        input,
+        ..GraphSpec::inception_cell()
+    };
     let mut rng = ChaCha8Rng::seed_from_u64(80);
     let layers = spec.build_layers(&mut rng);
     let ports = PortConfig::single_port(spec.paper_depth());
     let design = build_graph_design(&spec, &layers, &ports, DesignConfig::default()).unwrap();
     let image = dfcnn::tensor::init::random_volume(&mut rng, spec.input, 0.0, 1.0);
-    let (_, trace) = design.instantiate(&[image]).with_trace().run();
+    (design, vec![image])
+}
+
+/// The golden Inception trace runs the cell on a 4×4×3 image (the preset's
+/// is 8×8×3) so the CSV stays reviewable; it pins the trace format through
+/// the concat actors.
+fn inception_rendered_csv() -> String {
+    let (design, images) = inception_fixture(Shape3::new(4, 4, 3));
+    let (_, trace) = design.instantiate(&images).with_trace().run();
+    trace.to_csv()
+}
+
+#[test]
+fn inception_trace_csv_matches_golden_file() {
+    assert_matches_golden(&inception_rendered_csv(), INCEPTION_GOLDEN_PATH);
+}
+
+/// The Inception-cell Perfetto/Chrome export names the concat actors: the
+/// pairwise-folded concat joins appear as tracks next to the branch convs.
+#[test]
+fn inception_chrome_export_names_concat_actors() {
+    let (design, images) = inception_fixture(Shape3::new(8, 8, 3));
+    let (_, trace) = design.instantiate(&images).with_trace().run();
     let json = trace.to_chrome_json(design.config().clock_hz);
     let concats: Vec<&str> = design
         .cores()
@@ -302,6 +337,95 @@ fn inception_chrome_export_names_concat_actors() {
             "chrome export must name actor {name}"
         );
     }
+}
+
+/// The port-mismatch fixture: a conv emitting on one port feeds a pool
+/// reading two (the builder inserts a demux), the pool's two output ports
+/// feed the single-port FC (a widen), and the FC feeds the on-fabric
+/// log-softmax core. One deterministic image — pins the trace format
+/// through both adapter directions and the normalisation core.
+fn adapter_fixture() -> (NetworkDesign, Vec<Tensor3<f32>>) {
+    use dfcnn::core::graph::LayerPorts;
+    let spec = NetworkSpec {
+        name: "golden-adapters".into(),
+        input: Shape3::new(6, 6, 1),
+        layers: vec![
+            LayerSpec::Conv {
+                kh: 3,
+                kw: 3,
+                out_maps: 2,
+                stride: 1,
+                pad: 0,
+                activation: Activation::Tanh,
+            },
+            LayerSpec::Pool {
+                kh: 2,
+                kw: 2,
+                stride: 2,
+                kind: PoolKind::Max,
+            },
+            LayerSpec::Flatten,
+            LayerSpec::Linear {
+                outputs: 3,
+                activation: Activation::Identity,
+            },
+            LayerSpec::LogSoftmax,
+        ],
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(81);
+    let network = spec.build(&mut rng);
+    let two = LayerPorts {
+        in_ports: 2,
+        out_ports: 2,
+    };
+    let ports = PortConfig {
+        layers: vec![LayerPorts::SINGLE, two, LayerPorts::SINGLE],
+    };
+    let config = DesignConfig {
+        fabric_normalization: true,
+        ..DesignConfig::default()
+    };
+    let design = NetworkDesign::new(&network, ports, config).unwrap();
+    let image = dfcnn::tensor::init::random_volume(&mut rng, spec.input, 0.0, 1.0);
+    (design, vec![image])
+}
+
+fn adapter_rendered_csv() -> String {
+    let (design, images) = adapter_fixture();
+    let (_, trace) = design.instantiate(&images).with_trace().run();
+    trace.to_csv()
+}
+
+#[test]
+fn adapter_trace_csv_matches_golden_file() {
+    let (design, _) = adapter_fixture();
+    let names: Vec<&str> = design.cores().iter().map(|c| c.name.as_str()).collect();
+    for prefix in ["demux", "widen", "logsoftmax"] {
+        assert!(
+            names.iter().any(|n| n.starts_with(prefix)),
+            "fixture must contain a {prefix} core, has {names:?}"
+        );
+    }
+    assert_matches_golden(&adapter_rendered_csv(), ADAPTER_GOLDEN_PATH);
+}
+
+/// Compare a rendered trace CSV with its golden file, naming the first
+/// differing line.
+fn assert_matches_golden(csv: &str, path: &str) {
+    let golden = std::fs::read_to_string(path)
+        .expect("golden file missing — run the ignored bless_golden_trace test");
+    assert!(
+        csv == golden,
+        "trace CSV diverged from {path}\n\
+         first differing line: {:?}\n\
+         re-bless only if the format change is intentional",
+        csv.lines()
+            .zip(golden.lines())
+            .enumerate()
+            .find(|(_, (a, b))| a != b)
+            .map(|(i, (a, b))| format!("line {}: got {a:?}, want {b:?}", i + 1))
+            .unwrap_or_else(|| "line count differs".into())
+    );
 }
 
 /// FNV-1a over the little-endian bytes of every output value's `f32` bits.
@@ -405,5 +529,7 @@ fn bless_golden_trace() {
     std::fs::write(GOLDEN_PATH, rendered_csv()).unwrap();
     std::fs::write(RESIDUAL_GOLDEN_PATH, residual_rendered_csv()).unwrap();
     std::fs::write(RESNET8_GOLDEN_PATH, resnet8_rendered_csv()).unwrap();
+    std::fs::write(INCEPTION_GOLDEN_PATH, inception_rendered_csv()).unwrap();
+    std::fs::write(ADAPTER_GOLDEN_PATH, adapter_rendered_csv()).unwrap();
     std::fs::write(OUTPUT_DIGEST_GOLDEN_PATH, rendered_output_digests()).unwrap();
 }
