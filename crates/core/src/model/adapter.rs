@@ -7,7 +7,7 @@
 
 use super::{CoreModel, CorePlan};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
-use crate::port::PortAdapter;
+use crate::port::Router;
 use crate::sim::Actor;
 use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
@@ -79,7 +79,7 @@ fn adapter_actor(
     in_chs: Vec<ChannelId>,
     out_chs: Vec<ChannelId>,
 ) -> Box<dyn Actor> {
-    Box::new(PortAdapter::new(
+    Box::new(Router::adapter(
         core.name.clone(),
         in_chs,
         out_chs,

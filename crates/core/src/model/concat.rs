@@ -6,9 +6,9 @@
 //! operands share the pixel grid and the per-operand port count `P`, and
 //! the output carries `C1 + C2` FMs per pixel in the usual `(y, x, c)`
 //! pixel-major, FM-minor stream order — operand A's FMs first, then B's.
-//! No arithmetic happens: the join is pure stream interleaving, walking
-//! the summed FM sequence and forwarding each value from the owning
-//! operand's port group. Like the eltwise add it reads two full port
+//! No arithmetic happens: the join is pure stream interleaving — the
+//! [`Router`] along the [`Append`] route walks the summed FM sequence and
+//! forwards each value from the owning operand's port group. Like the eltwise add it reads two full port
 //! groups ([`CoreModel::input_channel_count`] is `2·IN_PORTS`): operand
 //! `o`'s port `p` is input channel `o·P + p`.
 //!
@@ -23,10 +23,9 @@
 
 use super::{CoreModel, CorePlan, StageSpec, StageWorker, StaticProfile};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign, NodeRef};
-use crate::port::fm_port;
-use crate::sim::{Actor, Quiescence, Wiring};
-use crate::stream::{ChannelId, ChannelSet};
-use crate::trace::{EventKind, Stall, Trace};
+use crate::port::{fm_port, Lanes, Route, Router};
+use crate::sim::Actor;
+use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::pipeline_ii;
 use dfcnn_nn::layer::Layer;
@@ -84,132 +83,62 @@ fn operand_split(design: &NetworkDesign, core: &CoreInfo) -> usize {
     (first_in.values_per_image / core.positions.max(1)) as usize
 }
 
-/// The join actor: forwards the summed FM sequence in strict global
-/// order, reading FM `f < split` from operand A's port group and
-/// `f >= split` from operand B's. Pure routing — values pass through
-/// unchanged in every numeric mode, so the actor is not generic over the
-/// element type.
-pub struct ConcatCore {
-    name: String,
-    in_chs: Vec<ChannelId>,
-    out_chs: Vec<ChannelId>,
-    fm: usize,
+/// The join's [`Route`]: forwards the summed FM sequence, reading FM
+/// `f < split` from operand A's port group and `f >= split` from operand
+/// B's (input channels `P..2P`), each onto output port `f mod P`. Pure
+/// routing — values pass through unchanged in every numeric mode, so the
+/// route is not generic over the element type.
+pub struct Append {
+    ports: usize,
     split: usize,
-    seq: u64,
-    moved: u64,
 }
 
-impl ConcatCore {
-    /// Build the join over `fm` total FMs of which the first `split`
-    /// belong to operand A; `in_chs` is `2·P` wide.
-    pub fn new(
-        name: impl Into<String>,
-        in_chs: Vec<ChannelId>,
-        out_chs: Vec<ChannelId>,
-        fm: usize,
-        split: usize,
-    ) -> Self {
+impl Append {
+    /// The join of two `out_ports`-wide operand groups (`in_ports` is
+    /// `2·out_ports`) over `fm` total FMs, of which the first `split`
+    /// belong to operand A.
+    pub fn new(in_ports: usize, out_ports: usize, fm: usize, split: usize) -> Self {
         assert_eq!(
-            in_chs.len(),
-            2 * out_chs.len(),
+            in_ports,
+            2 * out_ports,
             "concat reads two operand port groups"
         );
-        assert!(!out_chs.is_empty(), "concat needs ports");
+        assert!(out_ports > 0, "concat needs ports");
         assert!(0 < split && split < fm, "both operands must carry FMs");
-        let ports = out_chs.len();
-        assert_eq!(split % ports, 0, "ports must divide operand A's FM count");
         assert_eq!(
-            (fm - split) % ports,
+            split % out_ports,
+            0,
+            "ports must divide operand A's FM count"
+        );
+        assert_eq!(
+            (fm - split) % out_ports,
             0,
             "ports must divide operand B's FM count"
         );
-        ConcatCore {
-            name: name.into(),
-            in_chs,
-            out_chs,
-            fm,
+        Append {
+            ports: out_ports,
             split,
-            seq: 0,
-            moved: 0,
-        }
-    }
-
-    /// The input channel carrying output FM `f`: operand A's group for
-    /// `f < split`, operand B's (offset by `P`) above.
-    fn src_index(&self, f: usize) -> usize {
-        let p_count = self.out_chs.len();
-        if f < self.split {
-            fm_port(f, p_count)
-        } else {
-            p_count + fm_port(f - self.split, p_count)
         }
     }
 }
 
-impl Actor for ConcatCore {
-    fn name(&self) -> &str {
-        &self.name
+impl Route for Append {
+    fn group_widths(&self) -> (usize, usize) {
+        (self.ports, self.ports)
     }
 
-    fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
-        let p_count = self.out_chs.len();
-        // strict global order; stop at the first value the owning operand
-        // cannot supply or the output cannot accept. The ports divide both
-        // operands' FM counts, so the first `p_count` values use distinct
-        // ports.
-        for _ in 0..p_count {
-            let f = (self.seq % self.fm as u64) as usize;
-            let p = fm_port(f, p_count);
-            let src = self.in_chs[self.src_index(f)];
-            if chans.peek(src).is_none() || !chans.can_push(self.out_chs[p]) {
-                break;
-            }
-            let v = chans.pop(src).unwrap();
-            chans.push(self.out_chs[p], v);
-            self.seq += 1;
-            self.moved += 1;
-            trace.record(cycle, &self.name, EventKind::Emit);
-        }
+    fn pops(&self, f: usize) -> Lanes {
+        // `P` divides `split`: operand B's FM `f - split` is on port `f mod P`
+        let group = if f < self.split { 0 } else { self.ports };
+        Lanes::one(group + fm_port(f, self.ports))
     }
 
-    fn busy(&self) -> bool {
-        false // the interleave holds no state between cycles
+    fn pushes(&self, f: usize) -> Lanes {
+        Lanes::one(fm_port(f, self.ports))
     }
 
-    fn initiations(&self) -> u64 {
-        self.moved
-    }
-
-    fn wiring(&self) -> Wiring {
-        Wiring {
-            inputs: self.in_chs.clone(),
-            outputs: self.out_chs.clone(),
-        }
-    }
-
-    fn quiescence(&self, _now: u64, chans: &ChannelSet) -> Quiescence {
-        let p_count = self.out_chs.len();
-        let f = (self.seq % self.fm as u64) as usize;
-        let p = fm_port(f, p_count);
-        if chans.peek(self.in_chs[self.src_index(f)]).is_some() && chans.can_push(self.out_chs[p]) {
-            Quiescence::Active
-        } else {
-            Quiescence::Wait(None)
-        }
-    }
-
-    fn stall(&self, chans: &ChannelSet) -> Stall {
-        let p_count = self.out_chs.len();
-        let f = (self.seq % self.fm as u64) as usize;
-        let p = fm_port(f, p_count);
-        let src = self.src_index(f);
-        if chans.peek(self.in_chs[src]).is_none() {
-            Stall::Starved(src)
-        } else if !chans.can_push(self.out_chs[p]) {
-            Stall::Backpressured(p)
-        } else {
-            Stall::Computing // the move happens next tick
-        }
+    fn value(&self, _f: usize, operands: &[f32]) -> f32 {
+        operands[0]
     }
 }
 
@@ -311,13 +240,9 @@ impl CoreModel for ConcatJoinModel {
         in_chs: Vec<ChannelId>,
         out_chs: Vec<ChannelId>,
     ) -> Box<dyn Actor> {
-        Box::new(ConcatCore::new(
-            core.name.clone(),
-            in_chs,
-            out_chs,
-            core.params.in_fm,
-            operand_split(design, core),
-        ))
+        let fm = core.params.in_fm;
+        let route = Append::new(in_chs.len(), out_chs.len(), fm, operand_split(design, core));
+        Box::new(Router::new(core.name.clone(), in_chs, out_chs, fm, route))
     }
 
     fn emit_cpp(&self, design: &NetworkDesign, idx: usize) -> String {
@@ -401,8 +326,15 @@ impl CoreModel for ConcatJoinModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::ChannelSet;
+    use crate::trace::{Stall, Trace};
 
-    fn drive(core: &mut ConcatCore, chans: &mut ChannelSet, cycles: usize) {
+    fn join(ins: Vec<ChannelId>, outs: Vec<ChannelId>, fm: usize, split: usize) -> Router<Append> {
+        let route = Append::new(ins.len(), outs.len(), fm, split);
+        Router::new("concat", ins, outs, fm, route)
+    }
+
+    fn drive(core: &mut Router<Append>, chans: &mut ChannelSet, cycles: usize) {
         let mut trace = Trace::disabled();
         for c in 0..cycles {
             core.tick(c as u64, chans, &mut trace);
@@ -432,7 +364,7 @@ mod tests {
             chans.push(b0, v);
         }
         chans.commit_all();
-        let mut core = ConcatCore::new("concat", vec![a0, b0], vec![o0], 3, 2);
+        let mut core = join(vec![a0, b0], vec![o0], 3, 2);
         drive(&mut core, &mut chans, 8);
         assert_eq!(drain(&mut chans, o0), vec![1.0, 2.0, 10.0, 3.0, 4.0, 20.0]);
         assert_eq!(core.initiations(), 6);
@@ -446,7 +378,7 @@ mod tests {
         let o0 = chans.alloc(16);
         chans.push(a0, 1.0);
         chans.commit_all();
-        let mut core = ConcatCore::new("concat", vec![a0, b0], vec![o0], 2, 1);
+        let mut core = join(vec![a0, b0], vec![o0], 2, 1);
         drive(&mut core, &mut chans, 4);
         // operand A's FM moved, operand B's is awaited
         assert_eq!(chans.get(o0).len(), 1, "A's value passes, B's is missing");
@@ -470,7 +402,7 @@ mod tests {
         chans.push(b[0], 10.0);
         chans.push(b[1], 20.0);
         chans.commit_all();
-        let mut core = ConcatCore::new("concat", [a, b].concat(), o.clone(), 4, 2);
+        let mut core = join([a, b].concat(), o.clone(), 4, 2);
         let mut trace = Trace::disabled();
         core.tick(0, &mut chans, &mut trace);
         chans.commit_all();

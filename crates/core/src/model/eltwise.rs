@@ -8,17 +8,17 @@
 //! full port groups ([`CoreModel::input_channel_count`] is `2·IN_PORTS`):
 //! operand `o`'s port `p` is input channel `o·P + p`.
 //!
-//! The actor consumes in strict global FM order and only moves a value
-//! when both operand FIFOs have it and the output has room — a dry skip
-//! path stalls the join, which is what makes undersized skip FIFOs
-//! deadlock (see the static checker's reconvergence-buffering rule).
+//! Its actor is the [`Router`] along the [`EltwiseAdd`] route: it consumes
+//! in strict global FM order and only moves a value when both operand
+//! FIFOs have it and the output has room — a dry skip path stalls the
+//! join, which is what makes undersized skip FIFOs deadlock (see the
+//! static checker's reconvergence-buffering rule).
 
 use super::{CoreModel, CorePlan, StageSpec, StageWorker, StaticProfile};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
-use crate::port::fm_port;
-use crate::sim::{Actor, Quiescence, Wiring};
-use crate::stream::{ChannelId, ChannelSet};
-use crate::trace::{EventKind, Stall, Trace};
+use crate::port::{fm_port, Lanes, Route, Router};
+use crate::sim::Actor;
+use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::pipeline_ii;
 use dfcnn_nn::layer::Layer;
@@ -53,119 +53,50 @@ pub(crate) fn plan_add(shape: Shape3, ports: usize, index: usize) -> CoreInfo {
     }
 }
 
-/// The join actor: `out[p] = a[p] + b[p]` in strict global FM order.
-/// Input channels hold operand A's ports then operand B's. Generic over
-/// the executed element type: both operands are quantised, added with the
-/// element's (saturating) adder and dequantised — the identity chain for
-/// `f32`.
-pub struct EltwiseCore<E: Numeric = f32> {
-    name: String,
-    in_chs: Vec<ChannelId>,
-    out_chs: Vec<ChannelId>,
-    fm: usize,
-    seq: u64,
-    moved: u64,
+/// The join's [`Route`]: the value of FM `f` pops port `p = f mod P` of
+/// both operand groups (operand A's ports, then operand B's) and pushes
+/// `a + b` to output port `p`. Generic over the executed element type:
+/// both operands are quantised, added with the element's (saturating)
+/// adder and dequantised — the identity chain for `f32`.
+pub struct EltwiseAdd<E> {
+    ports: usize,
     _elem: core::marker::PhantomData<E>,
 }
 
-impl<E: Numeric> EltwiseCore<E> {
-    /// Build the join over `fm` interleaved FMs; `in_chs` is `2·P` wide.
-    pub fn new(
-        name: impl Into<String>,
-        in_chs: Vec<ChannelId>,
-        out_chs: Vec<ChannelId>,
-        fm: usize,
-    ) -> Self {
+impl<E: Numeric> EltwiseAdd<E> {
+    /// The join of two `out_ports`-wide operand groups (`in_ports` is
+    /// `2·out_ports`) over `fm` interleaved FMs.
+    pub fn new(in_ports: usize, out_ports: usize, fm: usize) -> Self {
         assert_eq!(
-            in_chs.len(),
-            2 * out_chs.len(),
+            in_ports,
+            2 * out_ports,
             "eltwise-add reads two operand port groups"
         );
-        assert!(!out_chs.is_empty(), "eltwise-add needs ports");
-        assert_eq!(fm % out_chs.len(), 0, "ports must divide FM count");
-        EltwiseCore {
-            name: name.into(),
-            in_chs,
-            out_chs,
-            fm,
-            seq: 0,
-            moved: 0,
+        assert!(out_ports > 0, "eltwise-add needs ports");
+        assert_eq!(fm % out_ports, 0, "ports must divide FM count");
+        EltwiseAdd {
+            ports: out_ports,
             _elem: core::marker::PhantomData,
         }
     }
 }
 
-impl<E: Numeric> Actor for EltwiseCore<E> {
-    fn name(&self) -> &str {
-        &self.name
+impl<E: Numeric> Route for EltwiseAdd<E> {
+    fn group_widths(&self) -> (usize, usize) {
+        (self.ports, self.ports)
     }
 
-    fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
-        let p_count = self.out_chs.len();
-        // strict global order; stop at the first value either operand
-        // cannot supply or the output cannot accept. The ports divide
-        // `fm`, so the first `p_count` values use distinct ports.
-        for _ in 0..p_count {
-            let f = (self.seq % self.fm as u64) as usize;
-            let p = fm_port(f, p_count);
-            let (src_a, src_b) = (self.in_chs[p], self.in_chs[p_count + p]);
-            if chans.peek(src_a).is_none()
-                || chans.peek(src_b).is_none()
-                || !chans.can_push(self.out_chs[p])
-            {
-                break;
-            }
-            let a = chans.pop(src_a).unwrap();
-            let b = chans.pop(src_b).unwrap();
-            chans.push(self.out_chs[p], crate::kernel::eltwise_add_hw::<E>(a, b));
-            self.seq += 1;
-            self.moved += 1;
-            trace.record(cycle, &self.name, EventKind::Emit);
-        }
+    fn pops(&self, f: usize) -> Lanes {
+        Lanes::strided(fm_port(f, self.ports), self.ports, 2)
     }
 
-    fn busy(&self) -> bool {
-        false // the zip holds no state between cycles
+    fn pushes(&self, f: usize) -> Lanes {
+        Lanes::one(fm_port(f, self.ports))
     }
 
-    fn initiations(&self) -> u64 {
-        self.moved
-    }
-
-    fn wiring(&self) -> Wiring {
-        Wiring {
-            inputs: self.in_chs.clone(),
-            outputs: self.out_chs.clone(),
-        }
-    }
-
-    fn quiescence(&self, _now: u64, chans: &ChannelSet) -> Quiescence {
-        let p_count = self.out_chs.len();
-        let f = (self.seq % self.fm as u64) as usize;
-        let p = fm_port(f, p_count);
-        if chans.peek(self.in_chs[p]).is_some()
-            && chans.peek(self.in_chs[p_count + p]).is_some()
-            && chans.can_push(self.out_chs[p])
-        {
-            Quiescence::Active
-        } else {
-            Quiescence::Wait(None)
-        }
-    }
-
-    fn stall(&self, chans: &ChannelSet) -> Stall {
-        let p_count = self.out_chs.len();
-        let f = (self.seq % self.fm as u64) as usize;
-        let p = fm_port(f, p_count);
-        if chans.peek(self.in_chs[p]).is_none() {
-            Stall::Starved(p)
-        } else if chans.peek(self.in_chs[p_count + p]).is_none() {
-            Stall::Starved(p_count + p)
-        } else if !chans.can_push(self.out_chs[p]) {
-            Stall::Backpressured(p)
-        } else {
-            Stall::Computing // the move happens next tick
-        }
+    #[inline]
+    fn value(&self, _f: usize, operands: &[f32]) -> f32 {
+        crate::kernel::eltwise_add_hw::<E>(operands[0], operands[1])
     }
 }
 
@@ -248,12 +179,11 @@ impl CoreModel for EltwiseAddModel {
         in_chs: Vec<ChannelId>,
         out_chs: Vec<ChannelId>,
     ) -> Box<dyn Actor> {
-        with_numeric!(design.config().numeric, E => Box::new(EltwiseCore::<E>::new(
-            core.name.clone(),
-            in_chs,
-            out_chs,
-            core.params.in_fm,
-        )))
+        let fm = core.params.in_fm;
+        with_numeric!(design.config().numeric, E => {
+            let route = EltwiseAdd::<E>::new(in_chs.len(), out_chs.len(), fm);
+            Box::new(Router::new(core.name.clone(), in_chs, out_chs, fm, route))
+        })
     }
 
     fn emit_cpp(&self, design: &NetworkDesign, idx: usize) -> String {
@@ -329,8 +259,15 @@ impl CoreModel for EltwiseAddModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::ChannelSet;
+    use crate::trace::{Stall, Trace};
 
-    fn drive(core: &mut EltwiseCore<f32>, chans: &mut ChannelSet, cycles: usize) {
+    fn join(ins: Vec<ChannelId>, outs: Vec<ChannelId>, fm: usize) -> Router<EltwiseAdd<f32>> {
+        let route = EltwiseAdd::new(ins.len(), outs.len(), fm);
+        Router::new("add", ins, outs, fm, route)
+    }
+
+    fn drive(core: &mut Router<EltwiseAdd<f32>>, chans: &mut ChannelSet, cycles: usize) {
         let mut trace = Trace::disabled();
         for c in 0..cycles {
             core.tick(c as u64, chans, &mut trace);
@@ -357,7 +294,7 @@ mod tests {
             chans.push(b0, (10 * f) as f32);
         }
         chans.commit_all();
-        let mut core = EltwiseCore::<f32>::new("add", vec![a0, b0], vec![o0], 2);
+        let mut core = join(vec![a0, b0], vec![o0], 2);
         drive(&mut core, &mut chans, 8);
         assert_eq!(drain(&mut chans, o0), vec![0.0, 11.0, 22.0, 33.0]);
         assert_eq!(core.initiations(), 4);
@@ -371,7 +308,7 @@ mod tests {
         let o0 = chans.alloc(16);
         chans.push(a0, 1.0);
         chans.commit_all();
-        let mut core = EltwiseCore::<f32>::new("add", vec![a0, b0], vec![o0], 1);
+        let mut core = join(vec![a0, b0], vec![o0], 1);
         drive(&mut core, &mut chans, 4);
         assert!(chans.get(o0).is_empty(), "no output without both operands");
         // the second operand group starts at index P
@@ -394,7 +331,7 @@ mod tests {
         chans.push(b[0], 10.0);
         chans.push(b[1], 20.0);
         chans.commit_all();
-        let mut core = EltwiseCore::<f32>::new("add", [a, b].concat(), o.clone(), 2);
+        let mut core = join([a, b].concat(), o.clone(), 2);
         let mut trace = Trace::disabled();
         core.tick(0, &mut chans, &mut trace);
         chans.commit_all();

@@ -10,24 +10,23 @@
 //! cycle; the floating-point accumulation latency is hidden by interleaved
 //! accumulator banks (see [`dfcnn_hls::accum`]): with `A` banks the input
 //! loop runs at `II = ceil(add_latency / A)`. After the last input, the
-//! actor ([`FcCore`]) drains (pipeline flush + merge tree + bias +
-//! activation) and sends the outputs sequentially on its single output
-//! port.
+//! actor ([`fc_core`], the [`GatherCore`] shell around an [`FcBody`])
+//! drains (pipeline flush + merge tree + bias + activation) and sends the
+//! outputs sequentially on its single output port.
 
-use super::{validate_ports, CoreModel, CorePlan, StageSpec, StageWorker, StaticProfile};
+use super::gather::{GatherBody, GatherCore};
+use super::{validate_ports, CoreModel, CorePlan, StageSpec, StaticProfile};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
-use crate::kernel::{fc_forward_hw_into, fc_forward_into, FcArena, FcWeights};
-use crate::sim::{Actor, Quiescence, Wiring};
-use crate::stream::{ChannelId, ChannelSet};
-use crate::trace::{EventKind, Stall, Trace};
+use crate::kernel::{fc_forward_into, FcArena, FcWeights};
+use crate::sim::Actor;
+use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
-use dfcnn_hls::accum::InterleavedAccumulator;
 use dfcnn_hls::ii::pipeline_ii;
 use dfcnn_hls::latency::OpLatency;
 use dfcnn_hls::reduce::TreeAdder;
 use dfcnn_nn::act::Activation;
 use dfcnn_nn::layer::{Layer, Linear};
-use dfcnn_tensor::{with_numeric, Numeric, Shape3, Tensor3};
+use dfcnn_tensor::{with_numeric, Numeric, Shape3};
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 
@@ -41,216 +40,82 @@ fn fc_layer(layer: &Layer) -> &Linear {
     }
 }
 
-struct FcWorker<E: Numeric> {
-    layer: Linear,
+/// Input-loop initiation interval of an FC core with `banks` interleaved
+/// accumulators: `ceil(add_latency / banks)`, at least one cycle.
+fn input_ii(banks: usize, ops: &OpLatency) -> u64 {
+    u64::from(ops.add).div_ceil(banks as u64).max(1)
+}
+
+/// Drain latency after the last input: the add pipeline flush, the merge
+/// tree over the banks, the bias add and the activation.
+fn drain_latency(banks: usize, ops: &OpLatency) -> u64 {
+    u64::from(ops.add)
+        + u64::from(TreeAdder::new(banks).latency(ops))
+        + u64::from(ops.add)
+        + u64::from(ops.activation)
+}
+
+/// The FC [`GatherBody`], and the FC host stage's worker. Generic over the
+/// executed element type: the shared [`FcWeights`] store holds the
+/// quantised weights and bias; input values are quantised and outputs
+/// dequantised inside [`fc_forward_into`] (identities for `E = f32`),
+/// which reproduces the interleaved-accumulator order.
+pub struct FcBody<E: Numeric> {
     weights: Arc<FcWeights<E>>,
-    arena: Box<FcArena<E>>,
-}
-
-impl<E: Numeric> StageWorker for FcWorker<E> {
-    fn apply_into(&mut self, input: &Tensor3<f32>, out: &mut Tensor3<f32>) {
-        fc_forward_hw_into(&self.layer, &self.weights, input, out, &mut self.arena);
-    }
-}
-
-enum Phase {
-    /// Consuming input values (count so far).
-    Accumulate(usize),
-    /// Emitting output `j` starting at `ready_cycle`.
-    Drain { next_j: usize, ready: u64 },
-}
-
-/// The FC compute core. Generic over the executed element type: the
-/// [`FcWeights`] store holds the quantised weights and bias; input values
-/// are quantised and outputs dequantised inside [`fc_forward_into`]
-/// (identities for `E = f32`).
-pub struct FcCore<E: Numeric = f32> {
-    name: String,
-    in_ch: ChannelId,
-    out_ch: ChannelId,
-    weights: FcWeights<E>,
     arena: FcArena<E>,
     activation: Activation,
-    /// Input-loop initiation interval: `ceil(add_latency / banks)`.
-    in_ii: u64,
-    /// Drain latency after the last input.
-    drain: u64,
     inputs: usize,
     outputs: usize,
-    /// Collected input values of the current image (numerics are computed
-    /// at drain time through the shared kernel, which reproduces the
-    /// interleaved-accumulator order).
-    buffer: Vec<f32>,
-    phase: Phase,
-    next_accept: u64,
-    results: Vec<f32>,
-    inits: u64,
 }
 
-impl<E: Numeric> FcCore<E> {
-    /// Build the core. `banks` is the interleaved accumulator count; the
-    /// paper's choice is "a higher number of accumulators than the single
-    /// addition latency" (e.g. ≥ 11 for f32).
-    pub fn new(
-        name: impl Into<String>,
-        linear: &Linear,
-        in_ch: ChannelId,
-        out_ch: ChannelId,
-        banks: usize,
-        ops: &OpLatency,
-    ) -> Self {
-        let acc = InterleavedAccumulator::new(banks);
-        let in_ii = acc.loop_ii(ops) as u64;
-        let drain = ops.add as u64
-            + TreeAdder::new(banks).latency(ops) as u64
-            + ops.add as u64 // bias add
-            + ops.activation as u64;
-        let weights = FcWeights::new(linear.weights(), linear.bias());
-        FcCore {
-            name: name.into(),
-            in_ch,
-            out_ch,
+impl<E: Numeric> FcBody<E> {
+    /// The body of `linear` over its quantised `weights`, with `banks`
+    /// interleaved accumulators.
+    pub fn new(linear: &Linear, weights: Arc<FcWeights<E>>, banks: usize) -> Self {
+        FcBody {
             arena: FcArena::new(&weights, banks),
             weights,
             activation: linear.activation(),
-            in_ii,
-            drain,
             inputs: linear.inputs(),
             outputs: linear.outputs(),
-            buffer: Vec::with_capacity(linear.inputs()),
-            phase: Phase::Accumulate(0),
-            next_accept: 0,
-            results: vec![0.0; linear.outputs()],
-            inits: 0,
         }
-    }
-
-    /// Input-loop initiation interval.
-    pub fn input_ii(&self) -> u64 {
-        self.in_ii
-    }
-
-    /// Drain latency in cycles.
-    pub fn drain_latency(&self) -> u64 {
-        self.drain
-    }
-
-    /// Stage interval per image in cycles: `I · II + drain + J`.
-    pub fn stage_interval(&self) -> u64 {
-        self.inputs as u64 * self.in_ii + self.drain + self.outputs as u64
     }
 }
 
-impl<E: Numeric> Actor for FcCore<E> {
-    fn name(&self) -> &str {
-        &self.name
+impl<E: Numeric> GatherBody for FcBody<E> {
+    fn inputs(&self) -> usize {
+        self.inputs
     }
 
-    fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
-        match self.phase {
-            Phase::Accumulate(count) => {
-                if cycle >= self.next_accept && chans.peek(self.in_ch).is_some() {
-                    let v = chans.pop(self.in_ch).unwrap();
-                    self.buffer.push(v);
-                    self.next_accept = cycle + self.in_ii;
-                    self.inits += 1;
-                    trace.record(cycle, &self.name, EventKind::Initiate);
-                    if count + 1 == self.inputs {
-                        fc_forward_into(
-                            &mut self.results,
-                            &self.weights,
-                            &mut self.arena,
-                            self.activation,
-                            &self.buffer,
-                        );
-                        self.buffer.clear();
-                        self.phase = Phase::Drain {
-                            next_j: 0,
-                            ready: cycle + self.drain,
-                        };
-                    } else {
-                        self.phase = Phase::Accumulate(count + 1);
-                    }
-                }
-            }
-            Phase::Drain { next_j, ready } => {
-                if cycle >= ready && chans.can_push(self.out_ch) {
-                    chans.push(self.out_ch, self.results[next_j]);
-                    trace.record(cycle, &self.name, EventKind::Emit);
-                    if next_j + 1 == self.outputs {
-                        self.phase = Phase::Accumulate(0);
-                    } else {
-                        self.phase = Phase::Drain {
-                            next_j: next_j + 1,
-                            ready: cycle + 1,
-                        };
-                    }
-                }
-            }
-        }
+    fn outputs(&self) -> usize {
+        self.outputs
     }
 
-    fn busy(&self) -> bool {
-        match self.phase {
-            Phase::Accumulate(c) => c > 0,
-            Phase::Drain { .. } => true,
-        }
+    fn compute(&mut self, input: &[f32], out: &mut [f32]) {
+        fc_forward_into(out, &self.weights, &mut self.arena, self.activation, input);
     }
+}
 
-    fn initiations(&self) -> u64 {
-        self.inits
-    }
-
-    fn wiring(&self) -> Wiring {
-        Wiring {
-            inputs: vec![self.in_ch],
-            outputs: vec![self.out_ch],
-        }
-    }
-
-    fn quiescence(&self, now: u64, chans: &ChannelSet) -> Quiescence {
-        match self.phase {
-            Phase::Accumulate(_) => {
-                if chans.peek(self.in_ch).is_none() {
-                    Quiescence::Wait(None) // starved: push wakes us
-                } else if self.next_accept > now + 1 {
-                    Quiescence::Wait(Some(self.next_accept)) // II timer
-                } else {
-                    Quiescence::Active
-                }
-            }
-            Phase::Drain { ready, .. } => {
-                if !chans.can_push(self.out_ch) {
-                    Quiescence::Wait(None) // backpressured: pop wakes us
-                } else if ready > now + 1 {
-                    Quiescence::Wait(Some(ready)) // drain latency
-                } else {
-                    Quiescence::Active
-                }
-            }
-        }
-    }
-
-    fn stall(&self, chans: &ChannelSet) -> Stall {
-        match self.phase {
-            Phase::Accumulate(count) => {
-                if chans.peek(self.in_ch).is_some() {
-                    Stall::Computing // input present: paced by the II timer
-                } else if count > 0 {
-                    Stall::Starved(0) // mid-image, upstream ran dry
-                } else {
-                    Stall::Idle // between images
-                }
-            }
-            Phase::Drain { .. } => {
-                if chans.can_push(self.out_ch) {
-                    Stall::Computing // drain latency elapsing
-                } else {
-                    Stall::Backpressured(0)
-                }
-            }
-        }
-    }
+/// The FC compute core: the [`GatherCore`] shell around an [`FcBody`],
+/// accepting inputs at the accumulator-bank II.
+pub fn fc_core<E: Numeric>(
+    name: impl Into<String>,
+    linear: &Linear,
+    in_ch: ChannelId,
+    out_ch: ChannelId,
+    banks: usize,
+    ops: &OpLatency,
+) -> GatherCore<FcBody<E>> {
+    let weights = Arc::new(FcWeights::new(linear.weights(), linear.bias()));
+    let body = FcBody::new(linear, weights, banks);
+    GatherCore::new(
+        name,
+        in_ch,
+        out_ch,
+        body,
+        input_ii(banks, ops),
+        drain_latency(banks, ops),
+    )
 }
 
 impl CoreModel for FcModel {
@@ -305,10 +170,7 @@ impl CoreModel for FcModel {
 
     fn estimate_interval(&self, core: &CoreInfo, config: &DesignConfig) -> u64 {
         let p = &core.params;
-        let in_ii = (config.ops.add as u64)
-            .div_ceil(p.accumulators as u64)
-            .max(1);
-        p.in_fm as u64 * in_ii + p.out_fm as u64
+        p.in_fm as u64 * input_ii(p.accumulators, &config.ops) + p.out_fm as u64
     }
 
     fn range_transfer(
@@ -363,7 +225,7 @@ impl CoreModel for FcModel {
     ) -> Box<dyn Actor> {
         let idx = core.layer_index.expect("fc core has a layer");
         let l = fc_layer(&design.network().layers()[idx]);
-        with_numeric!(design.config().numeric, E => Box::new(FcCore::<E>::new(
+        with_numeric!(design.config().numeric, E => Box::new(fc_core::<E>(
             core.name.clone(),
             l,
             in_chs[0],
@@ -433,11 +295,7 @@ impl CoreModel for FcModel {
             StageSpec::new(core.name.clone(), out_shape, move || {
                 let weights: &Arc<FcWeights<E>> =
                     weights.get_or_init(|| Arc::new(FcWeights::new(f.weights(), f.bias())));
-                Box::new(FcWorker {
-                    arena: Box::new(FcArena::new(weights, banks)),
-                    weights: Arc::clone(weights),
-                    layer: f.clone(),
-                })
+                Box::new(FcBody::new(&f, Arc::clone(weights), banks))
             })
         }))
     }
@@ -446,6 +304,9 @@ impl CoreModel for FcModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::ChannelSet;
+    use crate::trace::Trace;
+    use dfcnn_tensor::Tensor3;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -520,7 +381,7 @@ mod tests {
         let inp = chans.alloc(8);
         let out = chans.alloc(8);
         let ops = OpLatency::f32_virtex7();
-        let mut core = FcCore::<f32>::new("fc", fc, inp, out, banks, &ops);
+        let mut core = fc_core::<f32>("fc", fc, inp, out, banks, &ops);
         let mut feed: Vec<f32> = Vec::new();
         for _ in 0..images {
             feed.extend_from_slice(x.as_slice());
@@ -580,14 +441,32 @@ mod tests {
 
     #[test]
     fn stage_interval_formula() {
-        let (fc, _) = random_fc(4, 900, 72);
+        // one image takes I·II + drain + J cycles from its first input to
+        // its last output
+        let (fc, x) = random_fc(4, 90, 12);
         let ops = OpLatency::f32_virtex7();
-        let mut chans = ChannelSet::new();
-        let (i, o) = (chans.alloc(2), chans.alloc(2));
-        let core = FcCore::<f32>::new("fc", &fc, i, o, 11, &ops);
-        assert_eq!(core.input_ii(), 1);
-        // 900 inputs + drain + 72 outputs
-        assert_eq!(core.stage_interval(), 900 + core.drain_latency() + 72);
+        for banks in [11, 4] {
+            let mut chans = ChannelSet::new();
+            let (i, o) = (chans.alloc(128), chans.alloc(16));
+            for &v in x.as_slice() {
+                chans.push(i, v);
+            }
+            chans.commit_all();
+            let mut core = fc_core::<f32>("fc", &fc, i, o, banks, &ops);
+            let mut trace = Trace::enabled();
+            for c in 0..2000 {
+                core.tick(c, &mut chans, &mut trace);
+                chans.commit_all();
+            }
+            let ii = input_ii(banks, &ops);
+            assert_eq!(ii, if banks == 11 { 1 } else { 3 });
+            let first = trace.initiation_cycles("fc")[0];
+            let last = *trace.emit_cycles("fc").last().unwrap();
+            let span = 90 * ii + drain_latency(banks, &ops) + 12;
+            // the last input is accepted at (I-1)·II and the last output
+            // leaves J-1 cycles after the drain
+            assert_eq!(last - first, span - ii - 1);
+        }
     }
 
     #[test]

@@ -7,18 +7,17 @@
 //! pipeline stage (both branches observe the same image, so the stage
 //! topology routes each branch directly to the fork's producer).
 //!
-//! The actor mirrors [`crate::port::PortAdapter`]'s strict global FM
-//! order: value `seq` (FM `seq mod FM`, on port `seq mod FM mod P`) moves
-//! only when *every* branch can accept its copy — a blocked branch
-//! backpressures the whole fork, which is exactly the hardware behaviour
-//! of a tee writing all branch FIFOs in the same cycle.
+//! Its actor is the [`Router`] along the [`Tee`] route, in strict global FM
+//! order: the value of FM `f` (on port `f mod P`) moves only when *every*
+//! branch can accept its copy — a blocked branch backpressures the whole
+//! fork, which is exactly the hardware behaviour of a tee writing all
+//! branch FIFOs in the same cycle.
 
 use super::{CoreModel, CorePlan};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
-use crate::port::fm_port;
-use crate::sim::{Actor, Quiescence, Wiring};
-use crate::stream::{ChannelId, ChannelSet};
-use crate::trace::{EventKind, Stall, Trace};
+use crate::port::{fm_port, Lanes, Route, Router};
+use crate::sim::Actor;
+use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_nn::layer::Layer;
 use std::fmt::Write as _;
@@ -51,115 +50,46 @@ pub(crate) fn plan_fork(in_fm: usize, ports: usize, in_values: u64, index: usize
     }
 }
 
-/// The fork (tee) actor: duplicates each input value onto every branch's
-/// matching port, in strict global FM order.
-pub struct ForkCore {
-    name: String,
-    in_chs: Vec<ChannelId>,
-    out_chs: Vec<ChannelId>,
-    fm: usize,
-    seq: u64,
-    moved: u64,
+/// The fork's [`Route`]: the value of FM `f` pops input port
+/// `p = f mod P` and is pushed to port `p` of every branch, where branch
+/// `b`'s port `p` is output channel `b·P + p`.
+pub struct Tee {
+    ports: usize,
+    branches: usize,
 }
 
-impl ForkCore {
-    /// Build a fork over `fm` interleaved FMs. `out_chs` holds the branch
-    /// port groups back to back: branch `b`'s port `p` is `out_chs[b·P+p]`.
-    pub fn new(
-        name: impl Into<String>,
-        in_chs: Vec<ChannelId>,
-        out_chs: Vec<ChannelId>,
-        fm: usize,
-    ) -> Self {
-        assert!(!in_chs.is_empty(), "fork needs input ports");
+impl Tee {
+    /// The tee from `in_ports` streams onto `out_ports` (whole branch port
+    /// groups back to back) over `fm` interleaved FMs.
+    pub fn new(in_ports: usize, out_ports: usize, fm: usize) -> Self {
+        assert!(in_ports > 0, "fork needs input ports");
         assert!(
-            out_chs.len() >= 2 * in_chs.len() && out_chs.len().is_multiple_of(in_chs.len()),
+            out_ports >= 2 * in_ports && out_ports.is_multiple_of(in_ports),
             "fork needs at least two whole branch port groups"
         );
-        assert_eq!(fm % in_chs.len(), 0, "ports must divide FM count");
-        ForkCore {
-            name: name.into(),
-            in_chs,
-            out_chs,
-            fm,
-            seq: 0,
-            moved: 0,
+        assert_eq!(fm % in_ports, 0, "ports must divide FM count");
+        Tee {
+            ports: in_ports,
+            branches: out_ports / in_ports,
         }
-    }
-
-    fn branches(&self) -> usize {
-        self.out_chs.len() / self.in_chs.len()
     }
 }
 
-impl Actor for ForkCore {
-    fn name(&self) -> &str {
-        &self.name
+impl Route for Tee {
+    fn group_widths(&self) -> (usize, usize) {
+        (self.ports, self.ports)
     }
 
-    fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
-        let n = self.in_chs.len();
-        let b = self.branches();
-        // strict global order; stop at the first value that cannot move
-        // to *all* branches. The ports divide `fm`, so the first `n`
-        // values in sequence use `n` distinct ports.
-        for _ in 0..n {
-            let f = (self.seq % self.fm as u64) as usize;
-            let p = fm_port(f, n);
-            if chans.peek(self.in_chs[p]).is_none() {
-                break;
-            }
-            if (0..b).any(|br| !chans.can_push(self.out_chs[br * n + p])) {
-                break;
-            }
-            let v = chans.pop(self.in_chs[p]).unwrap();
-            for br in 0..b {
-                chans.push(self.out_chs[br * n + p], v);
-            }
-            self.seq += 1;
-            self.moved += 1;
-            trace.record(cycle, &self.name, EventKind::Emit);
-        }
+    fn pops(&self, f: usize) -> Lanes {
+        Lanes::one(fm_port(f, self.ports))
     }
 
-    fn busy(&self) -> bool {
-        false // the tee holds no state between cycles
+    fn pushes(&self, f: usize) -> Lanes {
+        Lanes::strided(fm_port(f, self.ports), self.ports, self.branches)
     }
 
-    fn initiations(&self) -> u64 {
-        self.moved
-    }
-
-    fn wiring(&self) -> Wiring {
-        Wiring {
-            inputs: self.in_chs.clone(),
-            outputs: self.out_chs.clone(),
-        }
-    }
-
-    fn quiescence(&self, _now: u64, chans: &ChannelSet) -> Quiescence {
-        let n = self.in_chs.len();
-        let f = (self.seq % self.fm as u64) as usize;
-        let p = fm_port(f, n);
-        let all_free = (0..self.branches()).all(|br| chans.can_push(self.out_chs[br * n + p]));
-        if chans.peek(self.in_chs[p]).is_some() && all_free {
-            Quiescence::Active
-        } else {
-            Quiescence::Wait(None)
-        }
-    }
-
-    fn stall(&self, chans: &ChannelSet) -> Stall {
-        let n = self.in_chs.len();
-        let f = (self.seq % self.fm as u64) as usize;
-        let p = fm_port(f, n);
-        if chans.peek(self.in_chs[p]).is_none() {
-            return Stall::Starved(p);
-        }
-        match (0..self.branches()).find(|br| !chans.can_push(self.out_chs[br * n + p])) {
-            Some(br) => Stall::Backpressured(br * n + p),
-            None => Stall::Computing, // the move happens next tick
-        }
+    fn value(&self, _f: usize, operands: &[f32]) -> f32 {
+        operands[0]
     }
 }
 
@@ -210,12 +140,9 @@ impl CoreModel for ForkModel {
         in_chs: Vec<ChannelId>,
         out_chs: Vec<ChannelId>,
     ) -> Box<dyn Actor> {
-        Box::new(ForkCore::new(
-            core.name.clone(),
-            in_chs,
-            out_chs,
-            core.params.in_fm,
-        ))
+        let fm = core.params.in_fm;
+        let route = Tee::new(in_chs.len(), out_chs.len(), fm);
+        Box::new(Router::new(core.name.clone(), in_chs, out_chs, fm, route))
     }
 
     fn emit_cpp(&self, design: &NetworkDesign, idx: usize) -> String {
@@ -251,8 +178,16 @@ impl CoreModel for ForkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Quiescence;
+    use crate::stream::ChannelSet;
+    use crate::trace::{Stall, Trace};
 
-    fn drive(core: &mut ForkCore, chans: &mut ChannelSet, cycles: usize) {
+    fn tee(ins: Vec<ChannelId>, outs: Vec<ChannelId>, fm: usize) -> Router<Tee> {
+        let route = Tee::new(ins.len(), outs.len(), fm);
+        Router::new("fork", ins, outs, fm, route)
+    }
+
+    fn drive(core: &mut Router<Tee>, chans: &mut ChannelSet, cycles: usize) {
         let mut trace = Trace::disabled();
         for c in 0..cycles {
             core.tick(c as u64, chans, &mut trace);
@@ -278,7 +213,7 @@ mod tests {
             chans.push(i0, f as f32);
         }
         chans.commit_all();
-        let mut fork = ForkCore::new("fork", vec![i0], vec![a0, b0], 2);
+        let mut fork = tee(vec![i0], vec![a0, b0], 2);
         drive(&mut fork, &mut chans, 8);
         let want: Vec<f32> = (0..6).map(|f| f as f32).collect();
         assert_eq!(drain(&mut chans, a0), want);
@@ -296,7 +231,7 @@ mod tests {
             chans.push(i0, f as f32);
         }
         chans.commit_all();
-        let mut fork = ForkCore::new("fork", vec![i0], vec![a0, b0], 2);
+        let mut fork = tee(vec![i0], vec![a0, b0], 2);
         drive(&mut fork, &mut chans, 8);
         // both branches advance in lock-step: the full one caps the other
         assert_eq!(chans.get(a0).len(), 2);
@@ -325,7 +260,7 @@ mod tests {
         chans.push(ins[0], 2.0);
         chans.push(ins[1], 3.0);
         chans.commit_all();
-        let mut fork = ForkCore::new("fork", ins, outs.clone(), 4);
+        let mut fork = tee(ins, outs.clone(), 4);
         drive(&mut fork, &mut chans, 8);
         assert_eq!(drain(&mut chans, outs[0]), vec![0.0, 2.0]);
         assert_eq!(drain(&mut chans, outs[1]), vec![1.0, 3.0]);
@@ -339,7 +274,7 @@ mod tests {
         let i0 = chans.alloc(4);
         let a0 = chans.alloc(4);
         let b0 = chans.alloc(4);
-        let fork = ForkCore::new("fork", vec![i0], vec![a0, b0], 1);
+        let fork = tee(vec![i0], vec![a0, b0], 1);
         assert!(matches!(fork.stall(&chans), Stall::Starved(0)));
         assert!(matches!(fork.quiescence(0, &chans), Quiescence::Wait(None)));
     }

@@ -9,23 +9,24 @@
 //!
 //! Dataflow per image: buffer the `K` class scores, then run the
 //! numerically-stable pipeline `max -> exp -> tree-sum -> ln -> subtract`
-//! and drain the `K` normalised log-probabilities one per cycle. The
+//! and drain the `K` normalised log-probabilities one per cycle — the
+//! [`GatherCore`] shell around a [`LogSoftmaxBody`]. The
 //! compute goes through [`crate::kernel::logsoftmax_forward_into`] — the
 //! same kernel used by the host pipeline stage and `hw_forward` — so all
 //! three engines stay bit-identical.
 
-use super::{CoreModel, CorePlan, StageSpec, StageWorker};
+use super::gather::{GatherBody, GatherCore};
+use super::{CoreModel, CorePlan, StageSpec};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
 use crate::kernel::{logsoftmax_forward_into, LogSoftmaxArena};
-use crate::sim::{Actor, Quiescence, Wiring};
-use crate::stream::{ChannelId, ChannelSet};
-use crate::trace::{EventKind, Stall, Trace};
+use crate::sim::Actor;
+use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::pipeline_ii;
 use dfcnn_hls::latency::OpLatency;
 use dfcnn_hls::reduce::TreeAdder;
 use dfcnn_nn::layer::Layer;
-use dfcnn_tensor::{with_numeric, Numeric, Shape3, Tensor3};
+use dfcnn_tensor::{with_numeric, Numeric, Shape3};
 use std::fmt::Write as _;
 
 /// The normalisation [`CoreModel`].
@@ -47,171 +48,51 @@ fn drain_latency(classes: usize, ops: &OpLatency) -> u64 {
         + ops.add as u64
 }
 
-struct LogSoftmaxWorker<E: Numeric> {
+/// The log-softmax [`GatherBody`], and the normalisation host stage's
+/// worker. Weight-free; generic over the executed element type: scores
+/// are quantised on ingest and the normalised scores re-quantised on
+/// emission; the exp/ln pipeline stays f32 (see
+/// [`logsoftmax_forward_into`]).
+pub struct LogSoftmaxBody<E> {
     arena: LogSoftmaxArena<E>,
+    classes: usize,
 }
 
-impl<E: Numeric> StageWorker for LogSoftmaxWorker<E> {
-    fn apply_into(&mut self, input: &Tensor3<f32>, out: &mut Tensor3<f32>) {
-        logsoftmax_forward_into(out.as_mut_slice(), input.as_slice(), &mut self.arena);
+impl<E: Numeric> LogSoftmaxBody<E> {
+    /// The body for a `classes`-wide score vector.
+    pub fn new(classes: usize) -> Self {
+        LogSoftmaxBody {
+            arena: LogSoftmaxArena::new(classes),
+            classes,
+        }
     }
 }
 
-enum Phase {
-    /// Consuming class scores (count so far).
-    Accumulate(usize),
-    /// Emitting normalised score `j` starting at `ready_cycle`.
-    Drain { next_j: usize, ready: u64 },
+impl<E: Numeric> GatherBody for LogSoftmaxBody<E> {
+    fn inputs(&self) -> usize {
+        self.classes
+    }
+
+    fn outputs(&self) -> usize {
+        self.classes
+    }
+
+    fn compute(&mut self, input: &[f32], out: &mut [f32]) {
+        logsoftmax_forward_into(out, input, &mut self.arena);
+    }
 }
 
-/// The log-softmax normalisation core as a cycle actor. Single input
-/// port, single output port, weight-free. Generic over the executed
-/// element type: scores are quantised on ingest and the normalised scores
-/// re-quantised on emission; the exp/ln pipeline stays f32 (see
-/// [`logsoftmax_forward_into`]).
-pub struct LogSoftmaxCore<E: Numeric = f32> {
-    name: String,
+/// The normalisation core as a cycle actor: the [`GatherCore`] shell
+/// around a [`LogSoftmaxBody`], reading one score per cycle.
+pub fn logsoftmax_core<E: Numeric>(
+    name: impl Into<String>,
+    classes: usize,
     in_ch: ChannelId,
     out_ch: ChannelId,
-    classes: usize,
-    arena: LogSoftmaxArena<E>,
-    drain: u64,
-    buffer: Vec<f32>,
-    results: Vec<f32>,
-    phase: Phase,
-    inits: u64,
-}
-
-impl<E: Numeric> LogSoftmaxCore<E> {
-    /// Build the core for a `classes`-wide score vector.
-    pub fn new(
-        name: impl Into<String>,
-        classes: usize,
-        in_ch: ChannelId,
-        out_ch: ChannelId,
-        ops: &OpLatency,
-    ) -> Self {
-        LogSoftmaxCore {
-            name: name.into(),
-            in_ch,
-            out_ch,
-            classes,
-            arena: LogSoftmaxArena::new(classes),
-            drain: drain_latency(classes, ops),
-            buffer: Vec::with_capacity(classes),
-            results: vec![0.0; classes],
-            phase: Phase::Accumulate(0),
-            inits: 0,
-        }
-    }
-
-    /// Drain latency in cycles.
-    pub fn drain_latency(&self) -> u64 {
-        self.drain
-    }
-}
-
-impl<E: Numeric> Actor for LogSoftmaxCore<E> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
-        match self.phase {
-            Phase::Accumulate(count) => {
-                if chans.peek(self.in_ch).is_some() {
-                    let v = chans.pop(self.in_ch).unwrap();
-                    self.buffer.push(v);
-                    self.inits += 1;
-                    trace.record(cycle, &self.name, EventKind::Initiate);
-                    if count + 1 == self.classes {
-                        logsoftmax_forward_into(&mut self.results, &self.buffer, &mut self.arena);
-                        self.buffer.clear();
-                        self.phase = Phase::Drain {
-                            next_j: 0,
-                            ready: cycle + self.drain,
-                        };
-                    } else {
-                        self.phase = Phase::Accumulate(count + 1);
-                    }
-                }
-            }
-            Phase::Drain { next_j, ready } => {
-                if cycle >= ready && chans.can_push(self.out_ch) {
-                    chans.push(self.out_ch, self.results[next_j]);
-                    trace.record(cycle, &self.name, EventKind::Emit);
-                    if next_j + 1 == self.classes {
-                        self.phase = Phase::Accumulate(0);
-                    } else {
-                        self.phase = Phase::Drain {
-                            next_j: next_j + 1,
-                            ready: cycle + 1,
-                        };
-                    }
-                }
-            }
-        }
-    }
-
-    fn busy(&self) -> bool {
-        match self.phase {
-            Phase::Accumulate(c) => c > 0,
-            Phase::Drain { .. } => true,
-        }
-    }
-
-    fn initiations(&self) -> u64 {
-        self.inits
-    }
-
-    fn wiring(&self) -> Wiring {
-        Wiring {
-            inputs: vec![self.in_ch],
-            outputs: vec![self.out_ch],
-        }
-    }
-
-    fn quiescence(&self, now: u64, chans: &ChannelSet) -> Quiescence {
-        match self.phase {
-            Phase::Accumulate(_) => {
-                if chans.peek(self.in_ch).is_none() {
-                    Quiescence::Wait(None) // starved: push wakes us
-                } else {
-                    Quiescence::Active
-                }
-            }
-            Phase::Drain { ready, .. } => {
-                if !chans.can_push(self.out_ch) {
-                    Quiescence::Wait(None) // backpressured: pop wakes us
-                } else if ready > now + 1 {
-                    Quiescence::Wait(Some(ready)) // drain latency
-                } else {
-                    Quiescence::Active
-                }
-            }
-        }
-    }
-
-    fn stall(&self, chans: &ChannelSet) -> Stall {
-        match self.phase {
-            Phase::Accumulate(count) => {
-                if chans.peek(self.in_ch).is_some() {
-                    Stall::Computing
-                } else if count > 0 {
-                    Stall::Starved(0) // mid-image, upstream ran dry
-                } else {
-                    Stall::Idle // between images
-                }
-            }
-            Phase::Drain { .. } => {
-                if chans.can_push(self.out_ch) {
-                    Stall::Computing // drain latency elapsing
-                } else {
-                    Stall::Backpressured(0)
-                }
-            }
-        }
-    }
+    ops: &OpLatency,
+) -> GatherCore<LogSoftmaxBody<E>> {
+    let body = LogSoftmaxBody::new(classes);
+    GatherCore::new(name, in_ch, out_ch, body, 1, drain_latency(classes, ops))
 }
 
 impl CoreModel for LogSoftmaxModel {
@@ -284,7 +165,7 @@ impl CoreModel for LogSoftmaxModel {
         in_chs: Vec<ChannelId>,
         out_chs: Vec<ChannelId>,
     ) -> Box<dyn Actor> {
-        with_numeric!(design.config().numeric, E => Box::new(LogSoftmaxCore::<E>::new(
+        with_numeric!(design.config().numeric, E => Box::new(logsoftmax_core::<E>(
             core.name.clone(),
             core.params.in_fm,
             in_chs[0],
@@ -342,11 +223,7 @@ impl CoreModel for LogSoftmaxModel {
         Some(with_numeric!(design.config().numeric, E => StageSpec::new(
             core.name.clone(),
             Shape3::new(1, 1, k),
-            move || {
-                Box::new(LogSoftmaxWorker::<E> {
-                    arena: LogSoftmaxArena::new(k),
-                })
-            },
+            move || Box::new(LogSoftmaxBody::<E>::new(k)),
         )))
     }
 }
@@ -355,7 +232,10 @@ impl CoreModel for LogSoftmaxModel {
 mod tests {
     use super::*;
     use crate::kernel::logsoftmax_forward_hw;
+    use crate::stream::ChannelSet;
+    use crate::trace::Trace;
     use dfcnn_nn::layer::LogSoftmax;
+    use dfcnn_tensor::Tensor3;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -365,7 +245,7 @@ mod tests {
         let inp = chans.alloc(8);
         let out = chans.alloc(8);
         let ops = OpLatency::f32_virtex7();
-        let mut core = LogSoftmaxCore::<f32>::new("logsoftmax", k, inp, out, &ops);
+        let mut core = logsoftmax_core::<f32>("logsoftmax", k, inp, out, &ops);
         let mut feed: Vec<f32> = Vec::new();
         for _ in 0..images {
             feed.extend_from_slice(scores);

@@ -9,14 +9,17 @@
 //! validation rules, hardware-order compute, cycle-actor construction,
 //! resource parameters, HLS C++ emission and display labels — lives in one
 //! `CoreModel` implementation per kind ([`conv`], [`pool`], [`fc`],
-//! [`adapter`], [`logsoftmax`]). Kinds that stream alike share one actor
-//! shell: conv and pool wrap their compute body in [`windowed`]'s SST-fed
-//! core, and scale-shift is a [`crate::port::PortAdapter`] with a per-FM
-//! map.
+//! [`adapter`], [`logsoftmax`], [`scaleshift`], [`fork`], [`eltwise`],
+//! [`concat`](mod@concat)). Every kind's actor is one of three shells, one
+//! per streaming pattern: conv and pool wrap their compute body in
+//! [`windowed`]'s SST-fed core; FC and log-softmax wrap theirs in
+//! [`gather`]'s accumulate/drain core; the adapters, scale-shift, fork,
+//! eltwise add and concat supply a route to the [`crate::port::Router`],
+//! which moves values in strict global FM order.
 //!
 //! The consumers (`graph`, `sim`, `exec`, `verify`, `codegen`, `dse`,
 //! `multi`, `flow`) contain **zero per-kind dispatch**; a CI grep-lint
-//! (`scripts/lint_corekind.sh`) keeps it that way. Adding a layer kind is
+//! (`scripts/lint.sh`) keeps it that way. Adding a layer kind is
 //! one new module here plus a `CoreKind` variant and cost-model arm in
 //! `dfcnn-fpga` — see DESIGN.md §2d and the README recipe.
 //!
@@ -31,6 +34,7 @@ pub mod conv;
 pub mod eltwise;
 pub mod fc;
 pub mod fork;
+pub mod gather;
 pub mod logsoftmax;
 pub mod pool;
 pub mod scaleshift;

@@ -7,16 +7,16 @@
 //! multiply and one add per value, no window, no reduction. It is a
 //! *paper layer* in the builder's sense — it carries a
 //! [`LayerPorts`] entry and an Eq. 4 II like conv/pool/FC — and its actor
-//! ([`ScaleShiftCore`]) *is* a [`PortAdapter`], streaming in strict global
-//! FM order, with a per-FM map that applies `y = scale[f]·x + shift[f]` on
-//! the way through. The same flat-index expression
-//! (`scale[i mod C]·x + shift[i mod C]`, channel-fastest storage) is used
-//! by the network layer, the host pipeline worker and the actor, so all
-//! three engines stay bit-identical.
+//! ([`ScaleShiftCore`]) *is* the adapters' [`Router`], streaming in strict
+//! global FM order, with a per-FM map that applies
+//! `y = scale[f]·x + shift[f]` on the way through. The same flat-index
+//! expression (`scale[i mod C]·x + shift[i mod C]`, channel-fastest
+//! storage) is used by the network layer, the host pipeline worker and the
+//! actor, so all three engines stay bit-identical.
 
 use super::{CoreModel, CorePlan, StageSpec, StageWorker};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
-use crate::port::{FmMap, PortAdapter};
+use crate::port::{Adapt, FmMap, Router};
 use crate::sim::Actor;
 use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
@@ -66,10 +66,10 @@ impl<E: Numeric> FmMap for ScaleShiftMap<E> {
     }
 }
 
-/// The streaming affine actor: a [`PortAdapter`] whose per-FM map is
-/// `y = scale[f]·x + shift[f]`, so values move in strict global FM order
-/// and are transformed on the way through.
-pub type ScaleShiftCore<E = f32> = PortAdapter<ScaleShiftMap<E>>;
+/// The streaming affine actor: a [`Router`] along an [`Adapt`] route whose
+/// per-FM map is `y = scale[f]·x + shift[f]`, so values move in strict
+/// global FM order and are transformed on the way through.
+pub type ScaleShiftCore<E = f32> = Router<Adapt<ScaleShiftMap<E>>>;
 
 impl<E: Numeric> ScaleShiftCore<E> {
     /// Build the core; coefficient vectors carry one entry per FM.
@@ -80,8 +80,10 @@ impl<E: Numeric> ScaleShiftCore<E> {
         scale: &[f32],
         shift: &[f32],
     ) -> Self {
+        let fm = scale.len();
         let map = ScaleShiftMap::new(scale, shift);
-        PortAdapter::with_map(name, in_chs, out_chs, scale.len(), map)
+        let route = Adapt::new(in_chs.len(), out_chs.len(), fm, map);
+        Router::new(name, in_chs, out_chs, fm, route)
     }
 }
 

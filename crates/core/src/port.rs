@@ -1,4 +1,5 @@
-//! Port-width adaptation between adjacent layers (§IV-A).
+//! Port-width adaptation between adjacent layers (§IV-A), and the one
+//! router shell every strict-FM-order core runs in.
 //!
 //! Three cases connect layer `i-1` (producing `OUT_PORTS` streams) to layer
 //! `i` (consuming `IN_PORTS` streams):
@@ -11,20 +12,21 @@
 //!    additional innermost loop to cycle the reads from the different
 //!    output channels of `i-1`", i.e. a serialising merge.
 //!
-//! [`PortAdapter`] implements cases 2 and 3 (and degenerates to a repeater
-//! for case 1, though the graph builder wires that case directly). The
-//! interleaving convention everywhere is round-robin: **FM `f` travels on
-//! port `f mod P`**, pixels in raster order, FMs in increasing order within
-//! a pixel. The adapter moves values in strict global FM order — possibly
-//! several per cycle when they use disjoint input and output ports — which
-//! preserves per-FIFO ordering while matching the bandwidth of the
-//! narrower side, exactly like the hardware.
+//! The interleaving convention everywhere is round-robin: **FM `f` travels
+//! on port `f mod P`**, pixels in raster order, FMs in increasing order
+//! within a pixel.
 //!
-//! The adapter also carries a per-FM value map ([`FmMap`]), applied to
-//! each value on the way through. The default, [`IdentityMap`], moves
-//! values unchanged; the scale-shift core
-//! ([`crate::model::scaleshift::ScaleShiftCore`]) is this adapter with a
-//! per-FM affine map.
+//! [`Router`] is the actor of cases 2 and 3 (it degenerates to a repeater
+//! for case 1, though the graph builder wires that case directly) and of
+//! every other kind that moves values in strict global FM order: the
+//! scale-shift core, the fork tee, the eltwise add and the concat join.
+//! The kind supplies a small [`Route`]: for FM `f`, the input channels the
+//! value pops, the output channels it pushes and the value written. The
+//! router moves values in sequence — possibly several per cycle when they
+//! use disjoint ports — which preserves per-FIFO ordering while matching
+//! the bandwidth of the narrower side, exactly like the hardware. The
+//! adapters' and the scale-shift core's route is [`Adapt`], carrying a
+//! per-FM value map ([`FmMap`]); [`IdentityMap`] moves values unchanged.
 
 use crate::sim::{Actor, Quiescence, Wiring};
 use crate::stream::{ChannelId, ChannelSet};
@@ -36,7 +38,55 @@ pub fn fm_port(f: usize, ports: usize) -> usize {
     f % ports
 }
 
-/// A per-FM value map applied by a [`PortAdapter`] to each value it
+/// A strided set of channel indices: `count` of them, from `first`,
+/// `stride` apart.
+#[derive(Clone, Copy, Debug)]
+pub struct Lanes {
+    first: usize,
+    stride: usize,
+    count: usize,
+}
+
+impl Lanes {
+    /// The one channel `i`.
+    pub fn one(i: usize) -> Self {
+        Lanes::strided(i, 0, 1)
+    }
+
+    /// Channels `first + k·stride` for `k < count`.
+    pub fn strided(first: usize, stride: usize, count: usize) -> Self {
+        Lanes {
+            first,
+            stride,
+            count,
+        }
+    }
+
+    fn iter(self) -> impl Iterator<Item = usize> {
+        (0..self.count).map(move |k| self.first + k * self.stride)
+    }
+}
+
+/// The kind-specific part of a [`Router`]: where the value of FM `f` comes
+/// from, where it goes and what it becomes.
+pub trait Route {
+    /// Ports per input group and per output group. The ports divide the
+    /// FM count, so the next `min` of the two values in sequence never
+    /// share a port: the router moves at most that many per cycle.
+    fn group_widths(&self) -> (usize, usize);
+
+    /// The input channels (indices into the router's inputs) the value of
+    /// FM `f` pops, in operand order: one, or two.
+    fn pops(&self, f: usize) -> Lanes;
+
+    /// The output channels the value of FM `f` is pushed to.
+    fn pushes(&self, f: usize) -> Lanes;
+
+    /// The value written for FM `f`, given the popped operands.
+    fn value(&self, f: usize, operands: &[f32]) -> f32;
+}
+
+/// A per-FM value map applied by an [`Adapt`] route to each value it
 /// moves.
 pub trait FmMap {
     /// The value leaving for feature map `f`, given the value `v` that
@@ -55,94 +105,146 @@ impl FmMap for IdentityMap {
     }
 }
 
-/// The adapter actor for the §IV-A port-width cases, applying the per-FM
-/// map `M` on the way through.
-pub struct PortAdapter<M = IdentityMap> {
+/// The route of the §IV-A port-width cases: FM `f` moves from input port
+/// `f mod N` to output port `f mod M` through the per-FM map `M`.
+pub struct Adapt<M = IdentityMap> {
+    in_ports: usize,
+    out_ports: usize,
+    map: M,
+}
+
+impl<M: FmMap> Adapt<M> {
+    /// Route `fm` interleaved FMs from `in_ports` to `out_ports` streams.
+    pub fn new(in_ports: usize, out_ports: usize, fm: usize, map: M) -> Self {
+        assert!(in_ports > 0 && out_ports > 0, "adapter needs ports");
+        assert_eq!(fm % in_ports, 0, "input ports must divide FM count");
+        assert_eq!(fm % out_ports, 0, "output ports must divide FM count");
+        Adapt {
+            in_ports,
+            out_ports,
+            map,
+        }
+    }
+}
+
+impl<M: FmMap> Route for Adapt<M> {
+    fn group_widths(&self) -> (usize, usize) {
+        (self.in_ports, self.out_ports)
+    }
+
+    fn pops(&self, f: usize) -> Lanes {
+        Lanes::one(fm_port(f, self.in_ports))
+    }
+
+    fn pushes(&self, f: usize) -> Lanes {
+        Lanes::one(fm_port(f, self.out_ports))
+    }
+
+    #[inline]
+    fn value(&self, f: usize, operands: &[f32]) -> f32 {
+        self.map.map(f, operands[0])
+    }
+}
+
+/// The router actor: moves values in strict global FM order along the
+/// route `R`.
+pub struct Router<R> {
     name: String,
     in_chs: Vec<ChannelId>,
     out_chs: Vec<ChannelId>,
     /// Feature maps carried per pixel.
     fm: usize,
-    /// Global value sequence number (pixel-major, FM-minor).
-    seq: u64,
+    /// Values moved so far: the next value in sequence (pixel-major,
+    /// FM-minor) is number `moved`.
     moved: u64,
-    map: M,
+    /// Values moved per cycle at most.
+    width: usize,
+    route: R,
 }
 
-impl PortAdapter {
-    /// Build an adapter carrying `fm` interleaved feature maps.
+impl Router<Adapt> {
+    /// The plain §IV-A adapter carrying `fm` interleaved feature maps.
+    pub fn adapter(
+        name: impl Into<String>,
+        in_chs: Vec<ChannelId>,
+        out_chs: Vec<ChannelId>,
+        fm: usize,
+    ) -> Self {
+        let route = Adapt::new(in_chs.len(), out_chs.len(), fm, IdentityMap);
+        Router::new(name, in_chs, out_chs, fm, route)
+    }
+}
+
+impl<R: Route> Router<R> {
+    /// Build a router over `fm` interleaved feature maps.
     pub fn new(
         name: impl Into<String>,
         in_chs: Vec<ChannelId>,
         out_chs: Vec<ChannelId>,
         fm: usize,
+        route: R,
     ) -> Self {
-        PortAdapter::with_map(name, in_chs, out_chs, fm, IdentityMap)
-    }
-}
-
-impl<M: FmMap> PortAdapter<M> {
-    /// Build an adapter carrying `fm` interleaved feature maps that maps
-    /// each value through `map`.
-    pub fn with_map(
-        name: impl Into<String>,
-        in_chs: Vec<ChannelId>,
-        out_chs: Vec<ChannelId>,
-        fm: usize,
-        map: M,
-    ) -> Self {
-        assert!(
-            !in_chs.is_empty() && !out_chs.is_empty(),
-            "adapter needs ports"
-        );
-        assert_eq!(fm % in_chs.len(), 0, "input ports must divide FM count");
-        assert_eq!(fm % out_chs.len(), 0, "output ports must divide FM count");
-        PortAdapter {
+        let (in_width, out_width) = route.group_widths();
+        Router {
             name: name.into(),
             in_chs,
             out_chs,
             fm,
-            seq: 0,
             moved: 0,
-            map,
+            width: in_width.min(out_width),
+            route,
         }
     }
 
-    /// Values moved so far.
-    pub fn moved(&self) -> u64 {
-        self.moved
+    /// The FM of the next value in sequence, and its pops and pushes.
+    #[inline]
+    fn next(&self) -> (usize, Lanes, Lanes) {
+        let f = (self.moved % self.fm as u64) as usize;
+        (f, self.route.pops(f), self.route.pushes(f))
+    }
+
+    /// What keeps the next value from moving: its first empty input, else
+    /// its first full output; `None` when it can move.
+    #[inline]
+    fn blocker(&self, chans: &ChannelSet, pops: Lanes, pushes: Lanes) -> Option<Stall> {
+        if let Some(i) = pops.iter().find(|&i| chans.peek(self.in_chs[i]).is_none()) {
+            return Some(Stall::Starved(i));
+        }
+        pushes
+            .iter()
+            .find(|&o| !chans.can_push(self.out_chs[o]))
+            .map(Stall::Backpressured)
     }
 }
 
-impl<M: FmMap> Actor for PortAdapter<M> {
+impl<R: Route> Actor for Router<R> {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
-        let n = self.in_chs.len();
-        let m = self.out_chs.len();
         // move values in strict global order; stop at the first one that
-        // cannot move (empty input or full output). Both port counts
-        // divide `fm`, so consecutive values use consecutive ports and the
-        // first min(n, m) of them never share one.
-        for _ in 0..n.min(m) {
-            let f = (self.seq % self.fm as u64) as usize;
-            let src = self.in_chs[fm_port(f, n)];
-            let dst = self.out_chs[fm_port(f, m)];
-            if chans.peek(src).is_none() || !chans.can_push(dst) {
+        // cannot move
+        for _ in 0..self.width {
+            let (f, pops, pushes) = self.next();
+            if self.blocker(chans, pops, pushes).is_some() {
                 break;
             }
-            let v = chans.pop(src).unwrap();
-            chans.push(dst, self.map.map(f, v));
-            self.seq += 1;
+            let mut operands = [0.0f32; 2];
+            for (k, i) in pops.iter().enumerate() {
+                operands[k] = chans.pop(self.in_chs[i]).unwrap();
+            }
+            let v = self.route.value(f, &operands[..pops.count]);
+            for o in pushes.iter() {
+                chans.push(self.out_chs[o], v);
+            }
             self.moved += 1;
             trace.record(cycle, &self.name, EventKind::Emit);
         }
     }
 
     fn busy(&self) -> bool {
-        false // adapters hold no state between cycles
+        false // a router holds no state between cycles
     }
 
     fn initiations(&self) -> u64 {
@@ -157,31 +259,19 @@ impl<M: FmMap> Actor for PortAdapter<M> {
     }
 
     fn quiescence(&self, _now: u64, chans: &ChannelSet) -> Quiescence {
-        // the adapter moves values in strict global order, so next cycle's
-        // tick does something iff the *next* value in sequence can move
-        let f = (self.seq % self.fm as u64) as usize;
-        let src = self.in_chs[fm_port(f, self.in_chs.len())];
-        let dst = self.out_chs[fm_port(f, self.out_chs.len())];
-        if chans.peek(src).is_some() && chans.can_push(dst) {
-            Quiescence::Active
-        } else {
-            Quiescence::Wait(None)
+        // next cycle's tick does something iff the next value can move
+        let (_, pops, pushes) = self.next();
+        match self.blocker(chans, pops, pushes) {
+            Some(_) => Quiescence::Wait(None),
+            None => Quiescence::Active,
         }
     }
 
     fn stall(&self, chans: &ChannelSet) -> Stall {
-        // strict global order: the next value in sequence determines the
-        // blocking side
-        let f = (self.seq % self.fm as u64) as usize;
-        let ip = fm_port(f, self.in_chs.len());
-        let op = fm_port(f, self.out_chs.len());
-        if chans.peek(self.in_chs[ip]).is_none() {
-            Stall::Starved(ip)
-        } else if !chans.can_push(self.out_chs[op]) {
-            Stall::Backpressured(op)
-        } else {
-            Stall::Computing // both sides ready: the move happens next tick
-        }
+        let (_, pops, pushes) = self.next();
+        // both sides ready: the move happens next tick
+        self.blocker(chans, pops, pushes)
+            .unwrap_or(Stall::Computing)
     }
 }
 
@@ -189,7 +279,7 @@ impl<M: FmMap> Actor for PortAdapter<M> {
 mod tests {
     use super::*;
 
-    fn drive(adapter: &mut PortAdapter, chans: &mut ChannelSet, cycles: usize) {
+    fn drive(adapter: &mut Router<Adapt>, chans: &mut ChannelSet, cycles: usize) {
         let mut trace = Trace::disabled();
         for c in 0..cycles {
             adapter.tick(c as u64, chans, &mut trace);
@@ -219,11 +309,11 @@ mod tests {
             }
         }
         chans.commit_all();
-        let mut a = PortAdapter::new("demux", vec![i0], vec![o0, o1], 4);
+        let mut a = Router::adapter("demux", vec![i0], vec![o0, o1], 4);
         drive(&mut a, &mut chans, 16);
         assert_eq!(drain(&mut chans, o0), vec![0.0, 2.0, 10.0, 12.0]);
         assert_eq!(drain(&mut chans, o1), vec![1.0, 3.0, 11.0, 13.0]);
-        assert_eq!(a.moved(), 8);
+        assert_eq!(a.initiations(), 8);
     }
 
     #[test]
@@ -240,7 +330,7 @@ mod tests {
             chans.push(i1, (px * 10 + 3) as f32); // f3
         }
         chans.commit_all();
-        let mut a = PortAdapter::new("widen", vec![i0, i1], vec![o0], 4);
+        let mut a = Router::adapter("widen", vec![i0, i1], vec![o0], 4);
         drive(&mut a, &mut chans, 16);
         assert_eq!(
             drain(&mut chans, o0),
@@ -262,7 +352,7 @@ mod tests {
             chans.push(i1, f);
         }
         chans.commit_all();
-        let mut a = PortAdapter::new("widen", vec![i0, i1], vec![o0], 4);
+        let mut a = Router::adapter("widen", vec![i0, i1], vec![o0], 4);
         let mut trace = Trace::disabled();
         a.tick(0, &mut chans, &mut trace);
         chans.commit_all();
@@ -281,7 +371,7 @@ mod tests {
             chans.push(i0, f as f32);
         }
         chans.commit_all();
-        let mut a = PortAdapter::new("demux", vec![i0], outs.clone(), 3);
+        let mut a = Router::adapter("demux", vec![i0], outs.clone(), 3);
         let mut trace = Trace::disabled();
         a.tick(0, &mut chans, &mut trace);
         chans.commit_all();
@@ -301,7 +391,7 @@ mod tests {
             chans.push(i0, f as f32);
         }
         chans.commit_all();
-        let mut a = PortAdapter::new("demux", vec![i0], vec![o0, o1], 2);
+        let mut a = Router::adapter("demux", vec![i0], vec![o0, o1], 2);
         drive(&mut a, &mut chans, 4);
         // f=0 went to o0 (now full); f=1 must NOT appear on o1 before f=0
         // is drained... it can, actually: f=1 targets o1 which is free and
@@ -320,7 +410,7 @@ mod tests {
         chans.push(i[0], 1.0);
         chans.push(i[1], 2.0);
         chans.commit_all();
-        let mut a = PortAdapter::new("rep", i.clone(), o.clone(), 2);
+        let mut a = Router::adapter("rep", i.clone(), o.clone(), 2);
         drive(&mut a, &mut chans, 4);
         assert_eq!(drain(&mut chans, o[0]), vec![1.0]);
         assert_eq!(drain(&mut chans, o[1]), vec![2.0]);
@@ -333,6 +423,6 @@ mod tests {
         let i0 = chans.alloc(4);
         let o0 = chans.alloc(4);
         let o1 = chans.alloc(4);
-        PortAdapter::new("bad", vec![i0], vec![o0, o1], 3);
+        Router::adapter("bad", vec![i0], vec![o0, o1], 3);
     }
 }

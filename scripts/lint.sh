@@ -14,12 +14,15 @@
 #                       touching graph/sim/exec/verify/codegen/dse/multi/
 #                       flow/check again. Construct layers via the From
 #                       impls (`conv.into()`), not by naming variants.
-#   3. actor location — every layer kind's simulator actor lives in its
-#                       crates/core/src/model/<kind>.rs. Outside model/,
-#                       only the non-layer plumbing may implement Actor:
-#                       the DMA source and sink (endpoints.rs), the port
-#                       adapter (port.rs), the board link (multi.rs) and
-#                       the test actors in sim.rs's test module.
+#   3. actor shells   — every layer kind runs in one of three actor
+#                       shells: the windowed shell (model/windowed.rs), the
+#                       gather shell (model/gather.rs) and the router
+#                       (port.rs); a kind's model/<kind>.rs supplies only
+#                       its body or route. Besides the shells, only the
+#                       non-layer plumbing may implement Actor: the DMA
+#                       source and sink (endpoints.rs), the board link
+#                       (multi.rs) and the test actors in sim.rs's test
+#                       module.
 #   4. numeric dispatch — concrete fixed-point element types appear only
 #                       in kernel.rs, model/ and crates/tensor.
 #   5. numeric casts  — no value-lossy `as` cast in a numeric hot path.
@@ -68,19 +71,19 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "per-kind dispatch confined to model/ and resources.rs"
 
-echo "== actor location lint =="
+echo "== actor shell lint =="
 # An indented impl in sim.rs is one of its test actors (mod tests).
 hits=$(grep -rnE '^\s*impl\b.*\bActor for ' crates/core/src --include='*.rs' \
-    | grep -v '^crates/core/src/model/' \
+    | grep -vE '^crates/core/src/model/(windowed|gather)\.rs:' \
     | grep -vE '^crates/core/src/(endpoints|port|multi)\.rs:' \
     | grep -vE '^crates/core/src/sim\.rs:[0-9]+:\s+impl' || true)
 if [ -n "$hits" ]; then
-    echo "error: simulator actor implemented outside crates/core/src/model/:" >&2
+    echo "error: simulator actor implemented outside the actor shells:" >&2
     echo "$hits" >&2
-    echo "put a layer kind's actor in its model/<kind>.rs (DESIGN.md s2d)" >&2
+    echo "give the kind a WindowBody, GatherBody or Route instead (DESIGN.md s2d)" >&2
     exit 1
 fi
-echo "layer actors confined to model/"
+echo "actors confined to the windowed, gather and router shells and the plumbing"
 
 echo "== numeric dispatch lint =="
 # Concrete fixed-point element types must not leak past the numeric
