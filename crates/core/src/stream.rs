@@ -120,16 +120,6 @@ impl Fifo {
     }
 }
 
-/// One occupancy change on one channel, as recorded for the event-driven
-/// scheduler (see [`ChannelSet::set_recording`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChannelEvent {
-    /// A value was staged on the channel (visible next cycle).
-    Push(ChannelId),
-    /// A committed value was consumed from the channel.
-    Pop(ChannelId),
-}
-
 /// All channels of a design, indexed by [`ChannelId`].
 ///
 /// Besides the FIFOs themselves, the set maintains the bookkeeping the
@@ -137,10 +127,8 @@ pub enum ChannelEvent {
 /// reads and which writes each channel, registered from the actors'
 /// wiring declarations), per-actor wake flags driven directly from pushes
 /// and pops (the scheduler's hot path — enabled only in event mode, so
-/// the dense reference sweep pays nothing), an event log of occupancy
-/// changes (an opt-in verification facility for the wake rules), and a
-/// dirty list so a cycle boundary only commits channels that actually
-/// staged values.
+/// the dense reference sweep pays nothing), and a dirty list so a cycle
+/// boundary only commits channels that actually staged values.
 #[derive(Clone, Debug, Default)]
 pub struct ChannelSet {
     fifos: Vec<Fifo>,
@@ -149,9 +137,6 @@ pub struct ChannelSet {
     readers: Vec<Vec<usize>>,
     /// Actor indices writing each channel (parallel to `fifos`).
     writers: Vec<Vec<usize>>,
-    /// Occupancy-change log (only filled while `recording`).
-    events: Vec<ChannelEvent>,
-    recording: bool,
     /// Channels with staged values awaiting commit.
     dirty: Vec<ChannelId>,
     /// Per-actor "tick this cycle" flags as 64-bit words, bit `i & 63` of
@@ -205,13 +190,6 @@ impl ChannelSet {
     /// Actors registered as producers into channel `id`.
     pub fn writers(&self, id: ChannelId) -> &[usize] {
         &self.writers[id]
-    }
-
-    /// Turn occupancy-change recording on or off (off by default; tests
-    /// use the log to pin down exactly when wake-ups must fire).
-    pub fn set_recording(&mut self, on: bool) {
-        self.recording = on;
-        self.events.clear();
     }
 
     /// Enable direct wake tracking for `actors` actors: from here on every
@@ -282,12 +260,6 @@ impl ChannelSet {
         self.wake_next_any = false;
     }
 
-    /// Move all recorded events into `out` (preserving order), leaving the
-    /// internal log empty.
-    pub fn drain_events_into(&mut self, out: &mut Vec<ChannelEvent>) {
-        out.append(&mut self.events);
-    }
-
     /// Number of channels.
     pub fn len(&self) -> usize {
         self.fifos.len()
@@ -325,9 +297,6 @@ impl ChannelSet {
             }
             self.wake_next_any |= !self.readers[id].is_empty();
         }
-        if self.recording {
-            self.events.push(ChannelEvent::Push(id));
-        }
     }
 
     /// Peek channel `id`.
@@ -358,9 +327,6 @@ impl ChannelSet {
                         std::cmp::Ordering::Equal => {}
                     }
                 }
-            }
-            if self.recording {
-                self.events.push(ChannelEvent::Pop(id));
             }
         }
         v
@@ -479,32 +445,6 @@ mod tests {
         assert_eq!(cs.pop(b), Some(20.0));
         assert_eq!(cs.activity(), 3); // 2 pushes + 1 pop
         assert_eq!(cs.total_in_flight(), 1);
-    }
-
-    #[test]
-    fn events_recorded_only_when_enabled_and_only_on_change() {
-        let mut cs = ChannelSet::new();
-        let a = cs.alloc(2);
-        let mut evs = Vec::new();
-
-        // recording off: traffic leaves no events
-        cs.push(a, 1.0);
-        cs.commit_all();
-        cs.pop(a);
-        cs.drain_events_into(&mut evs);
-        assert!(evs.is_empty());
-
-        cs.set_recording(true);
-        cs.push(a, 2.0);
-        assert_eq!(cs.pop(a), None, "staged value invisible — no Pop event");
-        cs.commit_all();
-        cs.pop(a);
-        cs.pop(a); // empty: must not record
-        cs.drain_events_into(&mut evs);
-        assert_eq!(evs, vec![ChannelEvent::Push(a), ChannelEvent::Pop(a)]);
-        evs.clear();
-        cs.drain_events_into(&mut evs);
-        assert!(evs.is_empty(), "drain must empty the log");
     }
 
     #[test]

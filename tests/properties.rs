@@ -8,7 +8,7 @@ use dfcnn::core::graph::DesignConfig;
 use dfcnn::core::kernel::{conv_forward_hw, fc_forward_hw, pool_forward_hw};
 use dfcnn::core::sim::SimError;
 use dfcnn::core::sst::WindowEngine;
-use dfcnn::core::stream::{ChannelEvent, ChannelSet, Fifo};
+use dfcnn::core::stream::{ChannelSet, Fifo};
 use dfcnn::hls::ii::pipeline_ii;
 use dfcnn::hls::reduce::TreeAdder;
 use dfcnn::nn::{Activation, Conv2d, Linear, Pool2d, PoolKind};
@@ -60,17 +60,15 @@ proptest! {
     /// The channel bookkeeping behind the event-driven scheduler: for any
     /// interleaving of pushes, pops and cycle boundaries across several
     /// channels, values are never lost, duplicated or reordered, and the
-    /// recorded event log holds exactly one `Push` per staged value and one
-    /// `Pop` per consumed value, in program order — events fire exactly
-    /// when occupancy changes, never for refused pushes or empty pops.
+    /// activity counter grows by one per staged value and one per consumed
+    /// value — exactly when occupancy changes, never for refused pushes or
+    /// empty pops.
     #[test]
     fn channel_events_mirror_occupancy_changes(
         ops in proptest::collection::vec((0u8..3, 0usize..3), 1..300)
     ) {
         let mut cs = ChannelSet::new();
         let chs: Vec<_> = (0..3).map(|_| cs.alloc(4)).collect();
-        cs.set_recording(true);
-        let mut expect_events = Vec::new();
         let mut visible: Vec<std::collections::VecDeque<f32>> =
             vec![std::collections::VecDeque::new(); 3];
         let mut staged: Vec<Vec<f32>> = vec![Vec::new(); 3];
@@ -89,7 +87,6 @@ proptest! {
                     if cs.can_push(ch) {
                         cs.push(ch, next);
                         staged[c].push(next);
-                        expect_events.push(ChannelEvent::Push(ch));
                         next += 1.0;
                         pushed += 1;
                     }
@@ -99,7 +96,6 @@ proptest! {
                     let want = visible[c].pop_front();
                     prop_assert_eq!(got, want, "loss or reorder on channel {}", c);
                     if got.is_some() {
-                        expect_events.push(ChannelEvent::Pop(ch));
                         popped += 1;
                     }
                 }
@@ -111,11 +107,8 @@ proptest! {
                     }
                 }
             }
+            prop_assert_eq!(cs.activity(), pushed + popped);
         }
-        let mut log = Vec::new();
-        cs.drain_events_into(&mut log);
-        prop_assert_eq!(log, expect_events);
-        prop_assert_eq!(cs.activity(), pushed + popped);
         prop_assert_eq!(cs.total_in_flight() as u64, pushed - popped, "values lost");
     }
 
