@@ -56,7 +56,7 @@
 //! *and* independently confirmed by the cycle simulator deadlocking.
 
 use crate::exec::ReplicationPlan;
-use crate::graph::{DesignConfig, NetworkDesign, PortConfig};
+use crate::graph::{NetworkDesign, PortConfig};
 use crate::model;
 use crate::observe::RunReport;
 use dfcnn_nn::Network;
@@ -248,19 +248,18 @@ pub fn check_design(design: &NetworkDesign) -> CheckReport {
 
 /// Rule 1: token rates must balance on every edge of the core graph.
 ///
-/// For each producer→consumer edge the producer's port count must equal
-/// the consumer's (the builder inserts demux/widen adapters to guarantee
-/// this; [`DesignConfig::omit_adapters`] seeds the violation) and the
-/// producer's per-image per-edge output volume — recomputed from
-/// geometry by [`model::CoreModel::static_profile`], split evenly over
-/// its out-edges — must equal the consumer's per-edge input volume. The
-/// consumer side comes from [`model::CoreModel::in_edge_volumes`]: an
-/// even split of its per-image volume for symmetric kinds, per-operand
-/// volumes for asymmetric joins like concat (whose two operands stream
-/// different FM counts). On linear chains both degrees are 1 and this
-/// reduces to the classic boundary check. The source must supply exactly
-/// the first core's volume and the classifier head must emit the width
-/// the sink collects.
+/// For each producer→consumer edge the producer's port count must equal the
+/// consumer's (the builder inserts demux/widen adapters to guarantee this;
+/// [`crate::graph::DesignConfig::omit_adapters`] seeds the violation) and
+/// the producer's per-image per-edge output volume — recomputed from
+/// geometry by [`model::CoreModel::static_profile`], split evenly over its
+/// out-edges — must equal the consumer's per-edge input volume. The
+/// consumer side comes from [`model::CoreModel::in_edge_volumes`]: an even
+/// split of its per-image volume for symmetric kinds, per-operand volumes
+/// for asymmetric joins like concat (whose two operands stream different FM
+/// counts). On linear chains both degrees are 1 and this reduces to the
+/// classic boundary check. The source must supply exactly the first core's
+/// volume and the classifier head must emit the width the sink collects.
 fn rate_conservation(design: &NetworkDesign, out: &mut Vec<DesignDiagnostic>) {
     let cores = design.cores();
     if cores.is_empty() {
@@ -483,7 +482,7 @@ fn ii_consistency(design: &NetworkDesign, out: &mut Vec<DesignDiagnostic>) {
 /// windowed path starves mid-fill and the graph provably deadlocks
 /// ([`crate::graph`] derives both numbers statically; the builder
 /// auto-sizes skip FIFOs to satisfy the bound unless
-/// [`DesignConfig::skip_fifo_cap`] clamps them).
+/// [`crate::graph::DesignConfig::skip_fifo_cap`] clamps them).
 fn reconvergence_buffering(design: &NetworkDesign, out: &mut Vec<DesignDiagnostic>) {
     for d in crate::graph::reconvergence_deficits(design) {
         out.push(diag(
@@ -591,7 +590,7 @@ fn value_ranges(design: &NetworkDesign, out: &mut Vec<DesignDiagnostic>) {
 /// design: every layer model's validation error becomes a
 /// `port-legality` diagnostic carrying the offending core's name — the
 /// same name [`NetworkDesign::new`] would have given it.
-pub fn check_network(network: &Network, ports: &PortConfig, _config: &DesignConfig) -> CheckReport {
+pub fn check_network(network: &Network, ports: &PortConfig) -> CheckReport {
     let mut diagnostics = Vec::new();
     let paper: Vec<_> = network
         .layers()
@@ -756,7 +755,7 @@ pub fn check_drift(design: &NetworkDesign, report: &RunReport) -> Vec<DesignDiag
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{LayerPorts, PortConfig};
+    use crate::graph::{DesignConfig, LayerPorts, PortConfig};
     use dfcnn_nn::topology::NetworkSpec;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -879,18 +878,14 @@ mod tests {
     fn check_network_names_the_offending_core() {
         let mut ports = PortConfig::single_port(4);
         ports.layers[0].out_ports = 4; // 6 FMs not divisible by 4
-        let report = check_network(&tc1_network(), &ports, &DesignConfig::default());
+        let report = check_network(&tc1_network(), &ports);
         assert!(report.has(Severity::Error, RuleId::PortLegality));
         let errs = report.errors();
         assert_eq!(errs.len(), 1);
         assert_eq!(errs[0].core, "conv1");
         assert!(errs[0].message.contains("does not divide"));
         // wrong entry count short-circuits
-        let report = check_network(
-            &tc1_network(),
-            &PortConfig::single_port(3),
-            &DesignConfig::default(),
-        );
+        let report = check_network(&tc1_network(), &PortConfig::single_port(3));
         assert!(report.has(Severity::Error, RuleId::PortLegality));
     }
 

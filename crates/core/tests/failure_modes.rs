@@ -122,7 +122,7 @@ fn every_invalid_port_config_yields_a_named_error() {
         // the static checker must agree with the builder: the same config
         // yields a port-legality diagnostic for the same reason, carrying
         // the offending core's name
-        let report = dfcnn_core::check::check_network(&net, &cfg, &DesignConfig::default());
+        let report = dfcnn_core::check::check_network(&net, &cfg);
         assert!(
             report.has(
                 dfcnn_core::check::Severity::Error,
@@ -141,11 +141,7 @@ fn every_invalid_port_config_yields_a_named_error() {
         );
     }
     // and the converse: the config the builder accepts checks clean
-    let good = dfcnn_core::check::check_network(
-        &net,
-        &PortConfig::paper_test_case_1(),
-        &DesignConfig::default(),
-    );
+    let good = dfcnn_core::check::check_network(&net, &PortConfig::paper_test_case_1());
     assert!(good.is_clean(), "{}", good.render());
 }
 

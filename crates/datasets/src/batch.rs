@@ -47,11 +47,6 @@ impl Dataset {
         &self.samples
     }
 
-    /// Consume into the sample vector.
-    pub fn into_samples(self) -> Vec<Sample> {
-        self.samples
-    }
-
     /// Deterministically shuffle in place with the given seed.
     pub fn shuffle(&mut self, seed: u64) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);

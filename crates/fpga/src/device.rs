@@ -32,23 +32,6 @@ impl Device {
         }
     }
 
-    /// The Altera Stratix V D5 used by the Microsoft baseline \[28\]
-    /// (Table II's comparison row). Capacities are approximate equivalents
-    /// (ALMs mapped to LUT/FF pairs, M20K blocks to BRAM18); only used for
-    /// reporting, never for fitting.
-    pub fn stratix_v_d5() -> Self {
-        Device {
-            name: "Stratix V D5 (approx.)".to_string(),
-            capacity: Resources {
-                ff: 690_000,
-                lut: 345_000,
-                bram18: 2_014,
-                dsp: 1_590,
-            },
-            clock_hz: 100_000_000,
-        }
-    }
-
     /// Whether a design of the given size fits on this device.
     pub fn fits(&self, used: &Resources) -> bool {
         used.ff <= self.capacity.ff
