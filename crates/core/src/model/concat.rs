@@ -21,14 +21,13 @@
 //! output volume. The static checker's rate-conservation rule learns the
 //! asymmetric split through [`CoreModel::in_edge_volumes`].
 
-use super::{CoreModel, CorePlan, StageSpec, StageWorker, StaticProfile};
-use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign, NodeRef};
-use crate::port::{fm_port, Lanes, Route, Router};
+use super::{CoreModel, StageSpec, StaticProfile};
+use crate::graph::{CoreInfo, NetworkDesign, NodeRef};
+use crate::port::{fm_port, Lanes, Route, RouteStage, Router};
 use crate::sim::Actor;
 use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::pipeline_ii;
-use dfcnn_nn::layer::Layer;
 use dfcnn_tensor::{Shape3, Tensor3};
 use std::fmt::Write as _;
 
@@ -67,20 +66,25 @@ pub(crate) fn plan_concat(
     }
 }
 
-/// Find a core's index and the FM count of its first operand (recovered
-/// from the first in-edge's recorded volume: `C1·H·W / (H·W)`).
-fn operand_split(design: &NetworkDesign, core: &CoreInfo) -> usize {
-    let idx = design
-        .cores()
-        .iter()
-        .position(|c| c.name == core.name)
-        .expect("concat core must be in the design it was planned for");
-    let first_in = design
+/// The per-image volumes recorded on a core's in-edges, in edge order
+/// (none if the core is not in `design`).
+fn operand_volumes(design: &NetworkDesign, core: &CoreInfo) -> Vec<u64> {
+    let idx = design.cores().iter().position(|c| c.name == core.name);
+    design
         .edges()
         .iter()
-        .find(|e| e.to == NodeRef::Core(idx))
-        .expect("concat core must have in-edges");
-    (first_in.values_per_image / core.positions.max(1)) as usize
+        .filter(|e| idx.is_some_and(|i| e.to == NodeRef::Core(i)))
+        .map(|e| e.values_per_image)
+        .collect()
+}
+
+/// The FM count of a concat core's first operand, recovered from its
+/// first in-edge's recorded volume: `C1·H·W / (H·W)`.
+fn operand_split(design: &NetworkDesign, core: &CoreInfo) -> usize {
+    let first = *operand_volumes(design, core)
+        .first()
+        .expect("concat core must have in-edges in its design");
+    (first / core.positions.max(1)) as usize
 }
 
 /// The join's [`Route`]: forwards the summed FM sequence, reading FM
@@ -142,28 +146,6 @@ impl Route for Append {
     }
 }
 
-struct ConcatWorker;
-
-impl StageWorker for ConcatWorker {
-    fn apply_into(&mut self, _input: &Tensor3<f32>, _out: &mut Tensor3<f32>) {
-        unreachable!("concat is a two-operand stage; use apply_multi")
-    }
-
-    fn apply_multi(&mut self, inputs: &[&Tensor3<f32>], out: &mut Tensor3<f32>) {
-        let (a, b) = (inputs[0], inputs[1]);
-        let (c1, c2) = (a.shape().c, b.shape().c);
-        let (asl, bsl) = (a.as_slice(), b.as_slice());
-        let o = out.as_mut_slice();
-        let mut oi = 0;
-        for px in 0..a.shape().h * a.shape().w {
-            o[oi..oi + c1].copy_from_slice(&asl[px * c1..(px + 1) * c1]);
-            oi += c1;
-            o[oi..oi + c2].copy_from_slice(&bsl[px * c2..(px + 1) * c2]);
-            oi += c2;
-        }
-    }
-}
-
 impl CoreModel for ConcatJoinModel {
     fn kind(&self) -> CoreKind {
         CoreKind::ConcatJoin
@@ -171,18 +153,6 @@ impl CoreModel for ConcatJoinModel {
 
     fn label(&self) -> &'static str {
         "concat"
-    }
-
-    fn feature_maps(&self, _layer: &Layer) -> (usize, usize) {
-        unreachable!("concat cores are planned from graph joins, not layers")
-    }
-
-    fn plan(&self, _layer: &Layer, _lp: LayerPorts, _config: &DesignConfig) -> CorePlan {
-        unreachable!("concat cores are planned from graph joins, not layers")
-    }
-
-    fn estimate_interval(&self, core: &CoreInfo, _config: &DesignConfig) -> u64 {
-        core.positions * core.params.ii as u64
     }
 
     fn static_profile(&self, _design: &NetworkDesign, core: &CoreInfo) -> StaticProfile {
@@ -205,16 +175,7 @@ impl CoreModel for ConcatJoinModel {
         // the recorded edge volumes only if they sum to the core's total —
         // otherwise fall back to the even split so a tampered edge still
         // trips the producer-side comparison
-        let idx = design.cores().iter().position(|c| c.name == core.name);
-        let recorded: Vec<u64> = match idx {
-            Some(idx) => design
-                .edges()
-                .iter()
-                .filter(|e| e.to == NodeRef::Core(idx))
-                .map(|e| e.values_per_image)
-                .collect(),
-            None => Vec::new(),
-        };
+        let recorded = operand_volumes(design, core);
         if recorded.len() == in_degree && recorded.iter().sum::<u64>() == core.in_values_per_image {
             recorded
         } else {
@@ -299,8 +260,10 @@ impl CoreModel for ConcatJoinModel {
         let (a, b) = (in_shapes[0], in_shapes[1]);
         assert_eq!((a.h, a.w), (b.h, b.w), "operands must share the pixel grid");
         let out_shape = Shape3::new(a.h, a.w, a.c + b.c);
-        Some(StageSpec::new(core.name.clone(), out_shape, || {
-            Box::new(ConcatWorker)
+        let (in_ports, out_ports) = (self.input_channel_count(core), core.params.out_ports);
+        Some(StageSpec::new(core.name.clone(), out_shape, move || {
+            let route = Append::new(in_ports, out_ports, out_shape.c, a.c);
+            Box::new(RouteStage::new(route, out_shape.c))
         }))
     }
 
@@ -316,16 +279,21 @@ impl CoreModel for ConcatJoinModel {
             (b.shape().h, b.shape().w),
             "operands must share the pixel grid"
         );
-        let out_shape = Shape3::new(a.shape().h, a.shape().w, a.shape().c + b.shape().c);
-        let mut out = Tensor3::zeros(out_shape);
-        ConcatWorker.apply_multi(&[a, b], &mut out);
-        Some(out)
+        let c1 = a.shape().c;
+        let out_shape = Shape3::new(a.shape().h, a.shape().w, c1 + b.shape().c);
+        Some(Tensor3::from_fn(out_shape, |y, x, c| {
+            match c.checked_sub(c1) {
+                None => a.get(y, x, c),
+                Some(cb) => b.get(y, x, cb),
+            }
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::port::stage_matches_router;
     use crate::stream::ChannelSet;
     use crate::trace::{Stall, Trace};
 
@@ -415,15 +383,26 @@ mod tests {
 
     #[test]
     fn worker_matches_reference_interleave() {
-        let a = Tensor3::from_fn(Shape3::new(2, 2, 2), |y, x, c| (y * 4 + x * 2 + c) as f32);
-        let b = Tensor3::from_fn(Shape3::new(2, 2, 1), |y, x, _| -((y * 2 + x) as f32));
-        let mut out = Tensor3::zeros(Shape3::new(2, 2, 3));
-        ConcatWorker.apply_multi(&[&a, &b], &mut out);
-        for y in 0..2 {
-            for x in 0..2 {
-                assert_eq!(out.get(y, x, 0), a.get(y, x, 0));
-                assert_eq!(out.get(y, x, 1), a.get(y, x, 1));
-                assert_eq!(out.get(y, x, 2), b.get(y, x, 0));
+        // C1 ≠ C2, on one and on two ports per operand group; values pass
+        // unchanged, so one element type covers every numeric mode
+        for (c1, c2, ports) in [(2, 1, 1), (4, 2, 2), (2, 4, 2)] {
+            let a = Tensor3::from_fn(Shape3::new(2, 2, c1), |y, x, c| (y * 8 + x * 4 + c) as f32);
+            let b = Tensor3::from_fn(Shape3::new(2, 2, c2), |y, x, c| {
+                -((y * 8 + x * 4 + c) as f32)
+            });
+            let fm = c1 + c2;
+            let route = || Append::new(2 * ports, ports, fm, c1);
+            let out = stage_matches_router(route, fm, &[&a, &b]);
+            let out = Tensor3::from_vec(Shape3::new(2, 2, fm), out);
+            for y in 0..2 {
+                for x in 0..2 {
+                    for c in 0..c1 {
+                        assert_eq!(out.get(y, x, c), a.get(y, x, c));
+                    }
+                    for c in 0..c2 {
+                        assert_eq!(out.get(y, x, c1 + c), b.get(y, x, c));
+                    }
+                }
             }
         }
     }

@@ -1,7 +1,7 @@
 //! The convolutional layer kind (§IV-A, Algorithm 1).
 
 use super::windowed::{windowed_interval, windowed_profile, WindowBody, WindowedCore};
-use super::{CoreModel, CorePlan, StageSpec, StageWorker, StaticProfile};
+use super::{CoreModel, CorePlan, LayerModel, StageSpec, StageWorker, StaticProfile};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
 use crate::kernel::{conv_forward_hw_into, conv_window_packed, ConvArena, PackedFilters, LANES};
 use crate::sim::Actor;
@@ -94,27 +94,19 @@ struct ConvWorker<E: Numeric> {
 }
 
 impl<E: Numeric> StageWorker for ConvWorker<E> {
-    fn apply_into(&mut self, input: &Tensor3<f32>, out: &mut Tensor3<f32>) {
+    fn apply_multi(&mut self, inputs: &[&Tensor3<f32>], out: &mut Tensor3<f32>) {
         conv_forward_hw_into(
             &self.layer,
             &self.filters,
             self.in_ports,
-            input,
+            inputs[0],
             out,
             &mut self.arena,
         );
     }
 }
 
-impl CoreModel for ConvModel {
-    fn kind(&self) -> CoreKind {
-        CoreKind::Conv
-    }
-
-    fn label(&self) -> &'static str {
-        "conv"
-    }
-
+impl LayerModel for ConvModel {
     fn feature_maps(&self, layer: &Layer) -> (usize, usize) {
         let c = conv_layer(layer);
         (c.geometry().input.c, c.out_maps())
@@ -141,6 +133,16 @@ impl CoreModel for ConvModel {
             in_values_per_image: (g.input.h * g.input.w) as u64 * in_fm as u64,
             positions: g.positions() as u64,
         }
+    }
+}
+
+impl CoreModel for ConvModel {
+    fn kind(&self) -> CoreKind {
+        CoreKind::Conv
+    }
+
+    fn label(&self) -> &'static str {
+        "conv"
     }
 
     fn estimate_interval(&self, core: &CoreInfo, _config: &DesignConfig) -> u64 {

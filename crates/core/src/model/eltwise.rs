@@ -14,14 +14,13 @@
 //! join, which is what makes undersized skip FIFOs deadlock (see the
 //! static checker's reconvergence-buffering rule).
 
-use super::{CoreModel, CorePlan, StageSpec, StageWorker, StaticProfile};
-use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
-use crate::port::{fm_port, Lanes, Route, Router};
+use super::{CoreModel, StageSpec, StaticProfile};
+use crate::graph::{CoreInfo, NetworkDesign};
+use crate::port::{fm_port, Lanes, Route, RouteStage, Router};
 use crate::sim::Actor;
 use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::pipeline_ii;
-use dfcnn_nn::layer::Layer;
 use dfcnn_tensor::{with_numeric, Numeric, Shape3, Tensor3};
 use std::fmt::Write as _;
 
@@ -100,21 +99,6 @@ impl<E: Numeric> Route for EltwiseAdd<E> {
     }
 }
 
-struct EltwiseWorker<E: Numeric>(core::marker::PhantomData<E>);
-
-impl<E: Numeric> StageWorker for EltwiseWorker<E> {
-    fn apply_into(&mut self, _input: &Tensor3<f32>, _out: &mut Tensor3<f32>) {
-        unreachable!("eltwise-add is a two-operand stage; use apply_multi")
-    }
-
-    fn apply_multi(&mut self, inputs: &[&Tensor3<f32>], out: &mut Tensor3<f32>) {
-        let (a, b) = (inputs[0].as_slice(), inputs[1].as_slice());
-        for (o, (&x, &y)) in out.as_mut_slice().iter_mut().zip(a.iter().zip(b)) {
-            *o = crate::kernel::eltwise_add_hw::<E>(x, y);
-        }
-    }
-}
-
 impl CoreModel for EltwiseAddModel {
     fn kind(&self) -> CoreKind {
         CoreKind::EltwiseAdd
@@ -122,18 +106,6 @@ impl CoreModel for EltwiseAddModel {
 
     fn label(&self) -> &'static str {
         "add"
-    }
-
-    fn feature_maps(&self, _layer: &Layer) -> (usize, usize) {
-        unreachable!("eltwise-add cores are planned from graph joins, not layers")
-    }
-
-    fn plan(&self, _layer: &Layer, _lp: LayerPorts, _config: &DesignConfig) -> CorePlan {
-        unreachable!("eltwise-add cores are planned from graph joins, not layers")
-    }
-
-    fn estimate_interval(&self, core: &CoreInfo, _config: &DesignConfig) -> u64 {
-        core.positions * core.params.ii as u64
     }
 
     fn range_transfer(
@@ -230,10 +202,12 @@ impl CoreModel for EltwiseAddModel {
     ) -> Option<StageSpec> {
         assert_eq!(in_shapes.len(), 2, "eltwise-add joins exactly two operands");
         assert_eq!(in_shapes[0], in_shapes[1], "operand shapes must match");
+        let (in_ports, out_ports) = (self.input_channel_count(core), core.params.out_ports);
+        let fm = core.params.in_fm;
         Some(with_numeric!(design.config().numeric, E => StageSpec::new(
             core.name.clone(),
             in_shapes[0],
-            || Box::new(EltwiseWorker::<E>(core::marker::PhantomData)),
+            move || Box::new(RouteStage::new(EltwiseAdd::<E>::new(in_ports, out_ports, fm), fm)),
         )))
     }
 
@@ -259,8 +233,10 @@ impl CoreModel for EltwiseAddModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::port::stage_matches_router;
     use crate::stream::ChannelSet;
     use crate::trace::{Stall, Trace};
+    use dfcnn_tensor::{Fixed16, Fixed8};
 
     fn join(ins: Vec<ChannelId>, outs: Vec<ChannelId>, fm: usize) -> Router<EltwiseAdd<f32>> {
         let route = EltwiseAdd::new(ins.len(), outs.len(), fm);
@@ -342,18 +318,37 @@ mod tests {
 
     #[test]
     fn worker_matches_reference_apply() {
-        let shape = Shape3::new(2, 2, 2);
-        let a = Tensor3::from_fn(shape, |y, x, c| (y * 4 + x * 2 + c) as f32 * 0.25);
-        let b = Tensor3::from_fn(shape, |y, x, c| (y + x + c) as f32 * -0.5);
-        let mut out = Tensor3::zeros(shape);
-        EltwiseWorker::<f32>(core::marker::PhantomData).apply_multi(&[&a, &b], &mut out);
+        /// The host stage against the router, bit for bit, and the value
+        /// written against the element's adder.
+        fn one<E: Numeric>(shape: Shape3, ports: usize) -> (Vec<f32>, Tensor3<f32>, Tensor3<f32>) {
+            let a = Tensor3::from_fn(shape, |y, x, c| (y * 4 + x * 2 + c) as f32 * 0.75);
+            let b = Tensor3::from_fn(shape, |y, x, c| (y + x + c) as f32 * -0.5);
+            let fm = shape.c;
+            let route = || EltwiseAdd::<E>::new(2 * ports, ports, fm);
+            let out = stage_matches_router(route, fm, &[&a, &b]);
+            for (o, (&x, &y)) in out.iter().zip(a.as_slice().iter().zip(b.as_slice())) {
+                assert_eq!(
+                    o.to_bits(),
+                    crate::kernel::eltwise_add_hw::<E>(x, y).to_bits()
+                );
+            }
+            (out, a, b)
+        }
+        let (out, a, b) = one::<f32>(Shape3::new(2, 2, 2), 1);
         let expect: Vec<f32> = a
             .as_slice()
             .iter()
             .zip(b.as_slice())
             .map(|(x, y)| x + y)
             .collect();
-        assert_eq!(out.as_slice(), expect.as_slice());
+        assert_eq!(out, expect);
+        // two ports per operand group, in every element type (Fixed8<4>
+        // saturates the largest sums)
+        for ports in [2, 4] {
+            one::<f32>(Shape3::new(2, 3, 4), ports);
+            one::<Fixed16<8>>(Shape3::new(2, 3, 4), ports);
+            one::<Fixed8<4>>(Shape3::new(2, 3, 4), ports);
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! outputs sequentially on its single output port.
 
 use super::gather::{GatherBody, GatherCore};
-use super::{validate_ports, CoreModel, CorePlan, StageSpec, StaticProfile};
+use super::{validate_ports, CoreModel, CorePlan, LayerModel, StageSpec, StaticProfile};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
 use crate::kernel::{fc_forward_into, FcArena, FcWeights};
 use crate::sim::Actor;
@@ -118,15 +118,7 @@ pub fn fc_core<E: Numeric>(
     )
 }
 
-impl CoreModel for FcModel {
-    fn kind(&self) -> CoreKind {
-        CoreKind::Fc
-    }
-
-    fn label(&self) -> &'static str {
-        "fc"
-    }
-
+impl LayerModel for FcModel {
     fn feature_maps(&self, layer: &Layer) -> (usize, usize) {
         let f = fc_layer(layer);
         (f.inputs(), f.outputs())
@@ -166,6 +158,16 @@ impl CoreModel for FcModel {
             in_values_per_image: in_fm as u64,
             positions: 0,
         }
+    }
+}
+
+impl CoreModel for FcModel {
+    fn kind(&self) -> CoreKind {
+        CoreKind::Fc
+    }
+
+    fn label(&self) -> &'static str {
+        "fc"
     }
 
     fn estimate_interval(&self, core: &CoreInfo, config: &DesignConfig) -> u64 {

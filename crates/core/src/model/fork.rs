@@ -13,13 +13,12 @@
 //! fork, which is exactly the hardware behaviour of a tee writing all
 //! branch FIFOs in the same cycle.
 
-use super::{CoreModel, CorePlan};
-use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
+use super::CoreModel;
+use crate::graph::{CoreInfo, DesignConfig, NetworkDesign};
 use crate::port::{fm_port, Lanes, Route, Router};
 use crate::sim::Actor;
 use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
-use dfcnn_nn::layer::Layer;
 use std::fmt::Write as _;
 
 /// The fork core's [`CoreModel`].
@@ -100,14 +99,6 @@ impl CoreModel for ForkModel {
 
     fn label(&self) -> &'static str {
         "fork"
-    }
-
-    fn feature_maps(&self, _layer: &Layer) -> (usize, usize) {
-        unreachable!("forks are planned from graph fan-out, not layers")
-    }
-
-    fn plan(&self, _layer: &Layer, _lp: LayerPorts, _config: &DesignConfig) -> CorePlan {
-        unreachable!("forks are planned from graph fan-out, not layers")
     }
 
     fn estimate_interval(&self, core: &CoreInfo, _config: &DesignConfig) -> u64 {

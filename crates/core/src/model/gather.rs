@@ -34,8 +34,8 @@ pub trait GatherBody {
 
 /// Every body is its kind's host stage worker: one image in, one out.
 impl<B: GatherBody + Send> StageWorker for B {
-    fn apply_into(&mut self, input: &Tensor3<f32>, out: &mut Tensor3<f32>) {
-        self.compute(input.as_slice(), out.as_mut_slice());
+    fn apply_multi(&mut self, inputs: &[&Tensor3<f32>], out: &mut Tensor3<f32>) {
+        self.compute(inputs[0].as_slice(), out.as_mut_slice());
     }
 }
 

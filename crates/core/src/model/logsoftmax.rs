@@ -16,7 +16,7 @@
 //! three engines stay bit-identical.
 
 use super::gather::{GatherBody, GatherCore};
-use super::{CoreModel, CorePlan, StageSpec};
+use super::{CoreModel, CorePlan, LayerModel, StageSpec};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
 use crate::kernel::{logsoftmax_forward_into, LogSoftmaxArena};
 use crate::sim::Actor;
@@ -95,15 +95,7 @@ pub fn logsoftmax_core<E: Numeric>(
     GatherCore::new(name, in_ch, out_ch, body, 1, drain_latency(classes, ops))
 }
 
-impl CoreModel for LogSoftmaxModel {
-    fn kind(&self) -> CoreKind {
-        CoreKind::LogSoftmax
-    }
-
-    fn label(&self) -> &'static str {
-        "logsoftmax"
-    }
-
+impl LayerModel for LogSoftmaxModel {
     fn feature_maps(&self, layer: &Layer) -> (usize, usize) {
         let k = classes_of(layer);
         (k, k)
@@ -132,6 +124,16 @@ impl CoreModel for LogSoftmaxModel {
             in_values_per_image: k as u64,
             positions: 0,
         }
+    }
+}
+
+impl CoreModel for LogSoftmaxModel {
+    fn kind(&self) -> CoreKind {
+        CoreKind::LogSoftmax
+    }
+
+    fn label(&self) -> &'static str {
+        "logsoftmax"
     }
 
     fn estimate_interval(&self, core: &CoreInfo, config: &DesignConfig) -> u64 {

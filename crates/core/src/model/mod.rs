@@ -1,21 +1,29 @@
-//! The per-layer-kind [`CoreModel`] abstraction — one definition per kind,
+//! The per-kind [`CoreModel`] abstraction — one definition per kind,
 //! N consumers.
 //!
 //! The paper's central claim is modularity: "each layer is implemented as
 //! an independent module" (§IV), so a network is just a chain of
 //! instantiated cores. This module makes the codebase match that claim
 //! structurally: everything the rest of the system needs to know about a
-//! layer kind — geometry propagation, the Eq. 4 initiation interval,
-//! validation rules, hardware-order compute, cycle-actor construction,
-//! resource parameters, HLS C++ emission and display labels — lives in one
-//! `CoreModel` implementation per kind ([`conv`], [`pool`], [`fc`],
-//! [`adapter`], [`logsoftmax`], [`scaleshift`], [`fork`], [`eltwise`],
-//! [`concat`](mod@concat)). Every kind's actor is one of three shells, one
-//! per streaming pattern: conv and pool wrap their compute body in
-//! [`windowed`]'s SST-fed core; FC and log-softmax wrap theirs in
-//! [`gather`]'s accumulate/drain core; the adapters, scale-shift, fork,
-//! eltwise add and concat supply a route to the [`crate::port::Router`],
-//! which moves values in strict global FM order.
+//! core kind — the Eq. 4 initiation interval, hardware-order compute,
+//! cycle-actor construction, HLS C++ emission and display labels — lives
+//! in one [`CoreModel`] implementation per kind ([`conv`], [`pool`],
+//! [`fc`], [`adapter`], [`logsoftmax`], [`scaleshift`], [`fork`],
+//! [`eltwise`], [`concat`](mod@concat)). The five kinds a network layer
+//! backs (conv, pool, FC, scale-shift, log-softmax) also implement
+//! [`LayerModel`]: geometry propagation, validation rules and the
+//! [`CorePlan`]. The structural kinds (the adapters, fork, add and
+//! concat) are planned from the graph and have no layer hooks.
+//!
+//! Every kind's actor is one of three shells, one per streaming pattern,
+//! and the kind's part of it is also its host stage: conv and pool wrap
+//! their compute body in [`windowed`]'s SST-fed core (their host stage is
+//! the whole-image kernel); FC and log-softmax wrap theirs in [`gather`]'s
+//! accumulate/drain core, and the body is the host [`StageWorker`]; the
+//! adapters, scale-shift, fork, eltwise add and concat supply a route to
+//! the [`crate::port::Router`], which moves values in strict global FM
+//! order, and the add, concat and scale-shift run that same route over
+//! whole tensors as their host stage ([`crate::port::RouteStage`]).
 //!
 //! The consumers (`graph`, `sim`, `exec`, `verify`, `codegen`, `dse`,
 //! `multi`, `flow`) contain **zero per-kind dispatch**; a CI grep-lint
@@ -95,15 +103,10 @@ pub struct CorePlan {
 /// forward of one image. Each worker thread owns its own instance, so
 /// replicated stages never contend on scratch state.
 pub trait StageWorker: Send {
-    /// Forward one image through the stage (no allocation at steady state).
-    fn apply_into(&mut self, input: &Tensor3<f32>, out: &mut Tensor3<f32>);
-
-    /// Forward one image through a stage with several input operands
-    /// (fork/join designs). Single-input stages ignore all but the first
-    /// operand; multi-input kinds (the eltwise-add join) override.
-    fn apply_multi(&mut self, inputs: &[&Tensor3<f32>], out: &mut Tensor3<f32>) {
-        self.apply_into(inputs[0], out);
-    }
+    /// Forward one image through the stage, given its input operands in
+    /// core input-edge order: one, or two for the joins (no allocation at
+    /// steady state).
+    fn apply_multi(&mut self, inputs: &[&Tensor3<f32>], out: &mut Tensor3<f32>);
 }
 
 /// One stage of the host pipeline ([`crate::exec::ThreadedEngine`] and
@@ -146,9 +149,10 @@ impl std::fmt::Debug for StageSpec {
     }
 }
 
-/// The single definition of a layer kind. Implementations are stateless
-/// unit structs; consumers reach them through [`model_for`] /
-/// [`paper_layer_model`] and never match on [`CoreKind`] themselves.
+/// The single definition of a core kind: what every core has, whether or
+/// not a network layer backs it. Implementations are stateless; consumers
+/// reach them through [`model_for`] / [`paper_layer_model`] and never
+/// match on [`CoreKind`] themselves.
 pub trait CoreModel: Sync {
     /// The [`CoreKind`] this model owns.
     fn kind(&self) -> CoreKind;
@@ -157,54 +161,30 @@ pub trait CoreModel: Sync {
     /// numbered `conv1`, `conv2`, … in pipeline order.
     fn label(&self) -> &'static str;
 
-    /// `(IN_FM, OUT_FM)` of a paper layer of this kind.
-    ///
-    /// # Panics
-    /// If `layer` is not the variant this model owns (adapters, which have
-    /// no backing layer, always panic).
-    fn feature_maps(&self, layer: &Layer) -> (usize, usize);
-
-    /// Whether the kind is restricted to single-input-port /
-    /// single-output-port (§IV-B's FC rule).
-    fn forces_single_port(&self) -> bool {
-        false
+    /// Analytical steady-state stage interval in cycles per image. The
+    /// default is one Eq. 4 initiation per pixel position, right for the
+    /// line-rate streaming kinds (scale-shift, the joins).
+    fn estimate_interval(&self, core: &CoreInfo, _config: &DesignConfig) -> u64 {
+        core.positions * core.params.ii as u64
     }
-
-    /// Validate a port choice for this kind. The default enforces the
-    /// common rules (non-zero ports, ports divide FM counts); kinds with
-    /// extra constraints override and layer their own checks first.
-    fn validate(&self, name: &str, layer: &Layer, lp: LayerPorts) -> Result<(), String> {
-        let (in_fm, out_fm) = self.feature_maps(layer);
-        validate_ports(name, in_fm, out_fm, lp)
-    }
-
-    /// Derive the core's parameters (Eq. 4 II, weight count, accumulator
-    /// banks) and per-image stream volume.
-    fn plan(&self, layer: &Layer, lp: LayerPorts, config: &DesignConfig) -> CorePlan;
-
-    /// Analytical steady-state stage interval in cycles per image.
-    fn estimate_interval(&self, core: &CoreInfo, config: &DesignConfig) -> u64;
 
     /// Recompute this core's statically-checkable facts from the layer
     /// geometry (not from the possibly-stale values in `core`): per-image
     /// output volume, the Eq. 4 II, and — for windowed kinds — the line
     /// buffer capacity vs the SST full-buffering bound. The default covers
-    /// rate-transparent kinds (adapters, normalisation): output volume
-    /// equals input volume, no line buffer, and the II re-derived via
-    /// [`CoreModel::plan`] for layer-backed cores (fixed at 1 otherwise).
+    /// rate-transparent kinds (adapters, scale-shift, normalisation):
+    /// output volume equals input volume, no line buffer, and the II
+    /// re-derived by the layer's [`LayerModel::plan`] for layer-backed
+    /// cores (fixed at 1 otherwise).
     fn static_profile(&self, design: &NetworkDesign, core: &CoreInfo) -> StaticProfile {
-        let expected_ii = match core.layer_index {
-            Some(idx) => {
-                let lp = LayerPorts {
-                    in_ports: core.params.in_ports,
-                    out_ports: core.params.out_ports,
-                };
-                self.plan(&design.network().layers()[idx], lp, design.config())
-                    .params
-                    .ii
-            }
-            None => 1,
+        let lp = LayerPorts {
+            in_ports: core.params.in_ports,
+            out_ports: core.params.out_ports,
         };
+        let layer = core.layer_index.map(|idx| &design.network().layers()[idx]);
+        let expected_ii = layer
+            .and_then(|l| layer_model(l).map(|m| m.plan(l, lp, design.config()).params.ii))
+            .unwrap_or(1);
         StaticProfile {
             out_values_per_image: core.in_values_per_image,
             expected_ii,
@@ -298,6 +278,38 @@ pub trait CoreModel: Sync {
         core.layer_index
             .map(|idx| design.network().layers()[idx].forward(inputs[0]))
     }
+}
+
+/// The planning half of a kind that a network layer backs (conv, pool,
+/// FC, scale-shift and the normalisation core): how the graph builder,
+/// the DSE and the port checker turn a layer and a port choice into a
+/// core. Structural kinds (adapters, fork, the joins) are planned from
+/// the graph itself and implement only [`CoreModel`]. Reached through
+/// [`paper_layer_model`] and [`normalization_model`].
+pub trait LayerModel: CoreModel {
+    /// `(IN_FM, OUT_FM)` of a layer of this kind.
+    ///
+    /// # Panics
+    /// If `layer` is not the variant this model owns.
+    fn feature_maps(&self, layer: &Layer) -> (usize, usize);
+
+    /// Whether the kind is restricted to single-input-port /
+    /// single-output-port (§IV-B's FC rule).
+    fn forces_single_port(&self) -> bool {
+        false
+    }
+
+    /// Validate a port choice for this kind. The default enforces the
+    /// common rules (non-zero ports, ports divide FM counts); kinds with
+    /// extra constraints override and layer their own checks first.
+    fn validate(&self, name: &str, layer: &Layer, lp: LayerPorts) -> Result<(), String> {
+        let (in_fm, out_fm) = self.feature_maps(layer);
+        validate_ports(name, in_fm, out_fm, lp)
+    }
+
+    /// Derive the core's parameters (Eq. 4 II, weight count, accumulator
+    /// banks) and per-image stream volume.
+    fn plan(&self, layer: &Layer, lp: LayerPorts, config: &DesignConfig) -> CorePlan;
 
     /// Candidate `OUT_PORTS` values for design-space exploration: divisors
     /// of `OUT_FM` up to `max_ports` (single-port kinds are fixed at 1).
@@ -342,8 +354,8 @@ pub(crate) fn validate_ports(
 static CONV_MODEL: conv::ConvModel = conv::ConvModel;
 static POOL_MODEL: pool::PoolModel = pool::PoolModel;
 static FC_MODEL: fc::FcModel = fc::FcModel;
-static DEMUX_MODEL: adapter::DemuxModel = adapter::DemuxModel;
-static WIDEN_MODEL: adapter::WidenModel = adapter::WidenModel;
+static DEMUX_MODEL: adapter::AdapterModel = adapter::AdapterModel::DEMUX;
+static WIDEN_MODEL: adapter::AdapterModel = adapter::AdapterModel::WIDEN;
 static LOGSOFTMAX_MODEL: logsoftmax::LogSoftmaxModel = logsoftmax::LogSoftmaxModel;
 static FORK_MODEL: fork::ForkModel = fork::ForkModel;
 static ELTWISE_MODEL: eltwise::EltwiseAddModel = eltwise::EltwiseAddModel;
@@ -370,7 +382,7 @@ pub fn model_for(kind: CoreKind) -> &'static dyn CoreModel {
 /// The model implementing a *paper layer* (conv/pool/linear — the layers
 /// that carry a [`LayerPorts`] entry), or `None` for flatten and the
 /// normalisation operator.
-pub fn paper_layer_model(layer: &Layer) -> Option<&'static dyn CoreModel> {
+pub fn paper_layer_model(layer: &Layer) -> Option<&'static dyn LayerModel> {
     match layer {
         Layer::Conv(_) => Some(&CONV_MODEL),
         Layer::Pool(_) => Some(&POOL_MODEL),
@@ -387,7 +399,7 @@ pub fn is_normalization(layer: &Layer) -> bool {
 }
 
 /// The model of the on-fabric normalisation core.
-pub fn normalization_model() -> &'static dyn CoreModel {
+pub fn normalization_model() -> &'static dyn LayerModel {
     &LOGSOFTMAX_MODEL
 }
 
@@ -398,6 +410,12 @@ pub fn paper_layer_count(network: &Network) -> usize {
         .iter()
         .filter(|l| paper_layer_model(l).is_some())
         .count()
+}
+
+/// The model of any layer a core can be backed by: a paper layer's, or
+/// the normalisation core's (`None` for flatten).
+fn layer_model(layer: &Layer) -> Option<&'static dyn LayerModel> {
+    paper_layer_model(layer).or_else(|| is_normalization(layer).then(normalization_model))
 }
 
 /// Numbered core names per label: `conv1`, `conv2`, `pool1`, … in
@@ -416,9 +434,9 @@ pub(crate) fn next_name(counts: &mut Vec<(&'static str, usize)>, label: &'static
 struct FlattenWorker;
 
 impl StageWorker for FlattenWorker {
-    fn apply_into(&mut self, input: &Tensor3<f32>, out: &mut Tensor3<f32>) {
+    fn apply_multi(&mut self, inputs: &[&Tensor3<f32>], out: &mut Tensor3<f32>) {
         // a pure reshape: stream order is already (y, x, c)
-        out.as_mut_slice().copy_from_slice(input.as_slice());
+        out.as_mut_slice().copy_from_slice(inputs[0].as_slice());
     }
 }
 
@@ -501,7 +519,8 @@ pub fn reference_forward(design: &NetworkDesign, input: &Tensor3<f32>) -> Tensor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{DesignConfig, NetworkDesign, PortConfig};
+    use crate::graph::{DesignConfig, NetworkDesign, NodeRef, PortConfig};
+    use crate::stream::ChannelSet;
     use dfcnn_nn::topology::NetworkSpec;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -517,9 +536,74 @@ mod tests {
         .unwrap()
     }
 
+    /// TC1 with the paper's ports, the residual fixture, the Inception
+    /// cell and the port-mismatch fixture (demux, widen, fabric
+    /// log-softmax): between them, every core kind.
+    fn every_kind_designs() -> Vec<NetworkDesign> {
+        use crate::graph::{build_graph_design, fixtures::residual_graph};
+        use dfcnn_nn::act::Activation;
+        use dfcnn_nn::layer::PoolKind;
+        use dfcnn_nn::topology::{GraphSpec, LayerSpec};
+        use dfcnn_tensor::Shape3;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(80);
+        let spec = GraphSpec {
+            input: Shape3::new(4, 4, 3),
+            ..GraphSpec::inception_cell()
+        };
+        let layers = spec.build_layers(&mut rng);
+        let ports = PortConfig::single_port(spec.paper_depth());
+        let inception = build_graph_design(&spec, &layers, &ports, DesignConfig::default());
+
+        let spec = NetworkSpec {
+            name: "adapters".into(),
+            input: Shape3::new(6, 6, 1),
+            layers: vec![
+                LayerSpec::Conv {
+                    kh: 3,
+                    kw: 3,
+                    out_maps: 2,
+                    stride: 1,
+                    pad: 0,
+                    activation: Activation::Tanh,
+                },
+                LayerSpec::Pool {
+                    kh: 2,
+                    kw: 2,
+                    stride: 2,
+                    kind: PoolKind::Max,
+                },
+                LayerSpec::Flatten,
+                LayerSpec::Linear {
+                    outputs: 3,
+                    activation: Activation::Identity,
+                },
+                LayerSpec::LogSoftmax,
+            ],
+        };
+        let two = LayerPorts {
+            in_ports: 2,
+            out_ports: 2,
+        };
+        let ports = PortConfig {
+            layers: vec![LayerPorts::SINGLE, two, LayerPorts::SINGLE],
+        };
+        let config = DesignConfig {
+            fabric_normalization: true,
+            ..DesignConfig::default()
+        };
+        let adapters = NetworkDesign::new(&spec.build(&mut rng), ports, config);
+        vec![
+            tc1_design(),
+            residual_graph(DesignConfig::default()),
+            inception.unwrap(),
+            adapters.unwrap(),
+        ]
+    }
+
     #[test]
     fn registry_is_total_and_consistent() {
-        for kind in [
+        let all = [
             CoreKind::Conv,
             CoreKind::Pool,
             CoreKind::Fc,
@@ -530,10 +614,54 @@ mod tests {
             CoreKind::EltwiseAdd,
             CoreKind::ScaleShift,
             CoreKind::ConcatJoin,
-        ] {
+        ];
+        for kind in all {
             let m = model_for(kind);
             assert_eq!(m.kind(), kind, "model registered under the wrong kind");
             assert!(!m.label().is_empty());
+        }
+        // every hook of every core runs, and only the plumbing kinds have
+        // no host stage
+        let mut seen = Vec::new();
+        for design in every_kind_designs() {
+            let staged: Vec<String> = host_pipeline(&design)
+                .into_iter()
+                .map(|s| s.spec.name)
+                .collect();
+            for (idx, core) in design.cores().iter().enumerate() {
+                let m = model_for(core.params.kind);
+                assert!(core.name.starts_with(m.label()), "{}", core.name);
+                m.estimate_interval(core, design.config());
+                m.static_profile(&design, core);
+                assert!(m.block_label(core).contains(&core.name));
+                assert!(m.emit_cpp(&design, idx).contains(&core.name));
+                let in_edges: Vec<_> = design
+                    .edges()
+                    .iter()
+                    .filter(|e| e.to == NodeRef::Core(idx))
+                    .collect();
+                let volumes = m.in_edge_volumes(&design, core, in_edges.len());
+                assert_eq!(volumes.len(), in_edges.len());
+                let out_ports: usize = design
+                    .edges()
+                    .iter()
+                    .filter(|e| e.from == NodeRef::Core(idx))
+                    .map(|e| e.ports)
+                    .sum();
+                let mut chans = ChannelSet::new();
+                let ins = (0..m.input_channel_count(core))
+                    .map(|_| chans.alloc(1))
+                    .collect();
+                let outs = (0..out_ports).map(|_| chans.alloc(1)).collect();
+                assert_eq!(m.make_actor(&design, core, ins, outs).name(), core.name);
+                if !staged.contains(&core.name) {
+                    assert!(m.stage(&design, core, &[]).is_none(), "{}", core.name);
+                }
+                seen.push(core.params.kind);
+            }
+        }
+        for kind in all {
+            assert!(seen.contains(&kind), "no fixture core of kind {kind:?}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The sub-sampling (pooling) layer kind (§IV-A).
 
 use super::windowed::{windowed_interval, windowed_profile, WindowBody, WindowedCore};
-use super::{CoreModel, CorePlan, StageSpec, StageWorker, StaticProfile};
+use super::{CoreModel, CorePlan, LayerModel, StageSpec, StageWorker, StaticProfile};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
 use crate::kernel::{mean_reciprocal, pool_forward_hw_into, pool_window, PoolArena};
 use crate::sim::Actor;
@@ -30,8 +30,8 @@ struct PoolWorker<E: Numeric> {
 }
 
 impl<E: Numeric> StageWorker for PoolWorker<E> {
-    fn apply_into(&mut self, input: &Tensor3<f32>, out: &mut Tensor3<f32>) {
-        pool_forward_hw_into(&self.layer, input, out, &mut self.arena);
+    fn apply_multi(&mut self, inputs: &[&Tensor3<f32>], out: &mut Tensor3<f32>) {
+        pool_forward_hw_into(&self.layer, inputs[0], out, &mut self.arena);
     }
 }
 
@@ -95,15 +95,7 @@ impl<E: Numeric> PoolCore<E> {
     }
 }
 
-impl CoreModel for PoolModel {
-    fn kind(&self) -> CoreKind {
-        CoreKind::Pool
-    }
-
-    fn label(&self) -> &'static str {
-        "pool"
-    }
-
+impl LayerModel for PoolModel {
     fn feature_maps(&self, layer: &Layer) -> (usize, usize) {
         let c = pool_layer(layer).geometry().input.c;
         (c, c)
@@ -130,6 +122,16 @@ impl CoreModel for PoolModel {
             in_values_per_image: (g.input.h * g.input.w) as u64 * fm as u64,
             positions: g.positions() as u64,
         }
+    }
+}
+
+impl CoreModel for PoolModel {
+    fn kind(&self) -> CoreKind {
+        CoreKind::Pool
+    }
+
+    fn label(&self) -> &'static str {
+        "pool"
     }
 
     fn estimate_interval(&self, core: &CoreInfo, _config: &DesignConfig) -> u64 {

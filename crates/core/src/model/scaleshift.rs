@@ -6,30 +6,29 @@
 //! is a stateless streaming core: two small coefficient ROMs, one
 //! multiply and one add per value, no window, no reduction. It is a
 //! *paper layer* in the builder's sense — it carries a
-//! [`LayerPorts`] entry and an Eq. 4 II like conv/pool/FC — and its actor
-//! ([`ScaleShiftCore`]) *is* the adapters' [`Router`], streaming in strict
-//! global FM order, with a per-FM map that applies
-//! `y = scale[f]·x + shift[f]` on the way through. The same flat-index
-//! expression (`scale[i mod C]·x + shift[i mod C]`, channel-fastest
-//! storage) is used by the network layer, the host pipeline worker and the
-//! actor, so all three engines stay bit-identical.
+//! [`LayerPorts`] entry and an Eq. 4 II like conv/pool/FC — and its route
+//! is the adapters' [`Adapt`], streaming in strict global FM order, with a
+//! per-FM map ([`ScaleShiftMap`]) that applies `y = scale[f]·x + shift[f]`
+//! on the way through. The actor is the [`Router`] along that route and
+//! the host stage is the same route run over the whole tensor
+//! ([`RouteStage`]); the network layer computes the same expression, so
+//! all three engines stay bit-identical.
 
-use super::{CoreModel, CorePlan, StageSpec, StageWorker};
+use super::{CoreModel, CorePlan, LayerModel, StageSpec};
 use crate::graph::{CoreInfo, DesignConfig, LayerPorts, NetworkDesign};
-use crate::port::{Adapt, FmMap, Router};
+use crate::port::{Adapt, FmMap, RouteStage, Router};
 use crate::sim::Actor;
 use crate::stream::ChannelId;
 use dfcnn_fpga::resources::{CoreKind, CoreParams};
 use dfcnn_hls::ii::pipeline_ii;
-use dfcnn_nn::layer::Layer;
-use dfcnn_tensor::{with_numeric, Numeric, Shape3, Tensor3};
+use dfcnn_nn::layer::{Layer, ScaleShift};
+use dfcnn_tensor::{with_numeric, Numeric, Shape3};
 use std::fmt::Write as _;
-use std::sync::{Arc, OnceLock};
 
 /// The scale-shift [`CoreModel`].
 pub struct ScaleShiftModel;
 
-fn scaleshift_of(layer: &Layer) -> &dfcnn_nn::layer::ScaleShift {
+fn scaleshift_of(layer: &Layer) -> &ScaleShift {
     match layer {
         Layer::ScaleShift(l) => l,
         _ => unreachable!("scaleshift model handed a different layer kind"),
@@ -66,51 +65,18 @@ impl<E: Numeric> FmMap for ScaleShiftMap<E> {
     }
 }
 
-/// The streaming affine actor: a [`Router`] along an [`Adapt`] route whose
-/// per-FM map is `y = scale[f]·x + shift[f]`, so values move in strict
-/// global FM order and are transformed on the way through.
-pub type ScaleShiftCore<E = f32> = Router<Adapt<ScaleShiftMap<E>>>;
-
-impl<E: Numeric> ScaleShiftCore<E> {
-    /// Build the core; coefficient vectors carry one entry per FM.
-    pub fn scale_shift(
-        name: impl Into<String>,
-        in_chs: Vec<ChannelId>,
-        out_chs: Vec<ChannelId>,
-        scale: &[f32],
-        shift: &[f32],
-    ) -> Self {
-        let fm = scale.len();
-        let map = ScaleShiftMap::new(scale, shift);
-        let route = Adapt::new(in_chs.len(), out_chs.len(), fm, map);
-        Router::new(name, in_chs, out_chs, fm, route)
-    }
+/// The core's route: FM `f` moves from input port `f mod N` to output
+/// port `f mod M` through `y = scale[f]·x + shift[f]`.
+fn affine<E: Numeric>(
+    in_ports: usize,
+    out_ports: usize,
+    l: &ScaleShift,
+) -> Adapt<ScaleShiftMap<E>> {
+    let map = ScaleShiftMap::new(l.scale(), l.shift());
+    Adapt::new(in_ports, out_ports, l.scale().len(), map)
 }
 
-/// The host stage's worker: the stage's one map, shared by every worker.
-impl<E: Numeric> StageWorker for Arc<ScaleShiftMap<E>> {
-    fn apply_into(&mut self, input: &Tensor3<f32>, out: &mut Tensor3<f32>) {
-        let c = self.scale.len();
-        for (i, (o, &x)) in out
-            .as_mut_slice()
-            .iter_mut()
-            .zip(input.as_slice())
-            .enumerate()
-        {
-            *o = self.map(i % c, x);
-        }
-    }
-}
-
-impl CoreModel for ScaleShiftModel {
-    fn kind(&self) -> CoreKind {
-        CoreKind::ScaleShift
-    }
-
-    fn label(&self) -> &'static str {
-        "scaleshift"
-    }
-
+impl LayerModel for ScaleShiftModel {
     fn feature_maps(&self, layer: &Layer) -> (usize, usize) {
         let c = scaleshift_of(layer).shape().c;
         (c, c)
@@ -137,9 +103,15 @@ impl CoreModel for ScaleShiftModel {
             positions: (shape.h * shape.w) as u64,
         }
     }
+}
 
-    fn estimate_interval(&self, core: &CoreInfo, _config: &DesignConfig) -> u64 {
-        core.positions * core.params.ii as u64
+impl CoreModel for ScaleShiftModel {
+    fn kind(&self) -> CoreKind {
+        CoreKind::ScaleShift
+    }
+
+    fn label(&self) -> &'static str {
+        "scaleshift"
     }
 
     fn range_transfer(
@@ -176,13 +148,11 @@ impl CoreModel for ScaleShiftModel {
     ) -> Box<dyn Actor> {
         let idx = core.layer_index.expect("scaleshift cores are layer-backed");
         let l = scaleshift_of(&design.network().layers()[idx]);
-        with_numeric!(design.config().numeric, E => Box::new(ScaleShiftCore::<E>::scale_shift(
-            core.name.clone(),
-            in_chs,
-            out_chs,
-            l.scale(),
-            l.shift(),
-        )))
+        let (name, fm) = (core.name.clone(), l.scale().len());
+        with_numeric!(design.config().numeric, E => {
+            let route = affine::<E>(in_chs.len(), out_chs.len(), l);
+            Box::new(Router::new(name, in_chs, out_chs, fm, route))
+        })
     }
 
     fn emit_cpp(&self, design: &NetworkDesign, idx: usize) -> String {
@@ -228,28 +198,37 @@ impl CoreModel for ScaleShiftModel {
         _in_shapes: &[Shape3],
     ) -> Option<StageSpec> {
         let l = scaleshift_of(&design.network().layers()[core.layer_index?]).clone();
-        Some(with_numeric!(design.config().numeric, E => {
-            // quantised by the stage's first worker, shared with the rest
-            let map = OnceLock::new();
-            StageSpec::new(core.name.clone(), l.shape(), move || {
-                let map: &Arc<ScaleShiftMap<E>> =
-                    map.get_or_init(|| Arc::new(ScaleShiftMap::new(l.scale(), l.shift())));
-                Box::new(Arc::clone(map))
-            })
-        }))
+        let (in_ports, out_ports) = (core.params.in_ports, core.params.out_ports);
+        Some(with_numeric!(design.config().numeric, E => StageSpec::new(
+            core.name.clone(),
+            l.shape(),
+            move || Box::new(RouteStage::new(affine::<E>(in_ports, out_ports, &l), l.scale().len())),
+        )))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfcnn_nn::layer::ScaleShift;
-    use dfcnn_tensor::Shape3;
-
+    use crate::port::stage_matches_router;
     use crate::stream::ChannelSet;
     use crate::trace::Trace;
+    use dfcnn_tensor::{Fixed16, Fixed8, Tensor3};
 
-    fn drive(core: &mut ScaleShiftCore<f32>, chans: &mut ChannelSet, cycles: usize) {
+    /// The f32 actor over `ins` and `outs`, one FM per coefficient pair.
+    fn core(
+        ins: Vec<ChannelId>,
+        outs: Vec<ChannelId>,
+        scale: &[f32],
+        shift: &[f32],
+    ) -> Router<Adapt<ScaleShiftMap<f32>>> {
+        let fm = scale.len();
+        let map = ScaleShiftMap::new(scale, shift);
+        let route = Adapt::new(ins.len(), outs.len(), fm, map);
+        Router::new("scaleshift", ins, outs, fm, route)
+    }
+
+    fn drive(core: &mut Router<Adapt<ScaleShiftMap<f32>>>, chans: &mut ChannelSet, cycles: usize) {
         let mut trace = Trace::disabled();
         for c in 0..cycles {
             core.tick(c as u64, chans, &mut trace);
@@ -275,13 +254,7 @@ mod tests {
             chans.push(i0, v);
         }
         chans.commit_all();
-        let mut core = ScaleShiftCore::<f32>::scale_shift(
-            "scaleshift",
-            vec![i0],
-            vec![o0],
-            &[2.0, -1.0],
-            &[0.5, 1.0],
-        );
+        let mut core = core(vec![i0], vec![o0], &[2.0, -1.0], &[0.5, 1.0]);
         drive(&mut core, &mut chans, 8);
         assert_eq!(drain(&mut chans, o0), vec![2.5, -1.0, 6.5, -3.0]);
         assert_eq!(core.initiations(), 4);
@@ -289,32 +262,29 @@ mod tests {
 
     #[test]
     fn actor_worker_and_layer_agree_bit_for_bit() {
+        /// The host stage against the router, bit for bit.
+        fn one<E: Numeric>(l: &ScaleShift, x: &Tensor3<f32>, ports: (usize, usize)) -> Vec<f32> {
+            let route = || affine::<E>(ports.0, ports.1, l);
+            stage_matches_router(route, l.scale().len(), &[x])
+        }
         let shape = Shape3::new(2, 3, 2);
         let l = ScaleShift::new(shape, vec![1.7, -0.3], vec![0.11, 2.9]);
         let x = Tensor3::from_fn(shape, |y, xx, c| ((y * 3 + xx) as f32) * 0.37 + c as f32);
-        let expect = l.forward(&x);
+        assert_eq!(one::<f32>(&l, &x, (1, 1)), l.forward(&x).as_slice());
 
-        let mut worker = Arc::new(ScaleShiftMap::<f32>::new(l.scale(), l.shift()));
-        let mut out = Tensor3::zeros(shape);
-        worker.apply_into(&x, &mut out);
-        assert_eq!(out.as_slice(), expect.as_slice());
-
-        let mut chans = ChannelSet::new();
-        let i0 = chans.alloc(32);
-        let o0 = chans.alloc(32);
-        for &v in x.as_slice() {
-            chans.push(i0, v);
-        }
-        chans.commit_all();
-        let mut core = ScaleShiftCore::<f32>::scale_shift(
-            "scaleshift",
-            vec![i0],
-            vec![o0],
-            l.scale(),
-            l.shift(),
+        // four FMs on two and four ports, in every element type
+        let shape = Shape3::new(2, 3, 4);
+        let l = ScaleShift::new(
+            shape,
+            vec![1.7, -0.3, 0.5, 2.25],
+            vec![0.11, 2.9, -1.0, 0.0],
         );
-        drive(&mut core, &mut chans, 20);
-        assert_eq!(drain(&mut chans, o0).as_slice(), expect.as_slice());
+        let x = Tensor3::from_fn(shape, |y, xx, c| ((y * 3 + xx) as f32) * 0.37 - c as f32);
+        assert_eq!(one::<f32>(&l, &x, (2, 4)), l.forward(&x).as_slice());
+        for ports in [(2, 4), (4, 2), (2, 2)] {
+            one::<Fixed16<8>>(&l, &x, ports);
+            one::<Fixed8<4>>(&l, &x, ports);
+        }
     }
 
     #[test]
@@ -362,13 +332,7 @@ mod tests {
         chans.push(ins[0], 3.0); // f0
         chans.push(ins[1], 4.0); // f1
         chans.commit_all();
-        let mut core = ScaleShiftCore::<f32>::scale_shift(
-            "scaleshift",
-            ins,
-            vec![o0],
-            &[10.0, 100.0],
-            &[0.0, 0.0],
-        );
+        let mut core = core(ins, vec![o0], &[10.0, 100.0], &[0.0, 0.0]);
         drive(&mut core, &mut chans, 8);
         assert_eq!(drain(&mut chans, o0), vec![10.0, 200.0, 30.0, 400.0]);
     }

@@ -27,10 +27,19 @@
 //! the bandwidth of the narrower side, exactly like the hardware. The
 //! adapters' and the scale-shift core's route is [`Adapt`], carrying a
 //! per-FM value map ([`FmMap`]); [`IdentityMap`] moves values unchanged.
+//!
+//! A route is also its kind's host pipeline stage: [`RouteStage`] runs it
+//! over whole tensors, one read cursor per operand, so the host and the
+//! actor compute every value through the same [`Route::value`].
 
+use crate::model::StageWorker;
 use crate::sim::{Actor, Quiescence, Wiring};
 use crate::stream::{ChannelId, ChannelSet};
 use crate::trace::{EventKind, Stall, Trace};
+use dfcnn_tensor::Tensor3;
+
+#[cfg(test)]
+pub(crate) use tests::stage_matches_router;
 
 /// Which FMs travel on which port under the round-robin interleave.
 #[inline]
@@ -40,7 +49,7 @@ pub fn fm_port(f: usize, ports: usize) -> usize {
 
 /// A strided set of channel indices: `count` of them, from `first`,
 /// `stride` apart.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Lanes {
     first: usize,
     stride: usize,
@@ -162,19 +171,6 @@ pub struct Router<R> {
     route: R,
 }
 
-impl Router<Adapt> {
-    /// The plain §IV-A adapter carrying `fm` interleaved feature maps.
-    pub fn adapter(
-        name: impl Into<String>,
-        in_chs: Vec<ChannelId>,
-        out_chs: Vec<ChannelId>,
-        fm: usize,
-    ) -> Self {
-        let route = Adapt::new(in_chs.len(), out_chs.len(), fm, IdentityMap);
-        Router::new(name, in_chs, out_chs, fm, route)
-    }
-}
-
 impl<R: Route> Router<R> {
     /// Build a router over `fm` interleaved feature maps.
     pub fn new(
@@ -275,9 +271,123 @@ impl<R: Route> Actor for Router<R> {
     }
 }
 
+/// A routed kind's host pipeline stage: its [`Route`] run over whole
+/// tensors, so the stage writes exactly the values the [`Router`] moves,
+/// in the same order. Operand `k` is the route's input port group `k`,
+/// read through its own cursor; each pixel's FMs are walked with a counter
+/// in runs of consecutive FMs that pop the same operands.
+pub struct RouteStage<R> {
+    route: R,
+    fm: usize,
+    /// One pixel's runs: first FM, FM count, and the operands popped (the
+    /// route's pops as group indices: the pops of one value share a port
+    /// index, so their stride is a whole number of groups).
+    runs: Vec<(usize, usize, Lanes)>,
+}
+
+impl<R: Route> RouteStage<R> {
+    /// The stage of `route` over `fm` interleaved FMs.
+    pub fn new(route: R, fm: usize) -> Self {
+        let width = route.group_widths().0;
+        let mut runs: Vec<(usize, usize, Lanes)> = Vec::new();
+        for f in 0..fm {
+            let pops = route.pops(f);
+            let operands = Lanes::strided(pops.first / width, pops.stride / width, pops.count);
+            match runs.last_mut() {
+                Some((_, len, last)) if *last == operands => *len += 1,
+                _ => runs.push((f, 1, operands)),
+            }
+        }
+        RouteStage { route, fm, runs }
+    }
+}
+
+impl<R: Route + Send> StageWorker for RouteStage<R> {
+    fn apply_multi(&mut self, inputs: &[&Tensor3<f32>], out: &mut Tensor3<f32>) {
+        let mut cursors = [0usize; 2];
+        for pixel in out.as_mut_slice().chunks_exact_mut(self.fm) {
+            for &(first, len, operands) in &self.runs {
+                let outs = &mut pixel[first..first + len];
+                let mut take = |k: usize| {
+                    let at = cursors[k];
+                    cursors[k] = at + len;
+                    &inputs[k].as_slice()[at..at + len]
+                };
+                // a value pops one operand, or two (the add)
+                if operands.count == 1 {
+                    let a = take(operands.first);
+                    for (i, (o, &x)) in outs.iter_mut().zip(a).enumerate() {
+                        *o = self.route.value(first + i, &[x]);
+                    }
+                } else {
+                    let (a, b) = (take(operands.first), take(operands.first + operands.stride));
+                    for (i, (o, (&x, &y))) in outs.iter_mut().zip(a.iter().zip(b)).enumerate() {
+                        *o = self.route.value(first + i, &[x, y]);
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfcnn_tensor::Shape3;
+
+    /// Run `route` over whole operand tensors twice — as its host stage,
+    /// and through its router with each operand value queued on its port —
+    /// and return the stage's output after checking that the router
+    /// emitted the same bits in the same order.
+    pub(crate) fn stage_matches_router<R: Route + Send>(
+        route: impl Fn() -> R,
+        fm: usize,
+        inputs: &[&Tensor3<f32>],
+    ) -> Vec<f32> {
+        let pixels = inputs[0].as_slice().len() / inputs[0].shape().c;
+        let total = pixels * fm;
+        let mut staged = Tensor3::zeros(Shape3::new(1, pixels, fm));
+        RouteStage::new(route(), fm).apply_multi(inputs, &mut staged);
+
+        let route = route();
+        let (in_width, out_width) = route.group_widths();
+        let mut chans = ChannelSet::new();
+        let ins: Vec<_> = (0..in_width * inputs.len())
+            .map(|_| chans.alloc(total))
+            .collect();
+        let outs: Vec<_> = (0..out_width).map(|_| chans.alloc(total)).collect();
+        for (k, x) in inputs.iter().enumerate() {
+            let c = x.shape().c;
+            for (i, &v) in x.as_slice().iter().enumerate() {
+                chans.push(ins[k * in_width + fm_port(i % c, in_width)], v);
+            }
+        }
+        chans.commit_all();
+        let mut router = Router::new("route", ins, outs.clone(), fm, route);
+        let mut trace = Trace::disabled();
+        for c in 0..total as u64 {
+            router.tick(c, &mut chans, &mut trace);
+            chans.commit_all();
+        }
+        let moved: Vec<u32> = (0..total)
+            .map(|i| {
+                chans
+                    .pop(outs[fm_port(i % fm, out_width)])
+                    .unwrap()
+                    .to_bits()
+            })
+            .collect();
+        let staged = staged.as_slice().to_vec();
+        let bits: Vec<u32> = staged.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(moved, bits, "host stage and router disagree");
+        staged
+    }
+
+    /// The plain §IV-A adapter carrying `fm` interleaved feature maps.
+    fn adapter(name: &str, ins: Vec<ChannelId>, outs: Vec<ChannelId>, fm: usize) -> Router<Adapt> {
+        let route = Adapt::new(ins.len(), outs.len(), fm, IdentityMap);
+        Router::new(name, ins, outs, fm, route)
+    }
 
     fn drive(adapter: &mut Router<Adapt>, chans: &mut ChannelSet, cycles: usize) {
         let mut trace = Trace::disabled();
@@ -309,7 +419,7 @@ mod tests {
             }
         }
         chans.commit_all();
-        let mut a = Router::adapter("demux", vec![i0], vec![o0, o1], 4);
+        let mut a = adapter("demux", vec![i0], vec![o0, o1], 4);
         drive(&mut a, &mut chans, 16);
         assert_eq!(drain(&mut chans, o0), vec![0.0, 2.0, 10.0, 12.0]);
         assert_eq!(drain(&mut chans, o1), vec![1.0, 3.0, 11.0, 13.0]);
@@ -330,7 +440,7 @@ mod tests {
             chans.push(i1, (px * 10 + 3) as f32); // f3
         }
         chans.commit_all();
-        let mut a = Router::adapter("widen", vec![i0, i1], vec![o0], 4);
+        let mut a = adapter("widen", vec![i0, i1], vec![o0], 4);
         drive(&mut a, &mut chans, 16);
         assert_eq!(
             drain(&mut chans, o0),
@@ -352,7 +462,7 @@ mod tests {
             chans.push(i1, f);
         }
         chans.commit_all();
-        let mut a = Router::adapter("widen", vec![i0, i1], vec![o0], 4);
+        let mut a = adapter("widen", vec![i0, i1], vec![o0], 4);
         let mut trace = Trace::disabled();
         a.tick(0, &mut chans, &mut trace);
         chans.commit_all();
@@ -371,7 +481,7 @@ mod tests {
             chans.push(i0, f as f32);
         }
         chans.commit_all();
-        let mut a = Router::adapter("demux", vec![i0], outs.clone(), 3);
+        let mut a = adapter("demux", vec![i0], outs.clone(), 3);
         let mut trace = Trace::disabled();
         a.tick(0, &mut chans, &mut trace);
         chans.commit_all();
@@ -391,7 +501,7 @@ mod tests {
             chans.push(i0, f as f32);
         }
         chans.commit_all();
-        let mut a = Router::adapter("demux", vec![i0], vec![o0, o1], 2);
+        let mut a = adapter("demux", vec![i0], vec![o0, o1], 2);
         drive(&mut a, &mut chans, 4);
         // f=0 went to o0 (now full); f=1 must NOT appear on o1 before f=0
         // is drained... it can, actually: f=1 targets o1 which is free and
@@ -410,7 +520,7 @@ mod tests {
         chans.push(i[0], 1.0);
         chans.push(i[1], 2.0);
         chans.commit_all();
-        let mut a = Router::adapter("rep", i.clone(), o.clone(), 2);
+        let mut a = adapter("rep", i.clone(), o.clone(), 2);
         drive(&mut a, &mut chans, 4);
         assert_eq!(drain(&mut chans, o[0]), vec![1.0]);
         assert_eq!(drain(&mut chans, o[1]), vec![2.0]);
@@ -423,6 +533,6 @@ mod tests {
         let i0 = chans.alloc(4);
         let o0 = chans.alloc(4);
         let o1 = chans.alloc(4);
-        Router::adapter("bad", vec![i0], vec![o0, o1], 3);
+        adapter("bad", vec![i0], vec![o0, o1], 3);
     }
 }

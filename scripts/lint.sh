@@ -22,7 +22,11 @@
 #                       non-layer plumbing may implement Actor: the DMA
 #                       source and sink (endpoints.rs), the board link
 #                       (multi.rs) and the test actors in sim.rs's test
-#                       module.
+#                       module. Host stage workers likewise: StageWorker is
+#                       implemented only by the conv and pool workers
+#                       (model/conv.rs, model/pool.rs), every gather body
+#                       (model/gather.rs), the route stage (port.rs) and
+#                       flatten (model/mod.rs).
 #   4. numeric dispatch — concrete fixed-point element types appear only
 #                       in kernel.rs, model/ and crates/tensor.
 #   5. numeric casts  — no value-lossy `as` cast in a numeric hot path.
@@ -83,7 +87,16 @@ if [ -n "$hits" ]; then
     echo "give the kind a WindowBody, GatherBody or Route instead (DESIGN.md s2d)" >&2
     exit 1
 fi
-echo "actors confined to the windowed, gather and router shells and the plumbing"
+hits=$(grep -rnE '^\s*impl\b.*\bStageWorker for ' crates/core/src --include='*.rs' \
+    | grep -vE '^crates/core/src/model/(conv|pool|gather|mod)\.rs:' \
+    | grep -vE '^crates/core/src/port\.rs:' || true)
+if [ -n "$hits" ]; then
+    echo "error: host stage worker implemented outside the shared stages:" >&2
+    echo "$hits" >&2
+    echo "run the kind's GatherBody or Route as its host stage instead (DESIGN.md s2d)" >&2
+    exit 1
+fi
+echo "actors and stage workers confined to the shells and the plumbing"
 
 echo "== numeric dispatch lint =="
 # Concrete fixed-point element types must not leak past the numeric
