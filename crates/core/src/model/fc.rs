@@ -362,7 +362,7 @@ mod tests {
 
     // ----- the FC actor
 
-    use crate::kernel::fc_forward_hw;
+    use crate::kernel::tests::fc_forward_hw;
 
     fn random_fc(seed: u64, inputs: usize, outputs: usize) -> (Linear, Tensor3<f32>) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);

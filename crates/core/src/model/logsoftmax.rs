@@ -233,7 +233,7 @@ impl CoreModel for LogSoftmaxModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::logsoftmax_forward_hw;
+    use crate::kernel::tests::logsoftmax_forward_hw;
     use crate::stream::ChannelSet;
     use crate::trace::Trace;
     use dfcnn_nn::layer::LogSoftmax;

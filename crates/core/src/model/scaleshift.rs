@@ -60,8 +60,12 @@ impl<E: Numeric> ScaleShiftMap<E> {
 
 impl<E: Numeric> FmMap for ScaleShiftMap<E> {
     #[inline]
-    fn map(&self, f: usize, v: f32) -> f32 {
-        crate::kernel::scale_shift_hw::<E>(self.scale[f], self.shift[f], v)
+    fn map(&self, first: usize, xs: &[f32], outs: &mut [f32]) {
+        let fms = first..first + outs.len();
+        let coeffs = self.scale[fms.clone()].iter().zip(&self.shift[fms]);
+        for ((o, &x), (&scale, &shift)) in outs.iter_mut().zip(xs).zip(coeffs) {
+            *o = crate::kernel::scale_shift_hw::<E>(scale, shift, x);
+        }
     }
 }
 

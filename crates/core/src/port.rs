@@ -93,14 +93,24 @@ pub trait Route {
 
     /// The value written for FM `f`, given the popped operands.
     fn value(&self, f: usize, operands: &[f32]) -> f32;
+
+    /// The values written for the one-operand FMs
+    /// `first..first + outs.len()`, FM `first + i` popping `xs[i]`:
+    /// [`Route::value`] FM by FM, unless the route has a loop of the same
+    /// bits.
+    fn values(&self, first: usize, xs: &[f32], outs: &mut [f32]) {
+        for (i, (o, &x)) in outs.iter_mut().zip(xs).enumerate() {
+            *o = self.value(first + i, &[x]);
+        }
+    }
 }
 
 /// A per-FM value map applied by an [`Adapt`] route to each value it
 /// moves.
 pub trait FmMap {
-    /// The value leaving for feature map `f`, given the value `v` that
-    /// arrived.
-    fn map(&self, f: usize, v: f32) -> f32;
+    /// The values leaving for the consecutive feature maps
+    /// `first..first + outs.len()`, given the values `xs` that arrived.
+    fn map(&self, first: usize, xs: &[f32], outs: &mut [f32]);
 }
 
 /// The plain adapter's map: values pass unchanged.
@@ -109,8 +119,8 @@ pub struct IdentityMap;
 
 impl FmMap for IdentityMap {
     #[inline]
-    fn map(&self, _f: usize, v: f32) -> f32 {
-        v
+    fn map(&self, _first: usize, xs: &[f32], outs: &mut [f32]) {
+        outs.copy_from_slice(xs);
     }
 }
 
@@ -151,7 +161,14 @@ impl<M: FmMap> Route for Adapt<M> {
 
     #[inline]
     fn value(&self, f: usize, operands: &[f32]) -> f32 {
-        self.map.map(f, operands[0])
+        let mut v = [0.0];
+        self.map.map(f, &operands[..1], &mut v);
+        v[0]
+    }
+
+    #[inline]
+    fn values(&self, first: usize, xs: &[f32], outs: &mut [f32]) {
+        self.map.map(first, xs, outs);
     }
 }
 
@@ -275,7 +292,9 @@ impl<R: Route> Actor for Router<R> {
 /// tensors, so the stage writes exactly the values the [`Router`] moves,
 /// in the same order. Operand `k` is the route's input port group `k`,
 /// read through its own cursor; each pixel's FMs are walked with a counter
-/// in runs of consecutive FMs that pop the same operands.
+/// in runs of consecutive FMs that pop the same operands. Where one run
+/// covers the whole pixel (the add, the scale-shift core), the operands
+/// and the output are walked whole, one pixel's `fm` values at a time.
 pub struct RouteStage<R> {
     route: R,
     fm: usize,
@@ -300,31 +319,52 @@ impl<R: Route> RouteStage<R> {
         }
         RouteStage { route, fm, runs }
     }
+
+    /// The FMs `first..first + outs.len()`, each from `a[i]`, or from
+    /// `a[i]` and `b[i]` when a value pops two operands (the add).
+    #[inline]
+    fn run(&self, first: usize, operands: Lanes, a: &[f32], b: &[f32], outs: &mut [f32]) {
+        if operands.count == 1 {
+            self.route.values(first, a, outs);
+        } else {
+            for (i, (o, (&x, &y))) in outs.iter_mut().zip(a.iter().zip(b)).enumerate() {
+                *o = self.route.value(first + i, &[x, y]);
+            }
+        }
+    }
 }
 
 impl<R: Route + Send> StageWorker for RouteStage<R> {
     fn apply_multi(&mut self, inputs: &[&Tensor3<f32>], out: &mut Tensor3<f32>) {
+        let operand = |k: usize| inputs[k].as_slice();
+        if let [(_, _, operands)] = self.runs[..] {
+            let a = operand(operands.first).chunks_exact(self.fm);
+            // one operand: the second is never read
+            let b = match operands.count {
+                1 => operand(operands.first),
+                _ => operand(operands.first + operands.stride),
+            };
+            let pixels = out.as_mut_slice().chunks_exact_mut(self.fm);
+            for ((outs, a), b) in pixels.zip(a).zip(b.chunks_exact(self.fm)) {
+                self.run(0, operands, a, b, outs);
+            }
+            return;
+        }
         let mut cursors = [0usize; 2];
         for pixel in out.as_mut_slice().chunks_exact_mut(self.fm) {
             for &(first, len, operands) in &self.runs {
-                let outs = &mut pixel[first..first + len];
                 let mut take = |k: usize| {
                     let at = cursors[k];
                     cursors[k] = at + len;
-                    &inputs[k].as_slice()[at..at + len]
+                    &operand(k)[at..at + len]
                 };
-                // a value pops one operand, or two (the add)
-                if operands.count == 1 {
-                    let a = take(operands.first);
-                    for (i, (o, &x)) in outs.iter_mut().zip(a).enumerate() {
-                        *o = self.route.value(first + i, &[x]);
-                    }
+                let a = take(operands.first);
+                let b = if operands.count == 1 {
+                    &[]
                 } else {
-                    let (a, b) = (take(operands.first), take(operands.first + operands.stride));
-                    for (i, (o, (&x, &y))) in outs.iter_mut().zip(a.iter().zip(b)).enumerate() {
-                        *o = self.route.value(first + i, &[x, y]);
-                    }
-                }
+                    take(operands.first + operands.stride)
+                };
+                self.run(first, operands, a, b, &mut pixel[first..first + len]);
             }
         }
     }

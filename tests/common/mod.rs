@@ -1,10 +1,17 @@
 //! Shared generators for whole-design randomised tests (used by
-//! `random_designs.rs` and `engine_conformance.rs`; this directory is not
-//! itself compiled as a test crate).
+//! `random_designs.rs` and `engine_conformance.rs`), and the allocating
+//! whole-layer hardware-order oracles `properties.rs` compares with the
+//! reference layers. This directory is not itself compiled as a test
+//! crate.
 
 #![allow(dead_code)]
 
 use dfcnn::core::graph::{LayerPorts, PortConfig};
+use dfcnn::core::kernel::{
+    conv_forward_hw_into, fc_forward_hw_into, pool_forward_hw_into, ConvArena, FcArena, FcWeights,
+    PackedFilters, PoolArena,
+};
+use dfcnn::nn::{Conv2d, Linear, Pool2d};
 use dfcnn::prelude::*;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -270,4 +277,32 @@ pub fn random_ports(spec: &NetworkSpec, seed: u64) -> PortConfig {
         }
     }
     PortConfig { layers }
+}
+
+/// One conv layer in hardware order and f32, through the engines'
+/// allocation-free kernel with a fresh filter store and arena.
+pub fn conv_forward_hw(conv: &Conv2d, in_ports: usize, input: &Tensor3<f32>) -> Tensor3<f32> {
+    let mut out = Tensor3::zeros(conv.output_shape());
+    let filters = PackedFilters::<f32>::new(conv.filters(), conv.bias());
+    let mut arena = ConvArena::new(conv, &filters, in_ports);
+    conv_forward_hw_into(conv, &filters, in_ports, input, &mut out, &mut arena);
+    out
+}
+
+/// One pooling layer in hardware order and f32, with a fresh arena.
+pub fn pool_forward_hw(pool: &Pool2d, input: &Tensor3<f32>) -> Tensor3<f32> {
+    let mut out = Tensor3::zeros(pool.output_shape());
+    let mut arena = PoolArena::<f32>::new(pool);
+    pool_forward_hw_into(pool, input, &mut out, &mut arena);
+    out
+}
+
+/// One FC layer in hardware order and f32 over `banks` interleaved
+/// accumulators, with a fresh weight store and arena.
+pub fn fc_forward_hw(linear: &Linear, banks: usize, input: &Tensor3<f32>) -> Tensor3<f32> {
+    let mut out = Tensor3::zeros(Shape3::new(1, 1, linear.outputs()));
+    let weights = FcWeights::<f32>::new(linear.weights(), linear.bias());
+    let mut arena = FcArena::new(&weights, banks);
+    fc_forward_hw_into(linear, &weights, input, &mut out, &mut arena);
+    out
 }

@@ -2,10 +2,9 @@
 
 mod common;
 
-use common::random_dag_design;
+use common::{conv_forward_hw, fc_forward_hw, pool_forward_hw, random_dag_design};
 use dfcnn::core::check::{check_design, RuleId, Severity};
 use dfcnn::core::graph::DesignConfig;
-use dfcnn::core::kernel::{conv_forward_hw, fc_forward_hw, pool_forward_hw};
 use dfcnn::core::sim::SimError;
 use dfcnn::core::sst::WindowEngine;
 use dfcnn::core::stream::{ChannelSet, Fifo};
