@@ -12,6 +12,13 @@
 //! shared kernel — a reordered f32 sum, a different fixed-point rounding —
 //! would pass engine conformance; it cannot pass this file.
 //!
+//! A third golden, `sim_fingerprints.txt`, pins the simulator across
+//! commits over a whole fixture corpus: per design and scheduler, digests
+//! of the cycles and completions, output bits, per-actor initiations and
+//! stall counters, FIFO and line-buffer high-water marks and the trace
+//! CSV, plus the host engine's output bits. A change that moves one stall
+//! by a cycle, or moves both schedulers alike, fails here.
+//!
 //! To regenerate after an *intentional* format change:
 //!
 //! ```text
@@ -54,6 +61,11 @@ const ADAPTER_GOLDEN_PATH: &str = concat!(
 const OUTPUT_DIGEST_GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/output_digests.txt"
+);
+
+const SIM_FINGERPRINT_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/sim_fingerprints.txt"
 );
 
 /// The fixed fixture: a minimal conv → flatten → linear network, one
@@ -416,7 +428,7 @@ fn assert_matches_golden(csv: &str, path: &str) {
         .expect("golden file missing — run the ignored bless_golden_trace test");
     assert!(
         csv == golden,
-        "trace CSV diverged from {path}\n\
+        "rendering diverged from {path}\n\
          first differing line: {:?}\n\
          re-bless only if the format change is intentional",
         csv.lines()
@@ -428,30 +440,66 @@ fn assert_matches_golden(csv: &str, path: &str) {
     );
 }
 
-/// FNV-1a over the little-endian bytes of every output value's `f32` bits.
-fn output_digest<'a>(outputs: impl IntoIterator<Item = &'a [f32]>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in outputs.into_iter().flatten() {
-        for byte in v.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0100_0000_01b3);
+/// A 64-bit FNV-1a hash, fed little-endian bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
         }
     }
-    h
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f32s(&mut self, vs: &[f32]) {
+        for v in vs {
+            self.bytes(&v.to_bits().to_le_bytes());
+        }
+    }
+}
+
+/// FNV-1a over the little-endian bytes of every output value's `f32` bits.
+fn output_digest<'a>(outputs: impl IntoIterator<Item = &'a [f32]>) -> u64 {
+    let mut h = Fnv::new();
+    for o in outputs {
+        h.f32s(o);
+    }
+    h.0
 }
 
 /// A paper test case in `numeric`, with 8 seeded images.
 fn paper_test_case(tc: u8, numeric: NumericSpec) -> (NetworkDesign, Vec<Tensor3<f32>>) {
-    let mut rng = ChaCha8Rng::seed_from_u64(90 + u64::from(tc));
-    let (spec, ports) = match tc {
-        1 => (NetworkSpec::test_case_1(), PortConfig::paper_test_case_1()),
-        _ => (NetworkSpec::test_case_2(), PortConfig::paper_test_case_2()),
+    let ports = match tc {
+        1 => PortConfig::paper_test_case_1(),
+        _ => PortConfig::paper_test_case_2(),
     };
-    let net = spec.build(&mut rng);
     let config = DesignConfig {
         numeric,
         ..DesignConfig::default()
     };
+    paper_test_case_with(tc, ports, config)
+}
+
+/// A paper test case under `ports` and `config`, with 8 seeded images.
+fn paper_test_case_with(
+    tc: u8,
+    ports: PortConfig,
+    config: DesignConfig,
+) -> (NetworkDesign, Vec<Tensor3<f32>>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(90 + u64::from(tc));
+    let spec = match tc {
+        1 => NetworkSpec::test_case_1(),
+        _ => NetworkSpec::test_case_2(),
+    };
+    let net = spec.build(&mut rng);
     let design = NetworkDesign::new(&net, ports, config).unwrap();
     let images: Vec<Tensor3<f32>> = match tc {
         1 => SyntheticUsps::new(95).generate(8),
@@ -520,6 +568,185 @@ fn outputs_match_golden_digests() {
     assert_eq!(rendered_output_digests(), golden);
 }
 
+/// The simulator fingerprint corpus: the paper test cases with paper
+/// ports in f32 and q16f8, each with host and with fabric normalisation;
+/// two TC1 port configurations that need demuxes and widens, in f32 and
+/// q16f8; the residual fixture; ResNet-8 mini; the Inception cell on
+/// 4×4×3; and `random_dag_design` seeds 0–23. Each entry is a name, a
+/// design and its batch.
+fn fingerprint_corpus() -> Vec<(String, NetworkDesign, Vec<Tensor3<f32>>)> {
+    use dfcnn::core::graph::LayerPorts;
+    let ports = |layers: [(usize, usize); 3]| PortConfig {
+        layers: layers
+            .iter()
+            .map(|&(in_ports, out_ports)| LayerPorts {
+                in_ports,
+                out_ports,
+            })
+            .chain([LayerPorts::SINGLE])
+            .collect(),
+    };
+    let mut corpus = Vec::new();
+    for (numeric, spec) in [
+        (NumericSpec::F32, "f32"),
+        (NumericSpec::default_fixed(), "q16f8"),
+    ] {
+        for fabric_normalization in [false, true] {
+            let config = DesignConfig {
+                numeric,
+                fabric_normalization,
+                ..DesignConfig::default()
+            };
+            let norm = if fabric_normalization {
+                "fabric"
+            } else {
+                "host"
+            };
+            for (tc, paper, batch) in [
+                (1, PortConfig::paper_test_case_1(), 2),
+                (2, PortConfig::paper_test_case_2(), 1),
+            ] {
+                let (design, mut images) = paper_test_case_with(tc, paper, config);
+                images.truncate(batch);
+                corpus.push((format!("tc{tc}_{spec}_{norm}"), design, images));
+            }
+        }
+        let config = DesignConfig {
+            numeric,
+            ..DesignConfig::default()
+        };
+        // conv1's one port feeds pool1's two (a demux), pool1's six feed
+        // conv2's three (a widen); then conv1's three feed pool1's six and
+        // pool1's two feed conv2's one
+        for (k, layers) in [[(1, 1), (2, 6), (3, 2)], [(1, 3), (6, 2), (1, 2)]]
+            .into_iter()
+            .enumerate()
+        {
+            let (design, mut images) = paper_test_case_with(1, ports(layers), config);
+            images.truncate(2);
+            corpus.push((format!("tc1_ports{k}_{spec}"), design, images));
+        }
+    }
+    let two_images = |design: NetworkDesign, seed: u64| {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let shape = design.network().input_shape();
+        let images = (0..2)
+            .map(|_| dfcnn::tensor::init::random_volume(&mut rng, shape, 0.0, 1.0))
+            .collect();
+        (design, images)
+    };
+    let fixtures = [
+        ("residual", residual_fixture().0),
+        ("resnet8_mini", resnet8_fixture().0),
+        ("inception_4x4x3", inception_fixture(Shape3::new(4, 4, 3)).0),
+    ];
+    for (seed, (name, design)) in (200..).zip(fixtures) {
+        let (design, images) = two_images(design, seed);
+        corpus.push((name.to_string(), design, images));
+    }
+    for seed in 0..24 {
+        let design = common::random_dag_design(seed, DesignConfig::default());
+        let (design, images) = two_images(design, 300 + seed);
+        corpus.push((format!("dag{seed}"), design, images));
+    }
+    corpus
+}
+
+/// One line of digests for a traced run: cycles and completions, output
+/// bits, per-actor initiations with the stall counters and span tracks,
+/// FIFO statistics with the line-buffer high-water marks, and the trace
+/// CSV.
+fn sim_fingerprint(
+    result: &dfcnn::core::sim::SimResult,
+    trace: &dfcnn::core::trace::Trace,
+) -> String {
+    let mut timing = Fnv::new();
+    timing.u64(result.cycles);
+    for &c in &result.completions {
+        timing.u64(c);
+    }
+    let outputs = output_digest(result.outputs.iter().map(|o| o.as_slice()));
+    let mut actors = Fnv::new();
+    for a in &result.actor_stats {
+        actors.bytes(a.name.as_bytes());
+        actors.u64(a.initiations);
+    }
+    for s in &result.stalls {
+        actors.bytes(s.name.as_bytes());
+        for &n in [s.computing, s.idle]
+            .iter()
+            .chain(&s.starved)
+            .chain(&s.backpressured)
+        {
+            actors.u64(n);
+        }
+    }
+    for (name, spans) in trace.stall_tracks() {
+        actors.bytes(name.as_bytes());
+        for span in spans {
+            actors.u64(span.start);
+            actors.u64(span.end);
+            actors.bytes(format!("{:?}", span.class).as_bytes());
+        }
+    }
+    let mut buffers = Fnv::new();
+    for f in &result.fifo_stats {
+        for n in [f.pushes, f.pops, f.max_occupancy as u64, f.capacity as u64] {
+            buffers.u64(n);
+        }
+    }
+    for a in &result.actor_stats {
+        if let Some((hwm, bound)) = a.buffer_hwm {
+            buffers.u64(hwm as u64);
+            buffers.u64(bound as u64);
+        }
+    }
+    let mut csv = Fnv::new();
+    csv.bytes(trace.to_csv().as_bytes());
+    format!(
+        "cycles={} timing={:016x} outputs={outputs:016x} actors={:016x} buffers={:016x} trace={:016x}",
+        result.cycles, timing.0, actors.0, buffers.0, csv.0
+    )
+}
+
+/// Per corpus entry: one line per scheduler (event, dense), both traced,
+/// one for the untraced event run (the benchmark's path, which skips the
+/// flight recorder), and one with the host `run_sequential` output bits.
+fn rendered_sim_fingerprints() -> String {
+    use dfcnn::core::exec::ThreadedEngine;
+    let mut out = String::new();
+    for (name, design, images) in fingerprint_corpus() {
+        let (untraced, untraced_trace) = design.instantiate(&images).run();
+        let (event, event_trace) = design.instantiate(&images).with_trace().run();
+        let (dense, dense_trace) = design
+            .instantiate(&images)
+            .with_trace()
+            .reference_mode()
+            .run();
+        let host = ThreadedEngine::new(&design).run_sequential(&images);
+        let host = output_digest(host.outputs.iter().map(|t| t.as_slice()));
+        out += &format!("{name} event {}\n", sim_fingerprint(&event, &event_trace));
+        out += &format!("{name} dense {}\n", sim_fingerprint(&dense, &dense_trace));
+        out += &format!(
+            "{name} untraced {}\n",
+            sim_fingerprint(&untraced, &untraced_trace)
+        );
+        out += &format!("{name} host outputs={host:016x}\n");
+    }
+    out
+}
+
+/// The simulator is pinned across commits over the whole fixture corpus:
+/// every scheduler's cycles, outputs, per-actor counters, stall spans,
+/// buffer high-water marks and trace bytes. `engine_conformance` compares
+/// the two schedulers with each other at one commit; this file compares
+/// each with its own past, so a change that moves both alike (say, a
+/// reordered stall priority) shows up as a diff here.
+#[test]
+fn sim_fingerprints_match_golden() {
+    assert_matches_golden(&rendered_sim_fingerprints(), SIM_FINGERPRINT_GOLDEN_PATH);
+}
+
 /// Regenerate the golden files (ignored; run explicitly after intentional
 /// trace-format changes).
 #[test]
@@ -532,4 +759,5 @@ fn bless_golden_trace() {
     std::fs::write(INCEPTION_GOLDEN_PATH, inception_rendered_csv()).unwrap();
     std::fs::write(ADAPTER_GOLDEN_PATH, adapter_rendered_csv()).unwrap();
     std::fs::write(OUTPUT_DIGEST_GOLDEN_PATH, rendered_output_digests()).unwrap();
+    std::fs::write(SIM_FINGERPRINT_GOLDEN_PATH, rendered_sim_fingerprints()).unwrap();
 }
