@@ -294,6 +294,7 @@ impl CoreModel for ConcatJoinModel {
 mod tests {
     use super::*;
     use crate::port::stage_matches_router;
+    use crate::sim::Next;
     use crate::stream::ChannelSet;
     use crate::trace::{Stall, Trace};
 
@@ -302,12 +303,16 @@ mod tests {
         Router::new("concat", ins, outs, fm, route)
     }
 
-    fn drive(core: &mut Router<Append>, chans: &mut ChannelSet, cycles: usize) {
+    /// Tick `cycles` times, committing after each; returns the last
+    /// tick's [`Next`].
+    fn drive(core: &mut Router<Append>, chans: &mut ChannelSet, cycles: usize) -> Next {
         let mut trace = Trace::disabled();
+        let mut next = None;
         for c in 0..cycles {
-            core.tick(c as u64, chans, &mut trace);
+            next = Some(core.tick(c as u64, chans, &mut trace));
             chans.commit_all();
         }
+        next.expect("at least one cycle")
     }
 
     fn drain(chans: &mut ChannelSet, id: ChannelId) -> Vec<f32> {
@@ -347,11 +352,11 @@ mod tests {
         chans.push(a0, 1.0);
         chans.commit_all();
         let mut core = join(vec![a0, b0], vec![o0], 2, 1);
-        drive(&mut core, &mut chans, 4);
+        let next = drive(&mut core, &mut chans, 4);
         // operand A's FM moved, operand B's is awaited
         assert_eq!(chans.get(o0).len(), 1, "A's value passes, B's is missing");
         // the second operand group starts at index P
-        assert!(matches!(core.stall(&chans), Stall::Starved(1)));
+        assert!(matches!(next.stall, Stall::Starved(1)));
         chans.push(b0, 2.0);
         chans.commit_all();
         drive(&mut core, &mut chans, 4);

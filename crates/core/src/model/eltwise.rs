@@ -234,6 +234,7 @@ impl CoreModel for EltwiseAddModel {
 mod tests {
     use super::*;
     use crate::port::stage_matches_router;
+    use crate::sim::Next;
     use crate::stream::ChannelSet;
     use crate::trace::{Stall, Trace};
     use dfcnn_tensor::{Fixed16, Fixed8};
@@ -243,12 +244,16 @@ mod tests {
         Router::new("add", ins, outs, fm, route)
     }
 
-    fn drive(core: &mut Router<EltwiseAdd<f32>>, chans: &mut ChannelSet, cycles: usize) {
+    /// Tick `cycles` times, committing after each; returns the last
+    /// tick's [`Next`].
+    fn drive(core: &mut Router<EltwiseAdd<f32>>, chans: &mut ChannelSet, cycles: usize) -> Next {
         let mut trace = Trace::disabled();
+        let mut next = None;
         for c in 0..cycles {
-            core.tick(c as u64, chans, &mut trace);
+            next = Some(core.tick(c as u64, chans, &mut trace));
             chans.commit_all();
         }
+        next.expect("at least one cycle")
     }
 
     fn drain(chans: &mut ChannelSet, id: ChannelId) -> Vec<f32> {
@@ -285,10 +290,10 @@ mod tests {
         chans.push(a0, 1.0);
         chans.commit_all();
         let mut core = join(vec![a0, b0], vec![o0], 1);
-        drive(&mut core, &mut chans, 4);
+        let next = drive(&mut core, &mut chans, 4);
         assert!(chans.get(o0).is_empty(), "no output without both operands");
         // the second operand group starts at index P
-        assert!(matches!(core.stall(&chans), Stall::Starved(1)));
+        assert!(matches!(next.stall, Stall::Starved(1)));
         chans.push(b0, 2.0);
         chans.commit_all();
         drive(&mut core, &mut chans, 4);

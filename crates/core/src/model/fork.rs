@@ -169,7 +169,7 @@ impl CoreModel for ForkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Quiescence;
+    use crate::sim::{Next, Quiescence};
     use crate::stream::ChannelSet;
     use crate::trace::{Stall, Trace};
 
@@ -178,12 +178,16 @@ mod tests {
         Router::new("fork", ins, outs, fm, route)
     }
 
-    fn drive(core: &mut Router<Tee>, chans: &mut ChannelSet, cycles: usize) {
+    /// Tick `cycles` times, committing after each; returns the last
+    /// tick's [`Next`].
+    fn drive(core: &mut Router<Tee>, chans: &mut ChannelSet, cycles: usize) -> Next {
         let mut trace = Trace::disabled();
+        let mut next = None;
         for c in 0..cycles {
-            core.tick(c as u64, chans, &mut trace);
+            next = Some(core.tick(c as u64, chans, &mut trace));
             chans.commit_all();
         }
+        next.expect("at least one cycle")
     }
 
     fn drain(chans: &mut ChannelSet, id: ChannelId) -> Vec<f32> {
@@ -223,11 +227,11 @@ mod tests {
         }
         chans.commit_all();
         let mut fork = tee(vec![i0], vec![a0, b0], 2);
-        drive(&mut fork, &mut chans, 8);
+        let next = drive(&mut fork, &mut chans, 8);
         // both branches advance in lock-step: the full one caps the other
         assert_eq!(chans.get(a0).len(), 2);
         assert_eq!(chans.get(b0).len(), 2);
-        assert!(matches!(fork.stall(&chans), Stall::Backpressured(0)));
+        assert!(matches!(next.stall, Stall::Backpressured(0)));
         // draining the slow branch (twice: it refills after two values)
         // restarts the tee and lets the fast branch finish
         for _ in 0..3 {
@@ -265,9 +269,10 @@ mod tests {
         let i0 = chans.alloc(4);
         let a0 = chans.alloc(4);
         let b0 = chans.alloc(4);
-        let fork = tee(vec![i0], vec![a0, b0], 1);
-        assert!(matches!(fork.stall(&chans), Stall::Starved(0)));
-        assert!(matches!(fork.quiescence(0, &chans), Quiescence::Wait(None)));
+        let mut fork = tee(vec![i0], vec![a0, b0], 1);
+        let next = fork.tick(0, &mut chans, &mut Trace::disabled());
+        assert!(matches!(next.stall, Stall::Starved(0)));
+        assert!(matches!(next.wait, Quiescence::Wait(None)));
     }
 
     #[test]

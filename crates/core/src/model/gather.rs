@@ -14,7 +14,7 @@
 //! stage run the same compute.
 
 use super::StageWorker;
-use crate::sim::{Actor, Quiescence, Wiring};
+use crate::sim::{Actor, Next, Quiescence, Wiring};
 use crate::stream::{ChannelId, ChannelSet};
 use crate::trace::{EventKind, Stall, Trace};
 use dfcnn_tensor::Tensor3;
@@ -89,6 +89,35 @@ impl<B: GatherBody> GatherCore<B> {
             inits: 0,
         }
     }
+
+    /// What blocks the core after its tick at `now`: an empty input while
+    /// gathering or a full output while draining (a push or pop wakes it),
+    /// else the II or drain timer.
+    fn next(&self, now: u64, chans: &ChannelSet) -> Next {
+        let timer = |t: u64| {
+            if t > now + 1 {
+                Quiescence::Wait(Some(t))
+            } else {
+                Quiescence::Active
+            }
+        };
+        let (wait, stall) = match self.phase {
+            // input present: paced by the II timer
+            Phase::Gather if chans.peek(self.in_ch).is_some() => {
+                (timer(self.next_accept), Stall::Computing)
+            }
+            // mid-image, upstream ran dry
+            Phase::Gather if !self.buffer.is_empty() => (Quiescence::Wait(None), Stall::Starved(0)),
+            // between images
+            Phase::Gather => (Quiescence::Wait(None), Stall::Idle),
+            // drain latency elapsing
+            Phase::Drain { ready, .. } if chans.can_push(self.out_ch) => {
+                (timer(ready), Stall::Computing)
+            }
+            Phase::Drain { .. } => (Quiescence::Wait(None), Stall::Backpressured(0)),
+        };
+        Next { wait, stall }
+    }
 }
 
 impl<B: GatherBody> Actor for GatherCore<B> {
@@ -96,7 +125,7 @@ impl<B: GatherBody> Actor for GatherCore<B> {
         &self.name
     }
 
-    fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
+    fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) -> Next {
         match self.phase {
             Phase::Gather => {
                 if cycle >= self.next_accept && chans.peek(self.in_ch).is_some() {
@@ -130,6 +159,7 @@ impl<B: GatherBody> Actor for GatherCore<B> {
                 }
             }
         }
+        self.next(cycle, chans)
     }
 
     fn busy(&self) -> bool {
@@ -147,36 +177,6 @@ impl<B: GatherBody> Actor for GatherCore<B> {
         Wiring {
             inputs: vec![self.in_ch],
             outputs: vec![self.out_ch],
-        }
-    }
-
-    fn quiescence(&self, now: u64, chans: &ChannelSet) -> Quiescence {
-        let (blocked, timer) = match self.phase {
-            // starved: the producer's push wakes us; else the II timer
-            Phase::Gather => (chans.peek(self.in_ch).is_none(), self.next_accept),
-            // backpressured: the consumer's pop wakes us; else the drain
-            Phase::Drain { ready, .. } => (!chans.can_push(self.out_ch), ready),
-        };
-        if blocked {
-            Quiescence::Wait(None)
-        } else if timer > now + 1 {
-            Quiescence::Wait(Some(timer))
-        } else {
-            Quiescence::Active
-        }
-    }
-
-    fn stall(&self, chans: &ChannelSet) -> Stall {
-        match self.phase {
-            // input present: paced by the II timer
-            Phase::Gather if chans.peek(self.in_ch).is_some() => Stall::Computing,
-            // mid-image, upstream ran dry
-            Phase::Gather if !self.buffer.is_empty() => Stall::Starved(0),
-            // between images
-            Phase::Gather => Stall::Idle,
-            // drain latency elapsing
-            Phase::Drain { .. } if chans.can_push(self.out_ch) => Stall::Computing,
-            Phase::Drain { .. } => Stall::Backpressured(0),
         }
     }
 }
@@ -222,7 +222,10 @@ mod tests {
         assert_eq!(chans.pop(o), Some(6.0));
         assert_eq!(core.initiations(), 3);
         assert!(!core.busy());
-        assert!(matches!(core.stall(&chans), Stall::Idle));
+        assert!(matches!(
+            core.tick(20, &mut chans, &mut trace).stall,
+            Stall::Idle
+        ));
     }
 
     #[test]
@@ -233,18 +236,18 @@ mod tests {
         chans.commit_all();
         let mut core = GatherCore::new("g", i, o, Sum(2, 2), 1, 0);
         let mut trace = Trace::disabled();
-        core.tick(0, &mut chans, &mut trace);
+        let mut next = core.tick(0, &mut chans, &mut trace);
         chans.commit_all();
-        assert!(matches!(core.stall(&chans), Stall::Starved(0)));
-        assert!(matches!(core.quiescence(0, &chans), Quiescence::Wait(None)));
+        assert!(matches!(next.stall, Stall::Starved(0)));
+        assert!(matches!(next.wait, Quiescence::Wait(None)));
         chans.push(i, 2.0);
         chans.commit_all();
         for c in 1..4 {
-            core.tick(c, &mut chans, &mut trace);
+            next = core.tick(c, &mut chans, &mut trace);
             chans.commit_all();
         }
         // one output fills the one-slot FIFO, the second waits for room
-        assert!(matches!(core.stall(&chans), Stall::Backpressured(0)));
+        assert!(matches!(next.stall, Stall::Backpressured(0)));
         assert!(core.busy());
     }
 }

@@ -20,6 +20,9 @@
 //! for a single chip, lifted to the system level.
 
 use crate::graph::NetworkDesign;
+use crate::sim::{Actor, Next, Quiescence, SimResult};
+use crate::stream::ChannelSet;
+use crate::trace::{EventKind, Stall, Trace};
 use dfcnn_fpga::device::Device;
 use dfcnn_fpga::resources::{CostModel, Resources};
 use serde::Serialize;
@@ -266,19 +269,31 @@ impl LinkActor {
             moved: 0,
         }
     }
+
+    /// What blocks the link: it has no wiring, so it ticks every cycle;
+    /// the stall class names a jammed landing lane, else words in flight
+    /// or accepted under credit, else a dry upstream.
+    fn next(&self, chans: &ChannelSet) -> Next {
+        let stall = match self.in_flight.front() {
+            Some(&(_, lane, _)) if !chans.can_push(self.out_chs[lane]) => {
+                Stall::Backpressured(lane)
+            }
+            Some(_) => Stall::Computing, // words in flight
+            // accepting under credit
+            None if self.in_chs.iter().any(|&ch| chans.peek(ch).is_some()) => Stall::Computing,
+            None => Stall::Starved(0), // wire empty, upstream dry
+        };
+        let wait = Quiescence::Active;
+        Next { wait, stall }
+    }
 }
 
-impl crate::sim::Actor for LinkActor {
+impl Actor for LinkActor {
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn tick(
-        &mut self,
-        cycle: u64,
-        chans: &mut crate::stream::ChannelSet,
-        trace: &mut crate::trace::Trace,
-    ) {
+    fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) -> Next {
         // deliver landed words, one per lane per cycle
         self.lane_used.fill(false);
         let mut i = 0;
@@ -288,7 +303,7 @@ impl crate::sim::Actor for LinkActor {
                 chans.push(self.out_chs[lane], v);
                 self.lane_used[lane] = true;
                 self.in_flight.remove(i);
-                trace.record(cycle, &self.name, crate::trace::EventKind::Emit);
+                trace.record(cycle, &self.name, EventKind::Emit);
             } else {
                 // per-lane order: once a lane's head is blocked, later
                 // words of the same lane must wait too
@@ -325,6 +340,7 @@ impl crate::sim::Actor for LinkActor {
                 break;
             }
         }
+        self.next(chans)
     }
 
     fn busy(&self) -> bool {
@@ -333,19 +349,6 @@ impl crate::sim::Actor for LinkActor {
 
     fn initiations(&self) -> u64 {
         self.moved
-    }
-
-    fn stall(&self, chans: &crate::stream::ChannelSet) -> crate::trace::Stall {
-        if let Some(&(_, lane, _)) = self.in_flight.front() {
-            if !chans.can_push(self.out_chs[lane]) {
-                return crate::trace::Stall::Backpressured(lane);
-            }
-            return crate::trace::Stall::Computing; // words in flight
-        }
-        if self.in_chs.iter().any(|&ch| chans.peek(ch).is_some()) {
-            return crate::trace::Stall::Computing; // accepting under credit
-        }
-        crate::trace::Stall::Starved(0) // wire empty, upstream dry
     }
 }
 
@@ -357,7 +360,7 @@ pub fn simulate_chain(
     plan: &MultiFpgaPlan,
     link: &LinkConfig,
     images: &[dfcnn_tensor::Tensor3<f32>],
-) -> (crate::sim::SimResult, crate::trace::Trace) {
+) -> (SimResult, Trace) {
     let wpc = link.words_per_cycle(design.config().clock_hz);
     let mut boundaries = Vec::new();
     let mut after = 0usize;

@@ -33,7 +33,7 @@
 //! actor compute every value through the same [`Route::value`].
 
 use crate::model::StageWorker;
-use crate::sim::{Actor, Quiescence, Wiring};
+use crate::sim::{Actor, Next, Quiescence, Wiring};
 use crate::stream::{ChannelId, ChannelSet};
 use crate::trace::{EventKind, Stall, Trace};
 use dfcnn_tensor::Tensor3;
@@ -211,7 +211,7 @@ impl<R: Route> Router<R> {
 
     /// The FM of the next value in sequence, and its pops and pushes.
     #[inline]
-    fn next(&self) -> (usize, Lanes, Lanes) {
+    fn head(&self) -> (usize, Lanes, Lanes) {
         let f = (self.moved % self.fm as u64) as usize;
         (f, self.route.pops(f), self.route.pushes(f))
     }
@@ -235,13 +235,19 @@ impl<R: Route> Actor for Router<R> {
         &self.name
     }
 
-    fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) {
+    fn tick(&mut self, cycle: u64, chans: &mut ChannelSet, trace: &mut Trace) -> Next {
         // move values in strict global order; stop at the first one that
-        // cannot move
-        for _ in 0..self.width {
-            let (f, pops, pushes) = self.next();
-            if self.blocker(chans, pops, pushes).is_some() {
-                break;
+        // cannot move, or after `width` moves. What blocks the router is
+        // that value's blocker, on which only a push or pop wakes it; with
+        // none, the move happens next tick.
+        let mut moves = 0;
+        loop {
+            let (f, pops, pushes) = self.head();
+            let blocker = self.blocker(chans, pops, pushes);
+            if blocker.is_some() || moves == self.width {
+                let wait = blocker.map_or(Quiescence::Active, |_| Quiescence::Wait(None));
+                let stall = blocker.unwrap_or(Stall::Computing);
+                return Next { wait, stall };
             }
             let mut operands = [0.0f32; 2];
             for (k, i) in pops.iter().enumerate() {
@@ -252,6 +258,7 @@ impl<R: Route> Actor for Router<R> {
                 chans.push(self.out_chs[o], v);
             }
             self.moved += 1;
+            moves += 1;
             trace.record(cycle, &self.name, EventKind::Emit);
         }
     }
@@ -269,22 +276,6 @@ impl<R: Route> Actor for Router<R> {
             inputs: self.in_chs.clone(),
             outputs: self.out_chs.clone(),
         }
-    }
-
-    fn quiescence(&self, _now: u64, chans: &ChannelSet) -> Quiescence {
-        // next cycle's tick does something iff the next value can move
-        let (_, pops, pushes) = self.next();
-        match self.blocker(chans, pops, pushes) {
-            Some(_) => Quiescence::Wait(None),
-            None => Quiescence::Active,
-        }
-    }
-
-    fn stall(&self, chans: &ChannelSet) -> Stall {
-        let (_, pops, pushes) = self.next();
-        // both sides ready: the move happens next tick
-        self.blocker(chans, pops, pushes)
-            .unwrap_or(Stall::Computing)
     }
 }
 

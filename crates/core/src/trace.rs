@@ -14,7 +14,7 @@
 //! path costs one branch.
 
 use crate::observe::live::LiveMetrics;
-use crate::sim::Actor;
+use crate::sim::{Actor, Next};
 use crate::stream::ChannelSet;
 use serde::{Deserialize, Serialize};
 
@@ -148,8 +148,9 @@ impl ActorStallStats {
 /// Both schedulers tick an observed actor through [`StallRecorder::tick`].
 /// The dense reference sweep does so for every actor on every cycle; the
 /// event-driven fast path only on cycles an actor actually ticks, and the
-/// recorder synthesizes the skipped span from the classification captured
-/// when the actor went to sleep ([`StallRecorder::set_sleep`]). Because a
+/// recorder synthesizes the skipped span from the stall class the actor's
+/// last tick returned before it went to sleep
+/// ([`StallRecorder::set_sleep`]). Because a
 /// sleeping actor's wired channels are frozen until a change wakes it by
 /// the next cycle, the synthesized span is exactly what the dense sweep
 /// would have recorded — the engine-conformance tests pin this cycle for
@@ -194,11 +195,11 @@ impl StallRecorder {
         }
     }
 
-    /// Tick actor `i` at `cycle` and record it. The post-tick
-    /// [`Actor::stall`] classification both labels the tick when it did no
-    /// observable work (moved no value, initiated nothing) and is captured
-    /// as the class skipped cycles will be billed to if the actor now
-    /// sleeps; the dense sweep never skips a cycle, so only the
+    /// Tick actor `i` at `cycle`, record it, and return what the tick
+    /// returned. The tick's [`Next::stall`] class both labels the tick when
+    /// it did no observable work (moved no value, initiated nothing) and is
+    /// captured as the class skipped cycles will be billed to if the actor
+    /// now sleeps; the dense sweep never skips a cycle, so only the
     /// event-driven scheduler bills it. With `live`, the actor's new
     /// initiations and the gap since its previous one go into its cell as
     /// they happen.
@@ -210,15 +211,14 @@ impl StallRecorder {
         chans: &mut ChannelSet,
         trace: &mut Trace,
         live: Option<&LiveMetrics>,
-    ) {
+    ) -> Next {
         let before_act = chans.activity();
         let before_inits = actor.initiations();
-        actor.tick(cycle, chans, trace);
+        let next = actor.tick(cycle, chans, trace);
         let inits = actor.initiations() - before_inits;
-        let st = actor.stall(chans);
         let worked = chans.activity() != before_act || inits > 0;
-        self.note(i, cycle, if worked { Stall::Computing } else { st });
-        self.set_sleep(i, st);
+        self.note(i, cycle, if worked { Stall::Computing } else { next.stall });
+        self.set_sleep(i, next.stall);
         if let Some(live) = live.filter(|_| inits > 0) {
             let cell = live.cell(i);
             cell.add_items(inits);
@@ -227,6 +227,7 @@ impl StallRecorder {
             }
             self.prev_init[i] = Some(cycle);
         }
+        next
     }
 
     /// Add to `live`'s cells what each actor's stall counters gained since

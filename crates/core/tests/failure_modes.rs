@@ -3,9 +3,9 @@
 
 use dfcnn_core::endpoints::SinkState;
 use dfcnn_core::graph::{DesignConfig, LayerPorts, NetworkDesign, PortConfig};
-use dfcnn_core::sim::{Actor, Simulator};
+use dfcnn_core::sim::{Actor, Next, Quiescence, Simulator};
 use dfcnn_core::stream::ChannelSet;
-use dfcnn_core::trace::Trace;
+use dfcnn_core::trace::{Stall, Trace};
 use dfcnn_nn::topology::NetworkSpec;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -23,7 +23,12 @@ impl Actor for BlackHole {
     fn name(&self) -> &str {
         "black-hole"
     }
-    fn tick(&mut self, _c: u64, _ch: &mut ChannelSet, _t: &mut Trace) {}
+    fn tick(&mut self, _c: u64, _ch: &mut ChannelSet, _t: &mut Trace) -> Next {
+        Next {
+            wait: Quiescence::Active,
+            stall: Stall::Idle,
+        }
+    }
     fn busy(&self) -> bool {
         true
     }
