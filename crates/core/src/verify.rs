@@ -101,103 +101,6 @@ pub fn verify_simulated(design: &NetworkDesign, images: &[Tensor3<f32>]) -> Veri
     compare_outputs(design, images, &result.outputs)
 }
 
-/// Run a batch under both the event-driven scheduler and the dense
-/// reference sweep and assert they are indistinguishable: identical
-/// [`crate::sim::SimResult`]s (completion cycles, bit-identical outputs,
-/// total cycles, actor/FIFO statistics and stall-taxonomy counters) and
-/// identical traces including the per-actor stall span tracks. Also checks
-/// the flight recorder's internal invariants (per-actor accounting
-/// identity, buffer and FIFO high-water marks within their bounds).
-/// Returns the event-driven result.
-///
-/// # Panics
-/// With a diagnostic naming the first differing field if the schedulers
-/// disagree — the conformance contract of `SimConfig::reference_mode`.
-pub fn check_engine_conformance(
-    design: &NetworkDesign,
-    images: &[Tensor3<f32>],
-) -> crate::sim::SimResult {
-    // the static verifier must prove the design structurally safe before
-    // either scheduler runs a cycle — a conformant design is a checked
-    // design. Numeric-range errors are tolerated: conformance certifies
-    // engine *agreement*, which holds on saturating designs too (all
-    // engines clamp identically into the container).
-    let check = crate::check::check_design(design);
-    assert!(
-        check.is_structurally_clean(),
-        "design fails the static check:\n{}",
-        check.render()
-    );
-    let (event, event_trace) = design.instantiate(images).with_trace().run();
-    let (reference, reference_trace) = design
-        .instantiate(images)
-        .with_trace()
-        .reference_mode()
-        .run();
-    assert_eq!(
-        event.completions, reference.completions,
-        "completion cycles diverge between schedulers"
-    );
-    assert_eq!(
-        event.outputs, reference.outputs,
-        "collected outputs diverge between schedulers"
-    );
-    assert_eq!(
-        event.cycles, reference.cycles,
-        "total cycle counts diverge between schedulers"
-    );
-    assert_eq!(
-        event.actor_stats, reference.actor_stats,
-        "actor statistics diverge between schedulers"
-    );
-    assert_eq!(
-        event.fifo_stats, reference.fifo_stats,
-        "FIFO statistics diverge between schedulers"
-    );
-    assert_eq!(
-        event.stalls, reference.stalls,
-        "stall taxonomy counters diverge between schedulers"
-    );
-    assert_eq!(
-        event_trace.events(),
-        reference_trace.events(),
-        "trace events diverge between schedulers"
-    );
-    assert_eq!(
-        event_trace.stall_tracks(),
-        reference_trace.stall_tracks(),
-        "stall span tracks diverge between schedulers"
-    );
-    // flight-recorder internal consistency: every cycle of every actor is
-    // classified exactly once, and occupancy never exceeds its bound
-    for s in &event.stalls {
-        assert_eq!(
-            s.total(),
-            event.cycles,
-            "stall accounting identity violated for {}",
-            s.name
-        );
-    }
-    for a in &event.actor_stats {
-        if let Some((hwm, bound)) = a.buffer_hwm {
-            assert!(
-                hwm <= bound,
-                "{}: line-buffer HWM {hwm} exceeds the full-buffering bound {bound}",
-                a.name
-            );
-        }
-    }
-    for (i, f) in event.fifo_stats.iter().enumerate() {
-        assert!(
-            f.max_occupancy <= f.capacity,
-            "fifo {i}: occupancy HWM {} exceeds capacity {}",
-            f.max_occupancy,
-            f.capacity
-        );
-    }
-    event
-}
-
 fn argmax(v: &[f32]) -> usize {
     let mut best = 0;
     for i in 1..v.len() {
@@ -280,27 +183,6 @@ mod tests {
         assert!(!report.passes(1e-3));
         assert_eq!(report.mismatches.len(), 1);
         assert_eq!(report.mismatches[0].ref_class, win);
-    }
-
-    #[test]
-    fn residual_graph_simulates_and_verifies() {
-        let design = crate::graph::fixtures::residual_graph(DesignConfig::default());
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let imgs: Vec<_> = (0..2)
-            .map(|_| {
-                dfcnn_tensor::init::random_volume(
-                    &mut rng,
-                    design.network().input_shape(),
-                    0.0,
-                    1.0,
-                )
-            })
-            .collect();
-        // both schedulers agree on the fork/join pipeline...
-        let result = check_engine_conformance(&design, &imgs);
-        // ...and the collected scores match the layer-composed reference
-        let report = compare_outputs(&design, &imgs, &result.outputs);
-        assert!(report.passes(1e-3), "report: {report:?}");
     }
 
     #[test]

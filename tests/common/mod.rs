@@ -1,8 +1,8 @@
 //! Shared generators for whole-design randomised tests (used by
-//! `random_designs.rs` and `engine_conformance.rs`), and the allocating
-//! whole-layer hardware-order oracles `properties.rs` compares with the
-//! reference layers. This directory is not itself compiled as a test
-//! crate.
+//! `random_designs.rs` and `engine_conformance.rs`), the engine-conformance
+//! oracle, and the allocating whole-layer hardware-order oracles
+//! `properties.rs` compares with the reference layers. This directory is
+//! not itself compiled as a test crate.
 
 #![allow(dead_code)]
 
@@ -277,6 +277,103 @@ pub fn random_ports(spec: &NetworkSpec, seed: u64) -> PortConfig {
         }
     }
     PortConfig { layers }
+}
+
+/// Run a batch under both the event-driven scheduler and the dense
+/// reference sweep and assert they are indistinguishable: identical
+/// `SimResult`s (completion cycles, bit-identical outputs, total cycles,
+/// actor/FIFO statistics and stall-taxonomy counters) and identical traces
+/// including the per-actor stall span tracks. Also checks
+/// the flight recorder's internal invariants (per-actor accounting
+/// identity, buffer and FIFO high-water marks within their bounds).
+/// Returns the event-driven result.
+///
+/// # Panics
+/// With a diagnostic naming the first differing field if the schedulers
+/// disagree — the conformance contract of `Simulator::reference_mode`.
+pub fn check_engine_conformance(
+    design: &NetworkDesign,
+    images: &[Tensor3<f32>],
+) -> dfcnn::core::sim::SimResult {
+    // the static verifier must prove the design structurally safe before
+    // either scheduler runs a cycle — a conformant design is a checked
+    // design. Numeric-range errors are tolerated: conformance certifies
+    // engine *agreement*, which holds on saturating designs too (all
+    // engines clamp identically into the container).
+    let check = check_design(design);
+    assert!(
+        check.is_structurally_clean(),
+        "design fails the static check:\n{}",
+        check.render()
+    );
+    let (event, event_trace) = design.instantiate(images).with_trace().run();
+    let (reference, reference_trace) = design
+        .instantiate(images)
+        .with_trace()
+        .reference_mode()
+        .run();
+    assert_eq!(
+        event.completions, reference.completions,
+        "completion cycles diverge between schedulers"
+    );
+    assert_eq!(
+        event.outputs, reference.outputs,
+        "collected outputs diverge between schedulers"
+    );
+    assert_eq!(
+        event.cycles, reference.cycles,
+        "total cycle counts diverge between schedulers"
+    );
+    assert_eq!(
+        event.actor_stats, reference.actor_stats,
+        "actor statistics diverge between schedulers"
+    );
+    assert_eq!(
+        event.fifo_stats, reference.fifo_stats,
+        "FIFO statistics diverge between schedulers"
+    );
+    assert_eq!(
+        event.stalls, reference.stalls,
+        "stall taxonomy counters diverge between schedulers"
+    );
+    assert_eq!(
+        event_trace.events(),
+        reference_trace.events(),
+        "trace events diverge between schedulers"
+    );
+    assert_eq!(
+        event_trace.stall_tracks(),
+        reference_trace.stall_tracks(),
+        "stall span tracks diverge between schedulers"
+    );
+    // flight-recorder internal consistency: every cycle of every actor is
+    // classified exactly once, and occupancy never exceeds its bound
+    for s in &event.stalls {
+        assert_eq!(
+            s.total(),
+            event.cycles,
+            "stall accounting identity violated for {}",
+            s.name
+        );
+    }
+    for a in &event.actor_stats {
+        if let Some((hwm, bound)) = a.buffer_hwm {
+            assert!(
+                hwm <= bound,
+                "{}: line-buffer HWM {hwm} exceeds the full-buffering bound {bound}",
+                a.name
+            );
+        }
+    }
+    for (i, f) in event.fifo_stats.iter().enumerate() {
+        assert!(
+            f.max_occupancy <= f.capacity,
+            "fifo {i}: occupancy HWM {} exceeds capacity {}",
+            f.max_occupancy,
+            f.capacity
+        );
+    }
+    event
 }
 
 /// One conv layer in hardware order and f32, through the engines'

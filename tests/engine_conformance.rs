@@ -1,7 +1,7 @@
 //! Engine-conformance harness: the event-driven scheduler must be
 //! indistinguishable from the dense reference sweep.
 //!
-//! `SimConfig::reference_mode` keeps the original cycle-by-cycle sweep
+//! `Simulator::reference_mode` keeps the original cycle-by-cycle sweep
 //! alive as a conformance oracle; this test pins the contract on the paper's
 //! two test cases and on randomised designs:
 //!
@@ -15,10 +15,11 @@
 
 mod common;
 
-use common::{random_dag_design, random_ports, random_spec, residual_design};
+use common::{
+    check_engine_conformance, random_dag_design, random_ports, random_spec, residual_design,
+};
 use dfcnn::core::exec::{ReplicationPlan, ThreadedEngine};
 use dfcnn::core::graph::{DesignConfig, NetworkDesign, PortConfig};
-use dfcnn::core::verify::check_engine_conformance;
 use dfcnn::prelude::*;
 use proptest::prelude::*;
 use rand::SeedableRng;
