@@ -115,6 +115,11 @@ pub struct WindowEngine<T = f32> {
     capacity: usize,
     /// Global window counter (monotone across images).
     next_window: u64,
+    /// The oldest and newest absolute per-port index the next window
+    /// needs (`oldest_needed`, `last_needed`). Every simulated cycle asks
+    /// for them and each takes several divisions, so they are worked out
+    /// once per window.
+    needed: (u64, u64),
     /// Peak per-port occupancy observed (for the full-buffering assertion).
     max_occupancy: usize,
 }
@@ -130,15 +135,18 @@ impl<T: Copy + Default> WindowEngine<T> {
         // line buffers never grow on the steady-state path
         let cap = full_buffer_bound_per_port(&geo, in_ports);
         let ch_per_port = geo.input.c / in_ports;
-        WindowEngine {
+        let mut engine = WindowEngine {
             geo,
             in_ports,
             ch_per_port,
             ports: (0..in_ports).map(|_| PortBuffer::new(cap)).collect(),
             capacity: cap,
             next_window: 0,
+            needed: (0, 0),
             max_occupancy: 0,
-        }
+        };
+        engine.needed = (engine.oldest_needed(), engine.last_needed());
+        engine
     }
 
     /// Replace the per-port line-buffer capacity (fault injection: a
@@ -257,7 +265,7 @@ impl<T: Copy + Default> WindowEngine<T> {
     /// Whether port `p` may accept a value this cycle (line buffer has
     /// room under the full-buffering bound).
     pub fn can_accept(&self, p: usize) -> bool {
-        self.ports[p].received < self.oldest_needed() + self.capacity_per_port() as u64
+        self.ports[p].received < self.needed.0 + self.capacity_per_port() as u64
     }
 
     /// Accept one value on port `p` (caller must have checked
@@ -271,7 +279,7 @@ impl<T: Copy + Default> WindowEngine<T> {
     /// stride/window combination.
     pub fn accept(&mut self, p: usize, v: T) {
         assert!(self.can_accept(p), "line buffer full on port {p}");
-        let oldest = self.oldest_needed();
+        let oldest = self.needed.0;
         let pb = &mut self.ports[p];
         pb.accept(v);
         pb.free_before(oldest);
@@ -281,7 +289,7 @@ impl<T: Copy + Default> WindowEngine<T> {
 
     /// Whether the next window is fully buffered on every port.
     pub fn window_ready(&self) -> bool {
-        let last = self.last_needed();
+        let last = self.needed.1;
         self.ports.iter().all(|pb| pb.received > last)
     }
 
@@ -318,7 +326,8 @@ impl<T: Copy + Default> WindowEngine<T> {
             }
         }
         self.next_window += 1;
-        let oldest = self.oldest_needed();
+        self.needed = (self.oldest_needed(), self.last_needed());
+        let oldest = self.needed.0;
         for pb in &mut self.ports {
             pb.free_before(oldest);
         }
