@@ -398,12 +398,15 @@ pub fn mean_reciprocal(n: usize) -> f32 {
 /// Max-pooling compares sequentially (exact whatever the order);
 /// mean-pooling sums through a tree adder then scales by `recip`, the
 /// quantised [`mean_reciprocal`] of the window size — the hardware
-/// implementation of the mean. Max-pooling ignores `recip`.
-pub fn pool_window<E: Numeric>(kind: PoolKind, values: &[E], recip: E) -> E {
+/// implementation of the mean. Max-pooling ignores `recip`. The mean
+/// reduces `values` in place ([`TreeAdder::sum_in_place`], the same
+/// rounding as [`TreeAdder::sum`] without its per-level allocations), so
+/// the caller passes a scratch copy it owns.
+pub fn pool_window<E: Numeric>(kind: PoolKind, values: &mut [E], recip: E) -> E {
     assert!(!values.is_empty(), "empty pooling window");
     match kind {
         PoolKind::Max => values.iter().copied().fold(E::min_value(), E::max_hw),
-        PoolKind::Mean => TreeAdder::new(values.len()).sum(values) * recip,
+        PoolKind::Mean => TreeAdder::new(values.len()).sum_in_place(values) * recip,
     }
 }
 
@@ -797,19 +800,29 @@ fn conv_exact_image<E: Numeric>(
     }
 }
 
-/// Reusable scratch for the whole-image pooling forward.
+/// Reusable scratch for the whole-image pooling forward: the quantised
+/// input and output volumes and one channel's window for the mean.
+/// Constructed once per worker; [`pool_forward_hw_into`] then allocates
+/// nothing per image.
 #[derive(Clone, Debug)]
 pub struct PoolArena<E = f32> {
+    /// The input volume quantised into `E`, refilled once per image.
+    qin: Vec<E>,
+    /// The pooled volume before dequantisation.
+    qout: Vec<E>,
+    /// One channel's `KH·KW` window values, which the mean reduces.
     vals: Vec<E>,
     /// The quantised [`mean_reciprocal`] of the window size.
     recip: E,
 }
 
 impl<E: Numeric> PoolArena<E> {
-    /// Size the per-channel window buffer and quantise the mean's scale.
+    /// Size the buffers for the layer and quantise the mean's scale.
     pub fn new(pool: &Pool2d) -> Self {
         let win = pool.geometry().kh * pool.geometry().kw;
         PoolArena {
+            qin: vec![E::zero(); pool.geometry().input.len()],
+            qout: vec![E::zero(); pool.output_shape().len()],
             vals: vec![E::zero(); win],
             recip: E::from_f32(mean_reciprocal(win)),
         }
@@ -817,8 +830,17 @@ impl<E: Numeric> PoolArena<E> {
 }
 
 /// Whole-image pooling forward pass in hardware order, allocation-free.
-/// Window values are quantised on ingest; the pooled value is dequantised
-/// on emission (both the identity for `f32`).
+/// The input volume is quantised once per image, on ingest, and the
+/// pooled volume dequantised in one pass on emission (both the identity
+/// for `f32`).
+///
+/// The volume is HWC, so a window's pixel `(dy, dx)` is one contiguous row
+/// of `C` channel values. Max-pooling folds the window's `KH·KW` rows into
+/// the output row with [`Numeric::max_hw`], from [`Numeric::min_value`] in
+/// `(dy, dx)` order: each channel sees exactly [`pool_window`]'s sequence,
+/// so `f32` NaN and ±0 handling is kept, and the row loop vectorises.
+/// Mean-pooling gathers each channel's window from the quantised volume
+/// and sums it through [`pool_window`]'s tree.
 pub fn pool_forward_hw_into<E: Numeric>(
     pool: &Pool2d,
     input: &Tensor3<f32>,
@@ -828,21 +850,44 @@ pub fn pool_forward_hw_into<E: Numeric>(
     let geo = *pool.geometry();
     assert_eq!(input.shape(), geo.input, "input shape mismatch");
     assert_eq!(out.shape(), pool.output_shape(), "output shape mismatch");
-    let ow = geo.out_w();
-    for (pos, (y0, x0)) in dfcnn_tensor::iter::WindowPositions::new(geo).enumerate() {
-        let (oy, ox) = (pos / ow, pos % ow);
-        for c in 0..geo.input.c {
-            let mut i = 0;
-            for dy in 0..geo.kh {
-                for dx in 0..geo.kw {
-                    arena.vals[i] =
-                        E::from_f32(input.get((y0 as usize) + dy, (x0 as usize) + dx, c));
-                    i += 1;
+    let PoolArena {
+        qin,
+        qout,
+        vals,
+        recip,
+    } = arena;
+    for (q, &x) in qin.iter_mut().zip(input.as_slice()) {
+        *q = E::from_f32(x);
+    }
+    let (w, c) = (geo.input.w, geo.input.c);
+    let rows = dfcnn_tensor::iter::WindowPositions::new(geo).zip(qout.chunks_exact_mut(c));
+    for ((y0, x0), dst) in rows {
+        let at = |dy: usize, dx: usize| ((y0 as usize + dy) * w + x0 as usize + dx) * c;
+        match pool.kind() {
+            PoolKind::Max => {
+                dst.fill(E::min_value());
+                for dy in 0..geo.kh {
+                    for dx in 0..geo.kw {
+                        for (d, &v) in dst.iter_mut().zip(&qin[at(dy, dx)..][..c]) {
+                            *d = d.max_hw(v);
+                        }
+                    }
                 }
             }
-            let v = pool_window(pool.kind(), &arena.vals, arena.recip);
-            out.set(oy, ox, c, v.to_f32());
+            PoolKind::Mean => {
+                for (ch, d) in dst.iter_mut().enumerate() {
+                    for (dy, row) in vals.chunks_exact_mut(geo.kw).enumerate() {
+                        for (dx, v) in row.iter_mut().enumerate() {
+                            *v = qin[at(dy, dx) + ch];
+                        }
+                    }
+                    *d = pool_window(PoolKind::Mean, vals, *recip);
+                }
+            }
         }
+    }
+    for (o, &q) in out.as_mut_slice().iter_mut().zip(qout.iter()) {
+        *o = q.to_f32();
     }
 }
 
@@ -1034,6 +1079,95 @@ pub(crate) mod tests {
         out
     }
 
+    /// The per-value reference [`pool_forward_hw_into`] is tested against:
+    /// for each window and channel, quantise the `KH·KW` values in
+    /// `(dy, dx)` order, fold them from [`Numeric::min_value`] with
+    /// [`Numeric::max_hw`] or sum them with [`TreeAdder::sum`] and scale,
+    /// then dequantise the one result.
+    fn pool_forward_per_value<E: Numeric>(pool: &Pool2d, input: &Tensor3<f32>) -> Tensor3<f32> {
+        let geo = *pool.geometry();
+        let recip = E::from_f32(mean_reciprocal(geo.kh * geo.kw));
+        let mut out = Tensor3::zeros(pool.output_shape());
+        let ow = geo.out_w();
+        let mut vals = vec![E::zero(); geo.kh * geo.kw];
+        for (pos, (y0, x0)) in dfcnn_tensor::iter::WindowPositions::new(geo).enumerate() {
+            let (oy, ox) = (pos / ow, pos % ow);
+            for c in 0..geo.input.c {
+                let mut i = 0;
+                for dy in 0..geo.kh {
+                    for dx in 0..geo.kw {
+                        vals[i] = E::from_f32(input.get((y0 as usize) + dy, (x0 as usize) + dx, c));
+                        i += 1;
+                    }
+                }
+                let v = match pool.kind() {
+                    PoolKind::Max => vals.iter().copied().fold(E::min_value(), E::max_hw),
+                    PoolKind::Mean => TreeAdder::new(vals.len()).sum(&vals) * recip,
+                };
+                out.set(oy, ox, c, v.to_f32());
+            }
+        }
+        out
+    }
+
+    /// [`pool_forward_hw_into`] equals [`pool_forward_per_value`] bit for
+    /// bit in `E`, for max and mean, on square and non-square inputs with
+    /// tiling and overlapping windows. One image holds NaN, ±inf, ±0 and
+    /// values beyond every fixed-point container among random values;
+    /// in the other most windows max out at a mix of `-0.0` and `0.0`,
+    /// where the `f32` fold's operand order decides the sign.
+    fn assert_pool_matches_per_value<E: Numeric>() {
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            300.0,
+            -1e6,
+        ];
+        let zeros = [-0.0, 0.0, -0.0, f32::NAN, f32::NEG_INFINITY, -1.0];
+        let cases = [
+            (Shape3::new(6, 6, 3), 2, 2, 2),
+            (Shape3::new(7, 9, 5), 3, 3, 2),
+            (Shape3::new(5, 8, 17), 2, 3, 1),
+            (Shape3::new(8, 8, 32), 8, 8, 8),
+        ];
+        let bits =
+            |t: &Tensor3<f32>| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        for (shape, kh, kw, stride) in cases {
+            let geo = ConvGeometry::new(shape, kh, kw, stride, 0);
+            let mut sparse = dfcnn_tensor::init::random_volume(&mut rng, shape, -2.0, 2.0);
+            for (i, v) in sparse.as_mut_slice().iter_mut().enumerate().step_by(5) {
+                *v = specials[i % specials.len()];
+            }
+            let mut signed = dfcnn_tensor::init::random_volume(&mut rng, shape, 0.0, 1.0);
+            for v in signed.as_mut_slice() {
+                *v = zeros[(*v * 600.0) as usize % zeros.len()];
+            }
+            for kind in [PoolKind::Max, PoolKind::Mean] {
+                let p = Pool2d::new(geo, kind);
+                let mut out = Tensor3::zeros(p.output_shape());
+                // one arena for both images: it must carry no state between them
+                let mut arena = PoolArena::<E>::new(&p);
+                for x in [&sparse, &signed] {
+                    pool_forward_hw_into(&p, x, &mut out, &mut arena);
+                    let want = pool_forward_per_value::<E>(&p, x);
+                    let case = format!("{kind:?} {shape:?} {kh}x{kw}/{stride}");
+                    assert_eq!(bits(&out), bits(&want), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_hw_equals_per_value_reference_bitwise() {
+        assert_pool_matches_per_value::<f32>();
+        assert_pool_matches_per_value::<Q>();
+        assert_pool_matches_per_value::<Fixed8<4>>();
+    }
+
     /// Whole-image FC forward pass in hardware order, through the unpacked
     /// [`fc_forward`].
     pub(crate) fn fc_forward_hw(
@@ -1104,10 +1238,12 @@ pub(crate) mod tests {
     fn pool_window_max_and_mean() {
         let recip = mean_reciprocal(4);
         assert_eq!(
-            pool_window(PoolKind::Max, &[1.0f32, 5.0, -2.0, 3.0], recip),
+            pool_window(PoolKind::Max, &mut [1.0f32, 5.0, -2.0, 3.0], recip),
             5.0
         );
-        assert!((pool_window(PoolKind::Mean, &[1.0f32, 2.0, 3.0, 6.0], recip) - 3.0).abs() < 1e-7);
+        assert!(
+            (pool_window(PoolKind::Mean, &mut [1.0f32, 2.0, 3.0, 6.0], recip) - 3.0).abs() < 1e-7
+        );
     }
 
     #[test]
@@ -1745,10 +1881,10 @@ pub(crate) mod tests {
 
     #[test]
     fn pool_fixed_max_is_exact_and_mean_is_close() {
-        let vals = q::<Q>(&[1.0, 5.0, -2.0, 3.0]);
+        let mut vals = q::<Q>(&[1.0, 5.0, -2.0, 3.0]);
         let recip = Q::from_f32(mean_reciprocal(4));
-        assert_eq!(pool_window(PoolKind::Max, &vals, recip).to_f32(), 5.0);
-        let mean = pool_window(PoolKind::Mean, &q::<Q>(&[1.0, 2.0, 3.0, 6.0]), recip).to_f32();
+        assert_eq!(pool_window(PoolKind::Max, &mut vals, recip).to_f32(), 5.0);
+        let mean = pool_window(PoolKind::Mean, &mut q::<Q>(&[1.0, 2.0, 3.0, 6.0]), recip).to_f32();
         assert!((mean - 3.0).abs() < 2.0 * dfcnn_tensor::cast::f64_to_f32(Q::epsilon()) + 1e-6);
     }
 

@@ -51,12 +51,15 @@ pub struct PoolBody<E> {
     win: usize,
     /// The quantised [`mean_reciprocal`] of `win`.
     recip: E,
+    /// One channel's slice, which [`pool_window`] reduces in place.
+    scratch: Vec<E>,
 }
 
 impl<E: Numeric> WindowBody<E> for PoolBody<E> {
     fn initiate(&mut self, window: &[E], out: &mut [f32]) {
         for (o, chan) in out.iter_mut().zip(window.chunks_exact(self.win)) {
-            *o = pool_window(self.kind, chan, self.recip).to_f32();
+            self.scratch.copy_from_slice(chan);
+            *o = pool_window(self.kind, &mut self.scratch, self.recip).to_f32();
         }
     }
 }
@@ -90,6 +93,7 @@ impl<E: Numeric> PoolCore<E> {
             kind: pool.kind(),
             win,
             recip: E::from_f32(mean_reciprocal(win)),
+            scratch: vec![E::zero(); win],
         };
         WindowedCore::from_body(name, geo, in_chs, out_chs, geo.input.c, ii, depth, body)
     }
@@ -148,10 +152,7 @@ impl CoreModel for PoolModel {
         let idx = core.layer_index.expect("pool core has a layer");
         let p = pool_layer(&design.network().layers()[idx]);
         let g = p.geometry();
-        let mut input = crate::range::Interval::union_all(inputs);
-        if g.pad > 0 {
-            input = input.include_zero();
-        }
+        let input = crate::range::Interval::union_all(inputs);
         match p.kind() {
             PoolKind::Max => crate::range::pool_max_transfer(quantiser.spec(), input),
             PoolKind::Mean => crate::range::pool_mean_transfer(quantiser, input, g.kh * g.kw),

@@ -65,6 +65,13 @@ fn conv_pool_fc_steady_state_is_allocation_free() {
     let mut pool_out = Tensor3::zeros(pool.output_shape());
     let mut pool_arena = PoolArena::new(&pool);
 
+    // global mean pool, ResNet-8's shape: one 8x8 window per channel
+    let mean_geo = ConvGeometry::new(Shape3::new(8, 8, 32), 8, 8, 8, 0);
+    let mean_pool = Pool2d::new(mean_geo, PoolKind::Mean);
+    let mean_in = dfcnn_tensor::init::random_volume(&mut rng, mean_geo.input, -1.0, 1.0);
+    let mut mean_out = Tensor3::zeros(mean_pool.output_shape());
+    let mut mean_arena = PoolArena::new(&mean_pool);
+
     // fc fed from the pool output, flattened
     let fc_inputs = pool.output_shape().len();
     let w = dfcnn_tensor::init::linear_weights(&mut rng, fc_inputs, 10);
@@ -77,13 +84,16 @@ fn conv_pool_fc_steady_state_is_allocation_free() {
 
     let run_image = |conv_arena: &mut ConvArena,
                      pool_arena: &mut PoolArena,
+                     mean_arena: &mut PoolArena,
                      fc_arena: &mut FcArena,
                      conv_out: &mut Tensor3<f32>,
                      pool_out: &mut Tensor3<f32>,
+                     mean_out: &mut Tensor3<f32>,
                      fc_in: &mut Tensor3<f32>,
                      fc_out: &mut Tensor3<f32>| {
         conv_forward_hw_into(&conv, &packed, 2, &conv_in, conv_out, conv_arena);
         pool_forward_hw_into(&pool, conv_out, pool_out, pool_arena);
+        pool_forward_hw_into(&mean_pool, &mean_in, mean_out, mean_arena);
         fc_in.as_mut_slice().copy_from_slice(pool_out.as_slice());
         fc_forward_hw_into(&fc, &fc_weights, fc_in, fc_out, fc_arena);
     };
@@ -92,9 +102,11 @@ fn conv_pool_fc_steady_state_is_allocation_free() {
     run_image(
         &mut conv_arena,
         &mut pool_arena,
+        &mut mean_arena,
         &mut fc_arena,
         &mut conv_out,
         &mut pool_out,
+        &mut mean_out,
         &mut fc_in,
         &mut fc_out,
     );
@@ -104,9 +116,11 @@ fn conv_pool_fc_steady_state_is_allocation_free() {
         run_image(
             &mut conv_arena,
             &mut pool_arena,
+            &mut mean_arena,
             &mut fc_arena,
             &mut conv_out,
             &mut pool_out,
+            &mut mean_out,
             &mut fc_in,
             &mut fc_out,
         );
@@ -120,4 +134,5 @@ fn conv_pool_fc_steady_state_is_allocation_free() {
     );
     // the result is still a real forward pass
     assert!(fc_out.as_slice().iter().all(|v| v.is_finite()));
+    assert!(mean_out.as_slice().iter().all(|v| v.abs() <= 1.0));
 }

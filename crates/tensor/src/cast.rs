@@ -41,10 +41,10 @@ pub fn note_saturation() {
 /// so release-gated asserts must check [`saturation_counting_enabled`].
 ///
 /// A clamp is counted each time a conversion clamps, so the tally depends
-/// on how often a kernel converts a value. The host conv kernel quantises
-/// its input volume once per image, so an out-of-range input value counts
-/// once per image (even if no window reads it), not once per window
-/// holding it.
+/// on how often a kernel converts a value. The host conv and pool kernels
+/// quantise their input volume once per image, so an out-of-range input
+/// value counts once per image (even if no window reads it), not once per
+/// window holding it.
 pub fn take_saturation_events() -> u64 {
     #[cfg(debug_assertions)]
     {
@@ -63,22 +63,31 @@ pub const fn saturation_counting_enabled() -> bool {
 
 /// Integer storage containers a fixed-point accumulator narrows into.
 ///
-/// `sat_i64` is the hardware rescale-and-saturate; `sat_round_f64` is the
-/// quantise-on-ingest rounding; `sat_i32` re-narrows a serialized raw bit
-/// pattern. All three clamp at the container bounds instead of wrapping.
+/// `sat_i64` is the hardware rescale-and-saturate; `sat_round_f64` and
+/// `sat_round_f32` are the quantise-on-ingest rounding; `sat_i32`
+/// re-narrows a serialized raw bit pattern. All of them clamp at the
+/// container bounds instead of wrapping.
 pub trait SatNarrow: Sized + Copy {
     /// Saturate a 64-bit accumulator into the container.
     fn sat_i64(v: i64) -> Self;
     /// Round a pre-scaled `f64` to the nearest representable raw value,
     /// saturating at the container bounds (NaN maps to zero).
     fn sat_round_f64(v: f64) -> Self;
+    /// [`SatNarrow::sat_round_f64`] of `f64::from(v)`: the same raw value
+    /// and the same saturation count for every `f32`. The `i8` and `i16`
+    /// containers compute it in `f32` with no branch and no float-to-int
+    /// conversion (`round_clamp_f32`), so a slice loop over it
+    /// vectorises.
+    fn sat_round_f32(v: f32) -> Self {
+        Self::sat_round_f64(f64::from(v))
+    }
     /// Saturate a 32-bit value into the container (serde round-trips of
     /// in-range raws are exact; out-of-range input clamps, never wraps).
     fn sat_i32(v: i32) -> Self;
 }
 
 macro_rules! sat_narrow_impl {
-    ($t:ty) => {
+    ($t:ty $(, $round_f32:ident)?) => {
         impl SatNarrow for $t {
             #[inline]
             fn sat_i64(v: i64) -> Self {
@@ -120,19 +129,53 @@ macro_rules! sat_narrow_impl {
             fn sat_i32(v: i32) -> Self {
                 Self::sat_i64(i64::from(v))
             }
+
+            $(
+                #[inline]
+                fn sat_round_f32(v: f32) -> Self {
+                    // in [MIN, MAX] and integral: exact by construction
+                    $round_f32(v, f32::from(Self::MIN), f32::from(Self::MAX)) as Self
+                }
+            )?
         }
     };
 }
 
-sat_narrow_impl!(i8);
-sat_narrow_impl!(i16);
+sat_narrow_impl!(i8, round_clamp_f32);
+sat_narrow_impl!(i16, round_clamp_f32);
 sat_narrow_impl!(i32);
+
+/// `1.5 · 2²³`. Adding it to an integer `r` with `|r| ≤ 2²²` gives a value
+/// in `[2²³, 2²⁴)`, where the `f32` spacing is 1: the sum is exact, and
+/// its bits are this constant's bits plus `r`.
+const MANTISSA_BIAS: f32 = 12_582_912.0;
+
+/// Round `v` to the nearest integer (ties away from zero), clamp it to
+/// `[min, max]` (integers within ±2²²) and map NaN to zero, all in `f32`.
+///
+/// `f32::round` of an `f32` is the integer `f64::round` gives for its
+/// widening (the nearest integer is representable in both), and the bounds
+/// are exact in `f32`, so this picks the raw value
+/// [`SatNarrow::sat_round_f64`] picks and counts the same clamps: one for a
+/// rounded value beyond a bound (±inf included), none at a bound or for
+/// NaN. The integer is read from the mantissa after adding
+/// [`MANTISSA_BIAS`] rather than by a saturating float-to-int cast, which
+/// LLVM does not vectorise.
+#[inline]
+fn round_clamp_f32(v: f32, min: f32, max: f32) -> i32 {
+    let r = v.round();
+    if r > max || r < min {
+        note_saturation();
+    }
+    let c = if r.is_nan() { 0.0 } else { r.clamp(min, max) };
+    (c + MANTISSA_BIAS).to_bits() as i32 - MANTISSA_BIAS.to_bits() as i32
+}
 
 /// Narrow an `f64` to `f32` (the dequantise-on-emit transport step). The
 /// relative rounding error is 2⁻²⁴ — accounted for by the analyzer's
 /// float slack, not silently dropped somewhere in a kernel.
 #[inline]
-pub fn f64_to_f32(v: f64) -> f32 {
+pub const fn f64_to_f32(v: f64) -> f32 {
     v as f32
 }
 

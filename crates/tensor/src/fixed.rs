@@ -226,6 +226,8 @@ macro_rules! narrow_fixed {
             pub const MAX: Self = $name(<$store>::MAX);
             /// The scale factor `2^FRAC`.
             pub const SCALE: f64 = (1u64 << FRAC) as f64;
+            /// [`Self::SCALE`] in `f32`, where it is exact too.
+            const SCALE_F32: f32 = crate::cast::f64_to_f32(Self::SCALE);
 
             /// Construct from the raw fixed-point bit pattern.
             #[inline]
@@ -472,9 +474,14 @@ macro_rules! narrow_fixed {
             fn one() -> Self {
                 $name(1 << FRAC)
             }
+            /// [`Self::from_f64`] of `f64::from(v)`, bit for bit, in `f32`
+            /// arithmetic: scaling by `2^FRAC` is exact (or overflows to
+            /// ±inf, which saturates as the `f64` product does), and
+            /// [`SatNarrow::sat_round_f32`](crate::cast::SatNarrow::sat_round_f32)
+            /// rounds it as `sat_round_f64` would.
             #[inline]
             fn from_f32(v: f32) -> Self {
-                Self::from_f64(f64::from(v))
+                $name(<$store as crate::cast::SatNarrow>::sat_round_f32(v * Self::SCALE_F32))
             }
             #[inline]
             fn to_f32(self) -> f32 {
@@ -1050,6 +1057,80 @@ mod tests {
             let x = Q::from_f64(-1.625);
             let v = x.to_value();
             assert_eq!(Q::from_value(&v).unwrap(), x);
+        }
+
+        /// Every `f32` bit pattern in release builds; a prime stride in
+        /// debug builds.
+        const STRIDE: usize = if cfg!(debug_assertions) { 997 } else { 1 };
+
+        /// `Element::from_f32(v)` equals `from_f64(f64::from(v))` on every
+        /// `f32` (NaNs, ±inf and subnormals included), through the slice
+        /// loop a kernel's ingest runs, and in debug builds it counts the
+        /// same saturation events. Then the events of the edge values one
+        /// by one: one for ±inf and each value beyond a bound, none for a
+        /// bound itself, NaN or ±0. `eps` is the format's LSB.
+        fn assert_from_f32_is_from_f64<E: Element + Eq>(from_f64: fn(f64) -> E, eps: f64) {
+            use crate::cast::{saturation_counting_enabled, take_saturation_events};
+            let mut all = (0..=u32::MAX).step_by(STRIDE).map(f32::from_bits);
+            let (mut xs, mut qs) = ([0.0f32; 4096], [E::zero(); 4096]);
+            loop {
+                let mut n = 0;
+                for (x, v) in xs.iter_mut().zip(&mut all) {
+                    (*x, n) = (v, n + 1);
+                }
+                if n == 0 {
+                    break;
+                }
+                let xs = &xs[..n];
+                let _ = take_saturation_events();
+                for (q, &x) in qs.iter_mut().zip(xs) {
+                    *q = E::from_f32(x);
+                }
+                let events = take_saturation_events();
+                for (&q, &x) in qs.iter().zip(xs) {
+                    assert_eq!(q, from_f64(f64::from(x)), "at bits {:#010x}", x.to_bits());
+                }
+                let from = xs[0].to_bits();
+                assert_eq!(events, take_saturation_events(), "events from {from:#010x}");
+            }
+            if !saturation_counting_enabled() {
+                return;
+            }
+            let (lo, hi) = (from_f64(-1e30).to_f32(), from_f64(1e30).to_f32());
+            let _ = take_saturation_events();
+            // bound ± a fraction of an LSB: a tie rounds away, past the bound
+            let off =
+                |bound: f32, lsbs: f64| crate::cast::f64_to_f32(f64::from(bound) + lsbs * eps);
+            let beyond = [f32::INFINITY, f32::NEG_INFINITY, f32::MAX, -f32::MAX];
+            let beyond = beyond.into_iter().chain([off(hi, 0.5), off(lo, -0.5)]);
+            let quiet = [hi, lo, off(hi, 0.25), f32::NAN, -f32::NAN, -0.0, 0.0];
+            let cases = beyond.map(|v| (v, 1)).chain(quiet.map(|v| (v, 0)));
+            for (v, want) in cases {
+                let _ = E::from_f32(v);
+                assert_eq!(take_saturation_events(), want, "from_f32({v:e})");
+                let _ = from_f64(f64::from(v));
+                assert_eq!(take_saturation_events(), want, "from_f64({v:e})");
+            }
+        }
+
+        #[test]
+        fn from_f32_equals_from_f64_on_every_f32_q16f8() {
+            assert_from_f32_is_from_f64(Fixed16::<8>::from_f64, Fixed16::<8>::epsilon());
+        }
+
+        #[test]
+        fn from_f32_equals_from_f64_on_every_f32_q16f15() {
+            assert_from_f32_is_from_f64(Fixed16::<15>::from_f64, Fixed16::<15>::epsilon());
+        }
+
+        #[test]
+        fn from_f32_equals_from_f64_on_every_f32_q8f4() {
+            assert_from_f32_is_from_f64(Fixed8::<4>::from_f64, Fixed8::<4>::epsilon());
+        }
+
+        #[test]
+        fn from_f32_equals_from_f64_on_every_f32_q8f0() {
+            assert_from_f32_is_from_f64(Fixed8::<0>::from_f64, Fixed8::<0>::epsilon());
         }
     }
 

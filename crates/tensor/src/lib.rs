@@ -146,8 +146,9 @@ pub trait Numeric: Element + core::ops::Neg<Output = Self> {
     /// The identity of [`Numeric::max_hw`] (used to seed max-pooling).
     fn min_value() -> Self;
 
-    /// The hardware comparator's max: total for fixed point, `f32::max`
-    /// NaN semantics for floats.
+    /// The hardware comparator's max: total for fixed point; for floats
+    /// `f32::max`'s NaN semantics (a NaN operand yields the other), with
+    /// a tie (`-0.0` against `0.0` included) resolved to `self`.
     fn max_hw(self, other: Self) -> Self;
 
     /// Lift a value into the accumulator (at the product scale, so it can
@@ -231,9 +232,16 @@ impl Numeric for f32 {
         f32::NEG_INFINITY
     }
 
+    /// A compare and a select, so scalar and vector code give the same
+    /// bits under every codegen. `f32::max` leaves the sign of a zero
+    /// result to the backend, and LLVM may commute its operands.
     #[inline]
     fn max_hw(self, other: Self) -> Self {
-        self.max(other)
+        if other > self || self.is_nan() {
+            other
+        } else {
+            self
+        }
     }
 
     #[inline]
@@ -303,5 +311,17 @@ mod tests {
         assert_eq!(Element::maximum(3.0f32, 4.0), 4.0);
         assert_eq!(Element::maximum(4.0f32, 3.0), 4.0);
         assert_eq!(Element::maximum(-1.0f64, -2.0), -1.0);
+    }
+
+    #[test]
+    fn f32_max_hw_skips_nan_and_keeps_self_on_ties() {
+        let bits = |a: f32, b: f32| a.max_hw(b).to_bits();
+        assert_eq!(bits(1.0, f32::NAN), 1.0f32.to_bits());
+        assert_eq!(bits(f32::NAN, -2.0), (-2.0f32).to_bits());
+        assert!(f32::NAN.max_hw(f32::NAN).is_nan());
+        assert_eq!(bits(-0.0, 0.0), (-0.0f32).to_bits());
+        assert_eq!(bits(0.0, -0.0), 0.0f32.to_bits());
+        assert_eq!(bits(f32::NEG_INFINITY, -0.0), (-0.0f32).to_bits());
+        assert_eq!(bits(3.0, 2.0), 3.0f32.to_bits());
     }
 }
