@@ -16,14 +16,12 @@
 //! in f32, then classified through every supported fixed spec's quantised
 //! datapath. Results go to `results/numeric_kernels.json`.
 //!
-//! The fixed-point conv rows and the dot rows are one best-of-5 sample
-//! each, and move by up to ~25% between runs on a shared host. The `f32`
-//! conv rows time the two forms in alternating trials, so both see the
-//! same load, and record the median per-trial ratio with its quartiles
-//! (`speedup_iqr`). In release
-//! builds on the packed conv kernel the fixed-point lane kernel must hold
-//! a ≥ 1.2× margin over the scalar loop — the CI smoke contract for the
-//! vectorised kernels.
+//! Every row times its two forms in alternating trials, so both see the
+//! same host load, and records the median per-trial ratio with its
+//! quartiles (`speedup_iqr`). In release builds the median ratio of the
+//! fixed-point lane kernel over the scalar loop on the packed conv kernel
+//! must hold a ≥ 1.2× margin — the CI smoke contract for the vectorised
+//! kernels.
 //!
 //! ```text
 //! cargo run -p dfcnn-bench --release --bin numeric_kernels
@@ -43,16 +41,17 @@ use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// CI contract: fixed-point SIMD ≥ 1.2× scalar on the packed conv kernel
-/// (release builds only — debug codegen tells us nothing about lanes).
+/// CI contract: fixed-point SIMD ≥ 1.2× scalar on the packed conv kernel,
+/// as the median paired ratio (release builds only — debug codegen tells
+/// us nothing about lanes).
 const TARGET_CONV_SPEEDUP: f64 = 1.2;
 
 /// One conv shape and element type. `simd_ns` times one kernel call over
 /// `windows` windows and `scalar_ns` the baseline over the same windows:
 /// the per-filter scalar loop for fixed point (`windows = 1`), four
-/// one-window calls for `f32` (`windows = 4`). For `f32` the times are
-/// medians over paired trials, `speedup` is the median per-trial ratio
-/// and `speedup_iqr` its quartiles; fixed point has no spread recorded.
+/// one-window calls for `f32` (`windows = 4`). The times are medians
+/// over paired trials, `speedup` is the median per-trial ratio and
+/// `speedup_iqr` its quartiles.
 #[derive(Serialize)]
 struct ConvRow {
     case: String,
@@ -64,9 +63,10 @@ struct ConvRow {
     simd_ns: f64,
     scalar_ns: f64,
     speedup: f64,
-    speedup_iqr: Option<[f64; 2]>,
+    speedup_iqr: [f64; 2],
 }
 
+/// One FC row length and element type, timed like [`ConvRow`].
 #[derive(Serialize)]
 struct DotRow {
     case: String,
@@ -75,6 +75,7 @@ struct DotRow {
     simd_ns: f64,
     scalar_ns: f64,
     speedup: f64,
+    speedup_iqr: [f64; 2],
 }
 
 #[derive(Serialize)]
@@ -107,23 +108,6 @@ fn cpu_model() -> String {
                 .map(|m| m.trim().to_string())
         })
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Best-of-5 mean ns/call: each trial times `reps` calls, the minimum
-/// trial wins (the usual microbenchmark noise filter).
-fn time_ns(reps: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..reps / 4 {
-        f(); // warmup
-    }
-    (0..5)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..reps {
-                f();
-            }
-            t.elapsed().as_nanos() as f64 / reps as f64
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// Trials of [`time_paired`].
@@ -200,27 +184,31 @@ fn conv_case<E: Numeric>(
         &mut scratch,
     );
     assert_eq!(out_simd, out_scalar, "{case}/{elem}: SIMD != scalar bits");
-    let reps = 2_000;
-    let simd_ns = time_ns(reps, || {
-        conv_window_packed(
-            black_box(&mut out_simd),
-            black_box(&window),
-            &packed,
-            Activation::Relu,
-            in_ports,
-            &mut scratch,
-        )
-    });
-    let scalar_ns = time_ns(reps, || {
-        conv_window_packed_scalar(
-            black_box(&mut out_scalar),
-            black_box(&window),
-            &packed,
-            Activation::Relu,
-            in_ports,
-            &mut scratch,
-        )
-    });
+    // one set of scratch rows per form: both closures live at once
+    let mut scratch_scalar = scratch.clone();
+    let (scalar_ns, simd_ns, [q1, speedup, q3]) = time_paired(
+        500,
+        || {
+            conv_window_packed_scalar(
+                black_box(&mut out_scalar),
+                black_box(&window),
+                &packed,
+                Activation::Relu,
+                in_ports,
+                &mut scratch_scalar,
+            )
+        },
+        || {
+            conv_window_packed(
+                black_box(&mut out_simd),
+                black_box(&window),
+                &packed,
+                Activation::Relu,
+                in_ports,
+                &mut scratch,
+            )
+        },
+    );
     ConvRow {
         case: case.to_string(),
         elem: elem.to_string(),
@@ -230,8 +218,8 @@ fn conv_case<E: Numeric>(
         windows: 1,
         simd_ns,
         scalar_ns,
-        speedup: scalar_ns / simd_ns,
-        speedup_iqr: None,
+        speedup,
+        speedup_iqr: [q1, q3],
     }
 }
 
@@ -293,7 +281,7 @@ fn conv_four_window_case(
         simd_ns,
         scalar_ns,
         speedup,
-        speedup_iqr: Some([q1, q3]),
+        speedup_iqr: [q1, q3],
     }
 }
 
@@ -305,20 +293,23 @@ fn dot_case<E: Numeric>(case: &str, elem: &str, len: usize) -> DotRow {
     let a: Vec<E> = a_f.as_slice().iter().map(|&v| E::from_f32(v)).collect();
     let b: Vec<E> = b_f.as_slice().iter().map(|&v| E::from_f32(v)).collect();
     assert_eq!(E::dot_acc(&a, &b), E::dot_acc_scalar(&a, &b));
-    let reps = 20_000;
-    let simd_ns = time_ns(reps, || {
-        black_box(E::dot_acc(black_box(&a), black_box(&b)));
-    });
-    let scalar_ns = time_ns(reps, || {
-        black_box(E::dot_acc_scalar(black_box(&a), black_box(&b)));
-    });
+    let (scalar_ns, simd_ns, [q1, speedup, q3]) = time_paired(
+        5_000,
+        || {
+            black_box(E::dot_acc_scalar(black_box(&a), black_box(&b)));
+        },
+        || {
+            black_box(E::dot_acc(black_box(&a), black_box(&b)));
+        },
+    );
     DotRow {
         case: case.to_string(),
         elem: elem.to_string(),
         len,
         simd_ns,
         scalar_ns,
-        speedup: scalar_ns / simd_ns,
+        speedup,
+        speedup_iqr: [q1, q3],
     }
 }
 
@@ -405,11 +396,9 @@ fn main() {
         "case", "elem", "out_fm", "win_len", "windows", "simd_ns", "scalar_ns", "speedup"
     );
     for r in &conv {
-        let iqr = r.speedup_iqr.map_or(String::new(), |[lo, hi]| {
-            format!("  (IQR {lo:.2}-{hi:.2}x)")
-        });
+        let [lo, hi] = r.speedup_iqr;
         println!(
-            "{:<5} {:<6} {:>7} {:>9} {:>8} {:>11.1} {:>11.1} {:>7.2}x{iqr}",
+            "{:<5} {:<6} {:>7} {:>9} {:>8} {:>11.1} {:>11.1} {:>7.2}x  (IQR {lo:.2}-{hi:.2}x)",
             r.case, r.elem, r.out_fm, r.window_len, r.windows, r.simd_ns, r.scalar_ns, r.speedup
         );
     }
@@ -419,8 +408,9 @@ fn main() {
         "case", "elem", "len", "simd_ns", "scalar_ns", "speedup"
     );
     for r in &dot {
+        let [lo, hi] = r.speedup_iqr;
         println!(
-            "{:<5} {:<6} {:>6} {:>11.1} {:>11.1} {:>7.2}x",
+            "{:<5} {:<6} {:>6} {:>11.1} {:>11.1} {:>7.2}x  (IQR {lo:.2}-{hi:.2}x)",
             r.case, r.elem, r.len, r.simd_ns, r.scalar_ns, r.speedup
         );
     }

@@ -56,8 +56,7 @@
 
 use crate::graph::{NetworkDesign, StageInput};
 use crate::model::{self, HostStage, StageWorker};
-use crate::observe::live::{LiveMetrics, MetricCell, MetricUnit, Sampler};
-use crate::trace::IntervalStats;
+use crate::observe::live::{CellCounters, LiveMetrics, MetricCell, MetricUnit, Sampler};
 use dfcnn_tensor::Tensor3;
 use serde::{Deserialize, Serialize};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -144,72 +143,31 @@ impl ReplicationPlan {
     }
 }
 
-/// Measured behaviour of one pipeline stage during a run.
+/// Measured behaviour of one pipeline stage during a run: what the
+/// stage's live telemetry cell gained over the run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct StageProfile {
     /// Stage name (`conv1`, `pool1`, `flatten`, `fc1`, …).
     pub name: String,
-    /// Worker threads that served this stage.
+    /// Worker threads that served this stage: the widest factor any part
+    /// of the run used.
     pub replication: usize,
     /// Images processed (summed over workers).
     pub images: u64,
-    /// Mean per-image service time in nanoseconds — the host analogue of
-    /// the stage interval Fig. 6 converges to.
+    /// Mean per-image service time in nanoseconds (`service_total_ns /
+    /// images`, 0 for an idle stage) — the host analogue of the stage
+    /// interval Fig. 6 converges to.
     pub mean_interval_ns: u64,
-    /// Worst single-image service time in nanoseconds.
-    pub max_interval_ns: u64,
-    /// Mean time a worker spent blocked waiting for input, per image.
-    pub mean_queue_wait_ns: u64,
-    /// Mean time a worker spent blocked sending its output downstream,
-    /// per image — the host analogue of fabric backpressure.
-    pub mean_send_wait_ns: u64,
-    /// Exact total service time across workers in nanoseconds. The means
-    /// above are integer divisions; the totals are what reconcile exactly
-    /// with the live telemetry cells and [`crate::observe::RunReport`].
+    /// Total service time across workers in nanoseconds.
     pub service_total_ns: u64,
-    /// Exact total input-wait time across workers in nanoseconds.
+    /// Total time workers spent blocked waiting for input, in nanoseconds.
     pub queue_wait_total_ns: u64,
-    /// Exact total send-wait time across workers in nanoseconds.
+    /// Total time workers spent blocked sending their output downstream,
+    /// in nanoseconds — the host analogue of fabric backpressure.
     pub send_wait_total_ns: u64,
 }
 
-impl StageProfile {
-    /// A stage's profile from its exact per-stage totals (nanoseconds,
-    /// summed over workers); every mean is `total / images` (0 for an
-    /// idle stage). Workers record service, input wait and send wait once
-    /// per image, so one image count divides all three.
-    fn from_totals(
-        name: String,
-        replication: usize,
-        images: u64,
-        service_ns: u64,
-        max_ns: u64,
-        queue_wait_ns: u64,
-        send_wait_ns: u64,
-    ) -> Self {
-        let mean = |total: u64| total.checked_div(images).unwrap_or(0);
-        StageProfile {
-            name,
-            replication,
-            images,
-            mean_interval_ns: mean(service_ns),
-            max_interval_ns: max_ns,
-            mean_queue_wait_ns: mean(queue_wait_ns),
-            mean_send_wait_ns: mean(send_wait_ns),
-            service_total_ns: service_ns,
-            queue_wait_total_ns: queue_wait_ns,
-            send_wait_total_ns: send_wait_ns,
-        }
-    }
-
-    /// Effective interval the stage contributes to the pipeline bound:
-    /// `mean / replication` (replicated workers overlap in time).
-    pub fn effective_interval_ns(&self) -> u64 {
-        self.mean_interval_ns / self.replication as u64
-    }
-}
-
-/// Per-stage measurements of one pipelined run, consumed by `dfcnn-bench`.
+/// Per-stage measurements of one run, consumed by `dfcnn-bench`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PipelineProfile {
     /// One entry per pipeline stage, in pipeline order.
@@ -218,44 +176,6 @@ pub struct PipelineProfile {
     pub batch: usize,
     /// Total wall-clock of the run in nanoseconds.
     pub total_ns: u64,
-}
-
-impl PipelineProfile {
-    /// Index of the stage with the largest effective interval — the stage
-    /// the batch interval converges to (Fig. 6's plateau).
-    pub fn bottleneck(&self) -> usize {
-        (0..self.stages.len())
-            .max_by_key(|&i| self.stages[i].effective_interval_ns())
-            .expect("profile has no stages")
-    }
-
-    /// The balanced-stage bound in nanoseconds: the largest effective
-    /// interval. At steady state the pipeline emits one image per this
-    /// interval; replication lowers it the way Eq. 4's ports lower II.
-    pub fn balanced_bound_ns(&self) -> u64 {
-        self.stages[self.bottleneck()].effective_interval_ns()
-    }
-
-    /// Fixed-width text table (one row per stage) for console output.
-    pub fn render_table(&self) -> String {
-        let mut out = String::from(
-            "stage      repl  images  mean_us    max_us     wait_us    send_us    eff_us\n",
-        );
-        for s in &self.stages {
-            out.push_str(&format!(
-                "{:<10} {:>4} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1}\n",
-                s.name,
-                s.replication,
-                s.images,
-                s.mean_interval_ns as f64 / 1e3,
-                s.max_interval_ns as f64 / 1e3,
-                s.mean_queue_wait_ns as f64 / 1e3,
-                s.mean_send_wait_ns as f64 / 1e3,
-                s.effective_interval_ns() as f64 / 1e3,
-            ));
-        }
-        out
-    }
 }
 
 /// A bundle of volumes travelling down the pipeline. Owned messages carry
@@ -317,13 +237,6 @@ fn bundle_plans(stages: &[HostStage]) -> Vec<StagePlan> {
     plans
 }
 
-/// Timing gathered by one worker thread.
-struct WorkerStats {
-    busy: IntervalStats,
-    wait: IntervalStats,
-    send: IntervalStats,
-}
-
 /// Channel matrix for one stage boundary: `pc` producers × `cc` consumers.
 /// Returns (per-producer sender rows, per-consumer receiver columns);
 /// `rows[p][c]` feeds `cols[c][p]`.
@@ -357,16 +270,13 @@ fn worker_loop(
     rx_col: Vec<Receiver<Msg<'_>>>,
     tx_row: Vec<SyncSender<Msg<'_>>>,
     channel_depth: usize,
-    cell: Option<&MetricCell>,
-) -> WorkerStats {
+    cell: &MetricCell,
+) {
     let mut worker = stage.spec.make_worker();
     let (r_prev, r_next) = (rx_col.len(), tx_row.len());
     // buffers in flight from this worker: channel depth per consumer link
     // plus one being read at each consumer, plus bundle survivors
     let (free_tx, free_rx) = sync_channel::<Tensor3<f32>>(2 * r_next * (channel_depth + 1) + 2);
-    let mut busy = IntervalStats::new();
-    let mut wait = IntervalStats::new();
-    let mut send = IntervalStats::new();
     let mut k = 0u64;
     loop {
         let j = w as u64 + k * r_mine as u64;
@@ -375,13 +285,7 @@ fn worker_loop(
             Ok(m) => m,
             Err(_) => break, // upstream done
         };
-        // live cells receive the same measured u64s as the IntervalStats,
-        // so cumulative cell totals reconcile with the profile exactly
-        let dt_wait = t0.elapsed().as_nanos() as u64;
-        wait.record(dt_wait);
-        if let Some(c) = cell {
-            c.add_queue_wait(dt_wait);
-        }
+        cell.add_queue_wait(t0.elapsed().as_nanos() as u64);
         // reuse a recycled buffer — but only one of our own shape: a
         // bundle survivor recycles to its *last carrier*, which may not
         // be its creator, so foreign-shaped buffers are simply dropped
@@ -404,12 +308,9 @@ fn worker_loop(
             }
         }
         let dt_busy = t1.elapsed().as_nanos() as u64;
-        busy.record(dt_busy);
-        if let Some(c) = cell {
-            c.add_service(dt_busy);
-            c.add_items(1);
-            c.record_interval(dt_busy);
-        }
+        cell.add_service(dt_busy);
+        cell.add_items(1);
+        cell.record_interval(dt_busy);
         // rebuild the bundle: survivors in plan order, own output last;
         // everything else goes back to the producer's pool (best effort:
         // a full or disconnected free-list just drops the buffer)
@@ -437,14 +338,9 @@ fn worker_loop(
         if sent.is_err() {
             break; // downstream done
         }
-        let dt_send = t2.elapsed().as_nanos() as u64;
-        send.record(dt_send);
-        if let Some(c) = cell {
-            c.add_send_wait(dt_send);
-        }
+        cell.add_send_wait(t2.elapsed().as_nanos() as u64);
         k += 1;
     }
-    WorkerStats { busy, wait, send }
 }
 
 /// The engine itself; construct per design, run per batch.
@@ -452,7 +348,8 @@ pub struct ThreadedEngine {
     stages: Vec<HostStage>,
     plans: Vec<StagePlan>,
     channel_depth: usize,
-    /// Live telemetry cells (one per stage) every run mirrors into.
+    /// Live telemetry cells (one per stage) every run records into; a run
+    /// without them records into a fresh plane of its own.
     live: Option<std::sync::Arc<LiveMetrics>>,
 }
 
@@ -489,9 +386,10 @@ impl ThreadedEngine {
         )
     }
 
-    /// Mirror every worker's measured service/wait times, image counts
-    /// and per-image service histogram into `live` during runs. The cells
-    /// must have been built for this engine's stage list.
+    /// Record every worker's measured service/wait times, image counts
+    /// and per-image service histogram into `live` during runs, so they
+    /// accumulate there across runs. The cells must have been built for
+    /// this engine's stage list.
     pub fn with_live(mut self, live: std::sync::Arc<LiveMetrics>) -> Self {
         assert_eq!(
             live.len(),
@@ -500,6 +398,49 @@ impl ThreadedEngine {
         );
         self.live = Some(live);
         self
+    }
+
+    /// The plane a run records into: the attached one, or a fresh one
+    /// for this run.
+    fn plane(&self) -> std::sync::Arc<LiveMetrics> {
+        self.live.clone().unwrap_or_else(|| self.live_metrics())
+    }
+
+    /// The profile of one run that recorded into `live`: per stage, what
+    /// its cell gained since `base`, the cells' totals when the run
+    /// started. A run that shares its plane with a concurrent run of the
+    /// same engine also counts that run's work.
+    fn profile_since(
+        &self,
+        live: &LiveMetrics,
+        base: &[CellCounters],
+        replication: &[usize],
+        batch: usize,
+        total: Duration,
+    ) -> PipelineProfile {
+        let stages = self
+            .stages
+            .iter()
+            .zip(live.totals().iter().zip(base))
+            .zip(replication)
+            .map(|((st, (now, then)), &replication)| {
+                let d = now.delta_since(then);
+                StageProfile {
+                    name: st.spec.name.clone(),
+                    replication,
+                    images: d.items,
+                    mean_interval_ns: d.service.checked_div(d.items).unwrap_or(0),
+                    service_total_ns: d.service,
+                    queue_wait_total_ns: d.queue_wait,
+                    send_wait_total_ns: d.send_wait,
+                }
+            })
+            .collect();
+        PipelineProfile {
+            stages,
+            batch,
+            total_ns: total.as_nanos() as u64,
+        }
     }
 
     /// Number of pipeline stages (minimum threads spawned per run).
@@ -526,15 +467,19 @@ impl ThreadedEngine {
         images: &[Tensor3<f32>],
         plan: &ReplicationPlan,
     ) -> (ExecResult, PipelineProfile) {
-        self.run_with_plan_live(images, plan, self.live.as_deref())
+        let live = self.plane();
+        let base = live.totals();
+        let res = self.run_pipelined(images, plan, &live);
+        let profile = self.profile_since(&live, &base, &plan.factors, images.len(), res.total);
+        (res, profile)
     }
 
-    fn run_with_plan_live(
+    fn run_pipelined(
         &self,
         images: &[Tensor3<f32>],
         plan: &ReplicationPlan,
-        live: Option<&LiveMetrics>,
-    ) -> (ExecResult, PipelineProfile) {
+        live: &LiveMetrics,
+    ) -> ExecResult {
         assert!(!images.is_empty(), "empty batch");
         assert!(!self.stages.is_empty(), "design has no pipeline stages");
         assert_eq!(
@@ -546,7 +491,6 @@ impl ThreadedEngine {
         let r = &plan.factors;
         let n = self.stages.len();
         let depth = self.channel_depth;
-        let (stats_tx, stats_rx) = std::sync::mpsc::channel::<(usize, WorkerStats)>();
         let start = Instant::now();
         let (outputs, completion_times) = std::thread::scope(|scope| {
             // boundary 0: the feeder (one producer) into stage 0's workers
@@ -559,13 +503,11 @@ impl ThreadedEngine {
                     let stage = &self.stages[s];
                     let plan = &self.plans[s];
                     let r_mine = r[s];
-                    let stats_tx = stats_tx.clone();
                     // replicated workers of one stage share its cell;
                     // the counters are atomic, so concurrent adds merge
-                    let cell = live.map(|l| l.cell(s));
+                    let cell = live.cell(s);
                     scope.spawn(move || {
-                        let ws = worker_loop(stage, plan, w, r_mine, rx_col, tx_row, depth, cell);
-                        let _ = stats_tx.send((s, ws));
+                        worker_loop(stage, plan, w, r_mine, rx_col, tx_row, depth, cell)
                     });
                 }
             }
@@ -603,44 +545,11 @@ impl ThreadedEngine {
             drop(feed_row);
             collector.join().expect("collector panicked")
         });
-        let total = start.elapsed();
-        drop(stats_tx);
-        let mut busy = vec![IntervalStats::new(); n];
-        let mut wait = vec![IntervalStats::new(); n];
-        let mut send = vec![IntervalStats::new(); n];
-        while let Ok((s, ws)) = stats_rx.try_recv() {
-            busy[s].merge(&ws.busy);
-            wait[s].merge(&ws.wait);
-            send[s].merge(&ws.send);
+        ExecResult {
+            outputs,
+            completion_times,
+            total: start.elapsed(),
         }
-        let profile = PipelineProfile {
-            stages: self
-                .stages
-                .iter()
-                .enumerate()
-                .map(|(s, st)| {
-                    StageProfile::from_totals(
-                        st.spec.name.clone(),
-                        r[s],
-                        busy[s].count,
-                        busy[s].total_ns,
-                        busy[s].max_ns,
-                        wait[s].total_ns,
-                        send[s].total_ns,
-                    )
-                })
-                .collect(),
-            batch: images.len(),
-            total_ns: total.as_nanos() as u64,
-        };
-        (
-            ExecResult {
-                outputs,
-                completion_times,
-                total,
-            },
-            profile,
-        )
     }
 
     /// Sequential baseline: the same hardware-order stages, one image at a
@@ -661,14 +570,15 @@ impl ThreadedEngine {
         &self,
         images: &[Tensor3<f32>],
     ) -> (ExecResult, PipelineProfile) {
-        self.run_sequential_live(images, self.live.as_deref())
+        let live = self.plane();
+        let base = live.totals();
+        let res = self.run_sequential_into(images, &live);
+        let ones = vec![1; self.stages.len()];
+        let profile = self.profile_since(&live, &base, &ones, images.len(), res.total);
+        (res, profile)
     }
 
-    fn run_sequential_live(
-        &self,
-        images: &[Tensor3<f32>],
-        live: Option<&LiveMetrics>,
-    ) -> (ExecResult, PipelineProfile) {
+    fn run_sequential_into(&self, images: &[Tensor3<f32>], live: &LiveMetrics) -> ExecResult {
         assert!(!images.is_empty(), "empty batch");
         let start = Instant::now();
         let mut workers: Vec<Box<dyn StageWorker>> =
@@ -678,7 +588,6 @@ impl ThreadedEngine {
             .iter()
             .map(|s| Tensor3::zeros(s.spec.out_shape))
             .collect();
-        let mut busy = vec![IntervalStats::new(); self.stages.len()];
         let mut outputs = Vec::with_capacity(images.len());
         let mut completion_times = Vec::with_capacity(images.len());
         for img in images {
@@ -692,45 +601,19 @@ impl ThreadedEngine {
                 let t = Instant::now();
                 worker.apply_multi(&refs, &mut rest[0]);
                 let dt = t.elapsed().as_nanos() as u64;
-                busy[s].record(dt);
-                if let Some(cell) = live.map(|l| l.cell(s)) {
-                    cell.add_service(dt);
-                    cell.add_items(1);
-                    cell.record_interval(dt);
-                }
+                let cell = live.cell(s);
+                cell.add_service(dt);
+                cell.add_items(1);
+                cell.record_interval(dt);
             }
             outputs.push(bufs.last().expect("at least one stage").clone());
             completion_times.push(start.elapsed());
         }
-        let total = start.elapsed();
-        let profile = PipelineProfile {
-            stages: self
-                .stages
-                .iter()
-                .enumerate()
-                .map(|(s, st)| {
-                    StageProfile::from_totals(
-                        st.spec.name.clone(),
-                        1,
-                        busy[s].count,
-                        busy[s].total_ns,
-                        busy[s].max_ns,
-                        0,
-                        0,
-                    )
-                })
-                .collect(),
-            batch: images.len(),
-            total_ns: total.as_nanos() as u64,
-        };
-        (
-            ExecResult {
-                outputs,
-                completion_times,
-                total,
-            },
-            profile,
-        )
+        ExecResult {
+            outputs,
+            completion_times,
+            total: start.elapsed(),
+        }
     }
 
     /// Measurement-driven pipelining: warm up sequentially, read the
@@ -754,7 +637,8 @@ impl ThreadedEngine {
 
     /// [`ThreadedEngine::run_adaptive`] with the host parallelism passed
     /// explicitly, so the sequential fallback is testable on any machine.
-    /// Returns the final plan alongside the stitched result and profile.
+    /// Returns the final plan alongside the stitched result and the
+    /// profile of the whole batch.
     pub fn run_adaptive_with_parallelism(
         &self,
         images: &[Tensor3<f32>],
@@ -762,21 +646,22 @@ impl ThreadedEngine {
     ) -> (ExecResult, PipelineProfile, ReplicationPlan) {
         assert!(!images.is_empty(), "empty batch");
         let n = self.stages.len();
-        let live = match &self.live {
-            Some(l) => l.clone(),
-            None => self.live_metrics(),
-        };
-        // tiny batches never outrun their warmup
-        if images.len() <= ADAPTIVE_WARMUP {
-            let (res, prof) = self.run_sequential_live(images, Some(&live));
-            return (res, prof, ReplicationPlan::uniform(n));
-        }
+        let live = self.plane();
+        let base = live.totals();
         let mut sampler = Sampler::new(live.clone());
         let start = Instant::now();
-        let (warm_res, warm_prof) =
-            self.run_sequential_live(&images[..ADAPTIVE_WARMUP], Some(&live));
-        let mut plan = Self::replan(&mut sampler, &start, threads);
-        let rest = &images[ADAPTIVE_WARMUP..];
+        let (warm, rest) = images.split_at(images.len().min(ADAPTIVE_WARMUP));
+        let ExecResult {
+            mut outputs,
+            mut completion_times,
+            ..
+        } = self.run_sequential_into(warm, &live);
+        // tiny batches never outrun their warmup
+        let mut plan = if rest.is_empty() {
+            None
+        } else {
+            Self::replan(&mut sampler, &start, threads)
+        };
         // long pipelined batches get a second measurement point: the first
         // chunk's deltas (true per-worker service under concurrency)
         // refine the plan for the remainder
@@ -785,9 +670,7 @@ impl ThreadedEngine {
         } else {
             rest.len()
         };
-        let mut parts = vec![warm_prof];
-        let mut outputs = warm_res.outputs;
-        let mut completion_times = warm_res.completion_times;
+        let mut widest = vec![1; n];
         for (i, chunk) in [&rest[..split], &rest[split..]].into_iter().enumerate() {
             if chunk.is_empty() {
                 continue;
@@ -797,16 +680,20 @@ impl ThreadedEngine {
             }
             let offset = start.elapsed();
             // no plan: the planner refused to replicate, stay sequential
-            let (res, prof) = match &plan {
-                Some(plan) => self.run_with_plan_live(chunk, plan, Some(&live)),
-                None => self.run_sequential_live(chunk, Some(&live)),
+            let res = match &plan {
+                Some(plan) => {
+                    for (w, &f) in widest.iter_mut().zip(&plan.factors) {
+                        *w = f.max(*w);
+                    }
+                    self.run_pipelined(chunk, plan, &live)
+                }
+                None => self.run_sequential_into(chunk, &live),
             };
             outputs.extend(res.outputs);
             completion_times.extend(res.completion_times.into_iter().map(|t| offset + t));
-            parts.push(prof);
         }
         let total = start.elapsed();
-        let profile = Self::merge_profiles(&parts, images.len(), total.as_nanos() as u64);
+        let profile = self.profile_since(&live, &base, &widest, images.len(), total);
         (
             ExecResult {
                 outputs,
@@ -828,34 +715,6 @@ impl ThreadedEngine {
             .map(|d| d.service / d.items.max(1))
             .collect();
         ReplicationPlan::adaptive(&measured, threads)
-    }
-
-    /// Fold per-chunk profiles into one batch profile: totals and image
-    /// counts add; means re-derive from the exact totals; replication
-    /// reports the widest factor any chunk used.
-    fn merge_profiles(parts: &[PipelineProfile], batch: usize, total_ns: u64) -> PipelineProfile {
-        let first = parts.first().expect("at least one chunk profile");
-        let stages = (0..first.stages.len())
-            .map(|s| {
-                let sum = |f: fn(&StageProfile) -> u64| parts.iter().map(|p| f(&p.stages[s])).sum();
-                let widest = parts.iter().map(|p| p.stages[s].replication).max();
-                let max_ns = parts.iter().map(|p| p.stages[s].max_interval_ns).max();
-                StageProfile::from_totals(
-                    first.stages[s].name.clone(),
-                    widest.unwrap_or(1),
-                    sum(|p| p.images),
-                    sum(|p| p.service_total_ns),
-                    max_ns.unwrap_or(0),
-                    sum(|p| p.queue_wait_total_ns),
-                    sum(|p| p.send_wait_total_ns),
-                )
-            })
-            .collect();
-        PipelineProfile {
-            stages,
-            batch,
-            total_ns,
-        }
     }
 }
 
@@ -1002,10 +861,11 @@ mod tests {
         assert!(profile.total_ns > 0);
         assert!(profile.stages.iter().all(|s| s.images == 6));
         assert!(profile.stages.iter().all(|s| s.mean_interval_ns > 0));
-        let table = profile.render_table();
-        assert!(table.contains("conv1") && table.contains("fc1"));
-        let b = profile.bottleneck();
-        assert!(profile.balanced_bound_ns() >= profile.stages[b].effective_interval_ns());
+        assert!(profile
+            .stages
+            .iter()
+            .all(|s| s.mean_interval_ns == s.service_total_ns / s.images));
+        assert_eq!(profile.stages[0].name, "conv1");
     }
 
     #[test]
@@ -1027,7 +887,7 @@ mod tests {
         assert!(profile
             .stages
             .iter()
-            .all(|s| s.mean_queue_wait_ns == 0 && s.mean_send_wait_ns == 0));
+            .all(|s| s.queue_wait_total_ns == 0 && s.send_wait_total_ns == 0));
         assert_eq!(profile.batch, 6);
         // with threads to spare the pipelined path still works
         let (multi, _, _) = engine.run_adaptive_with_parallelism(&imgs, 4);
@@ -1099,7 +959,6 @@ mod tests {
             let stats = live.cell(s).interval_stats();
             assert_eq!(stats.count, sp.images);
             assert_eq!(stats.total_ns, sp.service_total_ns);
-            assert_eq!(stats.max_ns, sp.max_interval_ns);
         }
     }
 

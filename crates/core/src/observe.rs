@@ -224,9 +224,10 @@ impl RunReport {
     }
 
     /// Build from a threaded-engine profile, with the drift columns empty.
-    /// Uses the profile's exact per-stage totals (not mean × images, which
+    /// Uses the profile's per-stage totals, which are what the stages'
+    /// live telemetry cells gained over the run (not mean × images, which
     /// loses the integer division's remainder), so the report reconciles
-    /// bit-exactly with the live telemetry cells.
+    /// bit-exactly with the cells.
     pub fn from_profile(profile: &PipelineProfile) -> Self {
         RunReport {
             schema_version: SCHEMA_VERSION,
@@ -342,9 +343,6 @@ mod tests {
                 replication: 1,
                 images: 4,
                 mean_interval_ns: 100,
-                max_interval_ns: 150,
-                mean_queue_wait_ns: 20,
-                mean_send_wait_ns: 5,
                 service_total_ns: 403,
                 queue_wait_total_ns: 81,
                 send_wait_total_ns: 22,

@@ -15,24 +15,26 @@
 //! # The reconciliation invariant
 //!
 //! Telemetry is only trustworthy if it cannot drift from the post-hoc
-//! truth, so the cells are derived from the *same* values the flight
-//! recorder accumulates. In the simulator the recorder's
+//! truth, so each counter has one store. In the simulator the recorder's
 //! [`crate::trace::ActorStallStats`] are the one store of the stall
 //! counters: it adds to the cells what they gained since its last
 //! publish, at every sampler tick and when the run ends (initiations and
-//! their intervals go into the cells as they happen). The threaded
-//! engine's workers record the identical measured `u64` into both the
-//! cell and their [`IntervalStats`]. Consequently, for any run:
+//! their intervals go into the cells as they happen). In the threaded
+//! engine the cells are the one store: each worker writes every measured
+//! `u64` once, into its stage's cell, and the engine reads a run's
+//! [`crate::exec::PipelineProfile`] back as what the cells gained over
+//! that run. Consequently, for any run:
 //!
 //! * summing all snapshot deltas per stage reproduces the final
 //!   [`crate::trace::ActorStallStats`] counters (and therefore the time
 //!   columns of the [`crate::observe::RunReport`]) **exactly** — no
 //!   rounding, no sampling loss;
-//! * cumulative cell totals equal the threaded engine's
-//!   [`crate::exec::StageProfile`] totals exactly.
+//! * the threaded engine's [`crate::exec::StageProfile`] totals equal
+//!   what the cells gained during the run exactly, so the profiles of
+//!   the runs that share a plane sum to its cumulative totals.
 //!
 //! `tests/live_telemetry.rs` pins both, on the paper test cases and on
-//! the random-design corpus.
+//! the random-design corpus, and on a host plane reused across runs.
 //!
 //! One caveat inherited from the event-driven scheduler: sleeping actors
 //! are billed lazily (back-fill at the next tick), so a *mid-run*
@@ -98,7 +100,8 @@ pub struct CellCounters {
 }
 
 impl CellCounters {
-    fn delta_since(&self, last: &CellCounters) -> CellCounters {
+    /// What the counters gained since `last`, an earlier copy of the same cell.
+    pub(crate) fn delta_since(&self, last: &CellCounters) -> CellCounters {
         CellCounters {
             items: self.items - last.items,
             service: self.service - last.service,

@@ -545,16 +545,17 @@ impl Trace {
     }
 }
 
-/// Running statistics over a series of measured intervals (nanoseconds) —
-/// the host-side analogue of a stage's initiation-interval histogram. Used
-/// by the threaded engine's workers to time per-image service and
-/// queue-wait, and aggregated into a
-/// [`crate::exec::PipelineProfile`].
+/// Statistics over a series of measured intervals: what a live telemetry
+/// cell's interval histogram reads back as
+/// ([`crate::observe::live::MetricCell::interval_stats`]), per-image
+/// service times in nanoseconds on the threaded engine and
+/// inter-initiation gaps in cycles in the simulator.
 ///
 /// Alongside count/total/max/min, a 64-bucket power-of-two histogram
 /// supports a cheap high-quantile estimate ([`IntervalStats::p99_ns`]) —
-/// coarse (upper bound of the containing bucket) but allocation-free and
-/// mergeable across workers.
+/// coarse (upper bound of the containing bucket) but allocation-free.
+/// [`IntervalStats::record`] fills one series directly, the reference the
+/// cells are tested against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IntervalStats {
     /// Number of recorded intervals.
@@ -626,22 +627,6 @@ impl IntervalStats {
         self.buckets[bucket_of(ns)] += 1;
     }
 
-    /// Fold another series into this one (used to merge per-worker stats
-    /// of a replicated stage).
-    pub fn merge(&mut self, other: &IntervalStats) {
-        self.min_ns = match (self.count, other.count) {
-            (_, 0) => self.min_ns,
-            (0, _) => other.min_ns,
-            _ => self.min_ns.min(other.min_ns),
-        };
-        self.count += other.count;
-        self.total_ns += other.total_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
-        for (b, n) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += n;
-        }
-    }
-
     /// Mean interval in nanoseconds (0 when empty).
     pub fn mean_ns(&self) -> u64 {
         self.total_ns.checked_div(self.count).unwrap_or(0)
@@ -697,33 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn interval_stats_merge() {
-        let mut a = IntervalStats::new();
-        a.record(5);
-        a.record(15);
-        let mut b = IntervalStats::new();
-        b.record(100);
-        a.merge(&b);
-        assert_eq!(a.count, 3);
-        assert_eq!(a.total_ns, 120);
-        assert_eq!(a.max_ns, 100);
-        assert_eq!(a.mean_ns(), 40);
-        assert_eq!(a.min_ns(), 5);
-    }
-
-    #[test]
-    fn interval_stats_min_merges_through_empties() {
-        let mut empty = IntervalStats::new();
-        assert_eq!(empty.min_ns(), 0);
-        let mut one = IntervalStats::new();
-        one.record(7);
-        empty.merge(&one);
-        assert_eq!(empty.min_ns(), 7);
-        one.merge(&IntervalStats::new());
-        assert_eq!(one.min_ns(), 7);
-    }
-
-    #[test]
     fn interval_stats_high_quantile() {
         let mut s = IntervalStats::new();
         for _ in 0..100 {
@@ -736,63 +694,6 @@ mod tests {
         // the extreme quantile reaches the outlier's bucket
         assert_eq!(s.quantile_ns(1.0), 1000);
         assert_eq!(IntervalStats::new().p99_ns(), 0);
-    }
-
-    #[test]
-    fn interval_stats_merge_of_disjoint_buckets_is_p99_monotone() {
-        // two populations in disjoint histogram buckets: a ∈ [16,31],
-        // b ∈ [4096,8191] — merging a strictly-larger population must
-        // never lower the p99, and the merged p99 stays bounded by the
-        // larger population's own p99
-        let mut a = IntervalStats::new();
-        for _ in 0..100 {
-            a.record(20);
-        }
-        let mut b = IntervalStats::new();
-        for _ in 0..100 {
-            b.record(5000);
-        }
-        let (pa, pb) = (a.p99_ns(), b.p99_ns());
-        assert!(pa < pb, "populations must be orderable: {pa} vs {pb}");
-        let mut m = a;
-        m.merge(&b);
-        assert!(m.p99_ns() >= pa, "merge lowered p99: {} < {pa}", m.p99_ns());
-        assert!(m.p99_ns() <= pb, "merged p99 above both: {}", m.p99_ns());
-        // with equal counts the p99 rank lands in the slow population
-        assert_eq!(m.p99_ns(), pb);
-    }
-
-    #[test]
-    fn interval_stats_merge_of_disjoint_buckets_keeps_min() {
-        let mut fast = IntervalStats::new();
-        fast.record(20);
-        fast.record(25);
-        let mut slow = IntervalStats::new();
-        slow.record(5000);
-        // min survives the merge in both directions
-        let mut m1 = fast;
-        m1.merge(&slow);
-        assert_eq!(m1.min_ns(), 20);
-        let mut m2 = slow;
-        m2.merge(&fast);
-        assert_eq!(m2.min_ns(), 20);
-        assert_eq!(m1.max_ns, 5000);
-        assert_eq!(m2.max_ns, 5000);
-    }
-
-    #[test]
-    fn interval_stats_quantile_merges() {
-        let mut a = IntervalStats::new();
-        for _ in 0..99 {
-            a.record(8);
-        }
-        let mut b = IntervalStats::new();
-        b.record(4096);
-        a.merge(&b);
-        assert_eq!(a.count, 100);
-        // the median rank sits among the fast samples: bucket bound 15
-        assert_eq!(a.quantile_ns(0.5), 15);
-        assert_eq!(a.quantile_ns(1.0), 4096);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 mod common;
 
+use dfcnn::core::exec::ReplicationPlan;
 use dfcnn::core::graph::{DesignConfig, NetworkDesign, PortConfig};
 use dfcnn::core::observe::live::{snapshots_to_jsonl, sum_deltas, MetricsSnapshot, Sampler};
 use dfcnn::core::observe::{RunReport, SCHEMA_VERSION};
@@ -196,6 +197,41 @@ fn threaded_engine_reconciles_with_its_report() {
         assert_eq!(stage.starved_ns, c.queue_wait as f64, "{}", stage.name);
         assert_eq!(stage.backpressured_ns, c.send_wait as f64, "{}", stage.name);
     }
+}
+
+/// One host plane reused across runs: a sequential run, then a pipelined
+/// run under a non-uniform plan. Each profile counts only its own batch,
+/// and every cell holds the sum of the two profiles' totals.
+#[test]
+fn reused_host_plane_splits_into_per_run_profiles() {
+    let (design, _) = tc1();
+    let first = design_images(&design, 3, 74);
+    let second = design_images(&design, 7, 75);
+    let expected = ThreadedEngine::new(&design).run_sequential(&second).outputs;
+    let engine = ThreadedEngine::new(&design);
+    let live = engine.live_metrics();
+    let engine = engine.with_live(live.clone());
+    let plan = ReplicationPlan {
+        factors: vec![2, 1, 3, 1, 2],
+    };
+    assert_eq!(plan.factors.len(), engine.stage_count());
+    let (_, seq) = engine.run_sequential_profiled(&first);
+    let (res, piped) = engine.run_with_plan(&second, &plan);
+    assert_eq!(res.outputs, expected, "pipelined run must stay bit-exact");
+    for (s, (a, b)) in seq.stages.iter().zip(&piped.stages).enumerate() {
+        assert_eq!((a.images, a.replication), (3, 1), "{}", a.name);
+        assert_eq!((b.images, b.replication), (7, plan.factors[s]));
+        assert_eq!(a.queue_wait_total_ns + a.send_wait_total_ns, 0);
+        let c = live.cell(s).counters();
+        assert_eq!(c.items, a.images + b.images, "{}", a.name);
+        assert_eq!(c.service, a.service_total_ns + b.service_total_ns);
+        assert_eq!(c.queue_wait, a.queue_wait_total_ns + b.queue_wait_total_ns);
+        assert_eq!(c.send_wait, a.send_wait_total_ns + b.send_wait_total_ns);
+        assert_eq!(c.idle, 0);
+        let stats = live.cell(s).interval_stats();
+        assert_eq!((stats.count, stats.total_ns), (c.items, c.service));
+    }
+    assert_eq!((seq.batch, piped.batch), (3, 7));
 }
 
 /// Telemetry-off vs telemetry-on, untraced: outputs, completions, cycle

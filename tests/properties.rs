@@ -460,41 +460,3 @@ fn tensor3_stream_order_is_axi_order() {
         expect.as_slice()
     );
 }
-
-// ---------------------------------------------------------------------------
-// IntervalStats merge: splitting a sample stream at arbitrary points and
-// merging the partial histograms must be indistinguishable from recording
-// the whole stream into one accumulator — count, totals, extrema, buckets
-// and therefore every derived quantile.
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-    #[test]
-    fn interval_stats_merge_equals_single_pass(
-        samples in proptest::collection::vec(0u64..5_000_000, 1..200),
-        cuts in proptest::collection::vec(0usize..200, 0..5),
-    ) {
-        use dfcnn::core::trace::IntervalStats;
-        let mut single = IntervalStats::new();
-        for &s in &samples {
-            single.record(s);
-        }
-
-        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % samples.len()).collect();
-        bounds.push(0);
-        bounds.push(samples.len());
-        bounds.sort_unstable();
-        let mut merged = IntervalStats::new();
-        for w in bounds.windows(2) {
-            let mut part = IntervalStats::new();
-            for &s in &samples[w[0]..w[1]] {
-                part.record(s);
-            }
-            merged.merge(&part);
-        }
-
-        prop_assert_eq!(merged, single);
-        prop_assert_eq!(merged.p99_ns(), single.p99_ns());
-        prop_assert_eq!(merged.quantile_ns(0.5), single.quantile_ns(0.5));
-    }
-}
